@@ -9,14 +9,15 @@ toolkit never claims an infinite-horizon verdict.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BuildError, SpecFormatError
 from .hfun import DyadicHFn, grid_index_floor
 from .measures import Filtration, extract_optimal_cover
-from .treeset import Budget, CylinderUnionSet, TreeSet, _budget, is_trace_subset
-from .words import Word, check_word, interleave
+from .treeset import Budget, TreeSet, _budget
+from .words import Word, check_words, interleave
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,7 @@ class Cover:
     group_offset: int = 0
 
     def __post_init__(self):
-        for w in self.elements:
-            check_word(w)
+        check_words(self.elements)
         if self.groups is not None:
             pos = 0
             for a, b in self.groups:
@@ -71,14 +71,62 @@ class Cover:
         return None
 
 
+def _covering_groups(e: TreeSet, tags: dict, n: int,
+                     budget: Budget | None) -> int:
+    """Bitmask of the groups that cover E at depth n, in one walk.
+
+    ``tags`` maps each cover word to the bitmask of the groups listing it.
+    The walk follows E's depth-n trace only as far as the sorted cover words
+    reach: a node carries the range [lo, hi) of words it prefixes and the OR
+    of the tags of the words it passed.  A branch stops where the range runs
+    out (every trace node has a descendant, so its mask holds for all leaves
+    below), at depth n (words longer than n are dropped, so the range is
+    empty there), or where the mask cannot grow.  Bit j of the AND over all
+    stops is set iff every depth-n trace node lies under a word of group j.
+    Each expanded node costs one budget node.
+    """
+    words = sorted(w for w in tags if len(w) <= n)
+    check_words(words)
+    masks = [tags[w] for w in words]
+    full = 0
+    for m in masks:
+        full |= m
+    covered = full
+    children, spend = e.children, _budget(budget).spend
+    stack = [(e.root_state(), "", 0, len(words), 0)]
+    push, pop = stack.append, stack.pop
+    while stack and covered:
+        state, word, lo, hi, mask = pop()
+        d = len(word)
+        if lo < hi and len(words[lo]) == d:  # the node is a cover word
+            mask |= masks[lo]
+            lo += 1
+        if lo == hi or mask == full:
+            covered &= mask
+            continue
+        spend()
+        mid = bisect_left(words, word + "1", lo, hi)
+        for bit, child in children(state, d):
+            if bit:
+                push((child, word + "1", mid, hi, mask))
+            else:
+                push((child, word + "0", lo, mid, mask))
+    return covered
+
+
+def _covered_groups(e: TreeSet, groups, n: int, budget: Budget | None) -> int:
+    """Bit j set iff the words of groups[j] cover E at depth n."""
+    tags: dict = {}
+    for j, words in enumerate(groups):
+        for w in words:
+            tags[w] = tags.get(w, 0) | 1 << j
+    return _covering_groups(e, tags, n, budget)
+
+
 def is_cover_at_depth(e: TreeSet, elements, n: int,
                       budget: Budget | None = None) -> bool:
     """Every depth-n trace node of E lies under some listed cylinder."""
-    elems = [w for w in elements if len(w) <= n]
-    if not elems:
-        return False
-    automaton = CylinderUnionSet(elems, interleaved=e.interleaved)
-    return is_trace_subset(e, automaton, n, budget) is None
+    return bool(_covered_groups(e, (elements,), n, budget))
 
 
 @dataclass(frozen=True)
@@ -97,10 +145,15 @@ def verify_lambda(e: TreeSet, cover: Cover, horizon: int, depth: int,
                   budget: Budget | None = None) -> LambdaVerdict:
     """Truncated lambda-cover criterion: for each j <= J the tail
     {U_n : n >= j} still covers E at the trace depth."""
-    bud = _budget(budget)
-    for j in range(horizon + 1):
-        if not is_cover_at_depth(e, cover.elements[j:], depth, bud):
-            return LambdaVerdict("fails", horizon, depth, j)
+    top = max(horizon, -1)
+    tags: dict = {}
+    for i, w in enumerate(cover.elements):
+        # element i lies in every tail j <= i
+        tags[w] = tags.get(w, 0) | ((1 << (min(i, top) + 1)) - 1)
+    covered = _covering_groups(e, tags, depth, budget)
+    j = ((covered + 1) & ~covered).bit_length() - 1  # the lowest zero bit
+    if j <= horizon:
+        return LambdaVerdict("fails", horizon, depth, j)
     return LambdaVerdict("holds", horizon, depth)
 
 
@@ -126,11 +179,10 @@ def verify_gamma_groupable(e: TreeSet, cover: Cover, horizon: int, depth: int,
     """
     if cover.groups is None:
         raise SpecFormatError("cover carries no witnessing groups")
-    bud = _budget(budget)
     top = min(horizon, cover.group_count - 1)
-    ok = []
-    for j in range(top + 1):
-        ok.append(is_cover_at_depth(e, cover.group_elements(j), depth, bud))
+    covered = _covered_groups(e, [cover.group_elements(j) for j in range(top + 1)],
+                              depth, budget)
+    ok = [bool(covered >> j & 1) for j in range(top + 1)]
     failures = tuple(j for j, good in enumerate(ok) if not good)
     j0 = top + 1
     while j0 > 0 and ok[j0 - 1]:
@@ -353,18 +405,17 @@ def verify_combPnull_witness(e: TreeSet, eps, families, f_bound,
                              budget: Budget | None = None) -> FamilyVerdict:
     """Families F_n with d(F_n) <= eps_n, |F_n| <= f(n), whose unions form a
     gamma-cover of E at truncation (J, D)."""
-    bud = _budget(budget)
     eps = [Fraction(x) for x in eps]
     top = min(horizon, len(families) - 1)
     fine_bad, size_bad, cover_bad = [], [], []
-    covered = []
     for n in range(top + 1):
         fam = families[n]
         if any(Fraction(1, 1 << len(w)) > eps[n] for w in fam):
             fine_bad.append(n)
         if len(fam) > _f_bound(f_bound, n):
             size_bad.append(n)
-        covered.append(bool(fam) and is_cover_at_depth(e, fam, depth, bud))
+    mask = _covered_groups(e, [families[n] for n in range(top + 1)], depth, budget)
+    covered = [bool(mask >> n & 1) for n in range(top + 1)]
     n0 = top + 1
     while n0 > 0 and covered[n0 - 1]:
         n0 -= 1
@@ -379,18 +430,17 @@ def verify_combDnull_witness(e: TreeSet, eps, index_set, families, f_bound,
                              horizon: int, depth: int,
                              budget: Budget | None = None) -> FamilyVerdict:
     """The directed variant: the same checks restricted to n in I."""
-    bud = _budget(budget)
     eps = [Fraction(x) for x in eps]
     idx = [n for n in sorted(index_set) if n <= horizon]
     fine_bad, size_bad = [], []
-    covered = {}
     for n in idx:
         fam = families[n]
         if any(Fraction(1, 1 << len(w)) > eps[n] for w in fam):
             fine_bad.append(n)
         if len(fam) > _f_bound(f_bound, n):
             size_bad.append(n)
-        covered[n] = bool(fam) and is_cover_at_depth(e, fam, depth, bud)
+    mask = _covered_groups(e, [families[n] for n in idx], depth, budget)
+    covered = {n: bool(mask >> i & 1) for i, n in enumerate(idx)}
     n0 = None
     for i in range(len(idx) + 1):
         if all(covered[n] for n in idx[i:]):

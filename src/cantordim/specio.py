@@ -100,6 +100,10 @@ def set_to_dict(e: TreeSet) -> dict:
 # Gauges
 
 
+def _table(d: dict, key: str, where: str) -> list:
+    return [rational(v, f"{where}.{key}[{i}]") for i, v in enumerate(_need(d, key, where))]
+
+
 def parse_hfn(d: dict, where: str = "hfn") -> DyadicHFn:
     if not isinstance(d, dict):
         raise SpecFormatError("gauge spec must be an object", where)
@@ -113,15 +117,22 @@ def parse_hfn(d: dict, where: str = "hfn") -> DyadicHFn:
             return power_hfn(s, n_max, precision)
         return power_log_hfn(s, t, n_max, precision)
     if "table" in d:
-        vals = [rational(v, f"{where}.table[{i}]") for i, v in enumerate(d["table"])]
-        return table_hfn(vals, precision)
-    raise SpecFormatError("gauge needs 'symbolic' or 'table'", where)
+        return table_hfn(_table(d, "table", where), precision)
+    if "table_lo" in d or "table_hi" in d:
+        # an interval table, as written for gauges with inexact samples
+        return DyadicHFn(_table(d, "table_lo", where), _table(d, "table_hi", where),
+                         None, precision)
+    raise SpecFormatError("gauge needs 'symbolic', 'table' or 'table_lo'/'table_hi'",
+                          where)
 
 
 def hfn_to_dict(h: DyadicHFn) -> dict:
     if h.symbolic is not None:
-        return {"symbolic": {"s": rational_str(h.symbolic.s), "t": str(h.symbolic.t)},
-                "precision_bits": h.precision}
+        out = {"symbolic": {"s": rational_str(h.symbolic.s), "t": str(h.symbolic.t)},
+               "precision_bits": h.precision}
+        if h.n_max != DEFAULT_N_MAX:
+            out["n_max"] = h.n_max
+        return out
     if all(h.is_exact_at(n) for n in range(h.n_max + 1)):
         return {"table": [rational_str(v) for v in h.lo]}
     return {"table_lo": [rational_str(v) for v in h.lo],

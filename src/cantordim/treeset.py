@@ -17,6 +17,7 @@ diameter 2^-(d//2).  Plain sets have scale(d) = d.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import ResourceLimitError, SpecFormatError
@@ -279,11 +280,7 @@ class BlockConstraintSet(TreeSet):
         bs = self.boundaries
         if depth < bs[0] or depth >= bs[-1]:
             return None
-        # blocks are few at desk scale; linear scan is fine
-        for j in range(len(self.blocks)):
-            if bs[j] <= depth < bs[j + 1]:
-                return j
-        return None
+        return bisect_right(bs, depth) - 1
 
     def root_state(self):
         return ("free",)
@@ -443,10 +440,9 @@ class UnionSet(TreeSet):
 class CylinderUnionSet(TreeSet):
     """The clopen union of finitely many cylinders (free tails).
 
-    Used as the coverage automaton: a node is absorbed once some cylinder's
-    word has been consumed as a prefix.  The scale convention of the space
-    the cylinders live in is carried through so product-set coverage checks
-    line up.
+    A node is absorbed once some cylinder's word has been consumed as a
+    prefix.  The scale convention of the space the cylinders live in is
+    carried through so subset checks against product sets line up.
     """
 
     kind = "cylinder_union"

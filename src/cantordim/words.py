@@ -17,9 +17,20 @@ Word = str
 
 
 def check_word(p: str) -> str:
-    if not isinstance(p, str) or any(c not in "01" for c in p):
+    if not isinstance(p, str) or p.strip("01"):  # nonempty iff a non-bit remains
         raise SpecFormatError(f"not a binary word: {p!r}")
     return p
+
+
+def check_words(words) -> None:
+    """check_word on every word, in one C-level scan when all are valid."""
+    try:
+        if not "".join(words).strip("01"):
+            return
+    except TypeError:
+        pass
+    for w in words:
+        check_word(w)
 
 
 def xor_words(p: str, q: str) -> str:

@@ -167,3 +167,17 @@ def einc_failures_by_words(f_table, g_table, F, G, horizon):
                            for t in G[n]):
                     failures.add((n, k))
     return failures
+
+
+def covering_groups_by_words(trace, groups, n):
+    """Bitmask of the groups covering a depth-n trace, word by word.
+
+    Bit j is set iff every trace word has a prefix among the words of
+    groups[j] no longer than n; an empty group covers nothing.
+    """
+    out = 0
+    for j, words in enumerate(groups):
+        short = [w for w in words if len(w) <= n]
+        if short and all(any(t.startswith(w) for w in short) for t in trace):
+            out |= 1 << j
+    return out

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+
+from oracles import covering_groups_by_words
 
 from cantordim.covers import (Cover, DpNullWitness, build_bounded_groups,
                               build_dpnull_witness, build_fine_lambda,
@@ -10,13 +13,13 @@ from cantordim.covers import (Cover, DpNullWitness, build_bounded_groups,
                               verify_combDnull_witness,
                               verify_combPnull_witness, verify_gamma_groupable,
                               verify_lambda)
-from cantordim.errors import BuildError, SpecFormatError
+from cantordim.errors import BuildError, ResourceLimitError, SpecFormatError
 from cantordim.hfun import hfn_from_epsilons, power_hfn, table_hfn
 from cantordim.measures import (Filtration, hausdorff_measure_delta,
                                 trivial_filtration)
-from cantordim.treeset import (CISet, ExplicitSet, FullCube, ProductSet,
-                               UnionSet)
-from cantordim.words import ISpec, evens, odds
+from cantordim.treeset import (BlockConstraintSet, Budget, CISet, ExplicitSet,
+                               FullCube, ProductSet, UnionSet)
+from cantordim.words import ISpec, all_words, evens, odds, periodic_ispec
 
 
 def depth_cylinder_cover(e, depths):
@@ -307,3 +310,145 @@ def test_smz_direction_instance():
     cost = sum(h.hi_at(len(w)) for w in elems)
     assert cost <= 1  # sum over 2^-n, n >= 1
     assert hausdorff_measure_delta(x, h, 1, 12).upper <= cost
+
+
+# ---------------------------------------------------------------------------
+# The one-walk verifiers against word-by-word coverage
+
+
+def random_cover_sets(r):
+    """Seeded instances of every shape the walk meets: explicit sets with
+    both tails, constraint sets, block constraints and interleaved products."""
+    return [
+        ExplicitSet(r.sample(all_words(5), 6), tail="zeros"),
+        ExplicitSet(r.sample(all_words(4), 5), tail="free"),
+        CISet(periodic_ispec("1", "100")),
+        BlockConstraintSet([1, 3, 6], [["01", "10", "11"], ["000", "101"]]),
+        ProductSet(CISet(evens()), ExplicitSet(r.sample(all_words(3), 3))),
+    ]
+
+
+def random_group(r, trace, n):
+    """Trace prefixes at one depth, sometimes losing a word or gaining
+    duplicates, the empty word, stray words or words longer than n."""
+    d = r.randint(0, n)
+    words = sorted({t[:d] for t in trace})
+    if len(words) > 1 and r.random() < 0.4:
+        words.pop(r.randrange(len(words)))
+    extras = [r.choice(words) if words else "",
+              "",
+              format(r.getrandbits(n), f"0{n}b")[:r.randint(1, n)],
+              r.choice(trace) + "01"]
+    words += [w for w in extras if r.random() < 0.25]
+    r.shuffle(words)
+    return tuple(words)
+
+
+def test_walk_matches_word_oracle():
+    r = random.Random(20121)
+    n = 7
+    for e in random_cover_sets(r):
+        trace = e.trace(n)
+        for _ in range(12):
+            groups = [random_group(r, trace, n) for _ in range(r.randint(0, 5))]
+            if r.random() < 0.3 and groups:
+                groups[r.randrange(len(groups))] = ()
+            want = covering_groups_by_words(trace, groups, n)
+            elems = tuple(w for g in groups for w in g)
+            spans, pos = [], 0
+            for g in groups:
+                spans.append((pos, pos + len(g)))
+                pos += len(g)
+            cover = Cover(elems, tuple(spans))
+
+            for g in groups:
+                assert is_cover_at_depth(e, g, n) == bool(
+                    covering_groups_by_words(trace, [g], n))
+
+            for horizon in (0, 2, len(groups) + 2):
+                v = verify_gamma_groupable(e, cover, horizon, n)
+                top = min(horizon, len(groups) - 1)
+                ok = [bool(want >> j & 1) for j in range(top + 1)]
+                assert v.group_failures == tuple(j for j, g in enumerate(ok) if not g)
+                j0 = top + 1
+                while j0 > 0 and ok[j0 - 1]:
+                    j0 -= 1
+                assert v.j0 == (j0 if j0 <= top else None)
+                assert v.holds == (j0 <= top)
+
+                tails = covering_groups_by_words(
+                    trace, [elems[j:] for j in range(horizon + 1)], n)
+                fail = next((j for j in range(horizon + 1) if not tails >> j & 1), None)
+                lam = verify_lambda(e, Cover(elems), horizon, n)
+                assert lam.failure_index == fail and lam.holds == (fail is None)
+
+                eps = [Fraction(1)] * len(groups)
+                p = verify_combPnull_witness(e, eps, groups, lambda k: 99, horizon, n)
+                assert p.coverage_failures == v.group_failures
+                assert p.n0 == v.j0
+
+                index_set = sorted(r.sample(range(len(groups)), r.randint(0, len(groups))))
+                fams = {k: groups[k] for k in index_set}
+                dv = verify_combDnull_witness(e, eps, index_set, fams, lambda k: 99,
+                                              horizon, n)
+                idx = [k for k in index_set if k <= horizon]
+                good = [bool(want >> k & 1) for k in idx]
+                assert dv.coverage_failures == tuple(k for k, g in zip(idx, good) if not g)
+                tail = next((i for i in range(len(idx) + 1) if all(good[i:])), None)
+                assert dv.n0 == (idx[tail] if tail < len(idx) else None)
+
+
+def test_walk_edge_cases():
+    fc = FullCube()
+    leaves = fc.trace(3)
+    # duplicate words change nothing
+    assert is_cover_at_depth(fc, leaves + leaves, 3)
+    dup = Cover(("0", "0", "1", "1"), ((0, 2), (2, 4)))
+    assert verify_gamma_groupable(fc, dup, 1, 3).group_failures == (0, 1)
+    # words longer than the depth are ignored
+    assert not is_cover_at_depth(fc, fc.trace(4), 3)
+    assert is_cover_at_depth(fc, fc.trace(4) + ["0", "1"], 3)
+    # the empty word covers everything, at every depth including 0
+    assert is_cover_at_depth(CISet(evens()), [""], 0)
+    assert not is_cover_at_depth(fc, ["0", "1"], 0)
+    assert verify_lambda(fc, Cover(("", "0", "")), 2, 4).holds
+    # empty groups and families stay uncovered
+    gappy = Cover(("",) + tuple(leaves), ((0, 1), (1, 1), (1, 9)))
+    v = verify_gamma_groupable(fc, gappy, 5, 3)
+    assert v.group_failures == (1,) and v.j0 == 2 and v.holds
+    p = verify_combPnull_witness(fc, [Fraction(1)] * 3, [("",), (), ("",)],
+                                 lambda k: 9, 2, 3)
+    assert p.coverage_failures == (1,) and p.n0 == 2
+    d = verify_combDnull_witness(fc, [Fraction(1)] * 3, (0, 2), {0: (), 2: ("",)},
+                                 lambda k: 9, 2, 3)
+    assert d.coverage_failures == (0,) and d.n0 == 2
+    # a horizon beyond the cover length fails at the first empty tail
+    lam = verify_lambda(fc, Cover(("", "")), 5, 3)
+    assert lam.failure_index == 2
+    # zero groups: nothing to hold
+    z = verify_gamma_groupable(fc, Cover((), ()), 4, 3)
+    assert (z.status, z.j0, z.horizon, z.group_failures) == ("fails", None, -1, ())
+    zp = verify_combPnull_witness(fc, [], [], lambda k: 9, 4, 3)
+    assert not zp.holds and zp.n0 is None and zp.coverage_failures == ()
+    # a cover missing one leaf fails, and so does every tail past that
+    # leaf's last listing
+    for i, miss in enumerate(leaves):
+        holey = tuple(w for w in leaves if w != miss)
+        assert not is_cover_at_depth(fc, holey, 3)
+        lam = verify_lambda(fc, Cover(tuple(leaves) + holey), 9, 3)
+        assert lam.failure_index == i + 1
+
+
+def test_walk_budget_charge():
+    e = CISet(periodic_ispec("", "100"))
+    cover = Cover(tuple(e.trace(4) + e.trace(6) + e.trace(9)))
+    prefixes = {w[:k] for w in cover.elements for k in range(len(w) + 1)}
+    b = Budget()
+    assert verify_lambda(e, cover, 8, 9, b).holds
+    assert 0 < b.used <= len(prefixes)
+    # the charge does not depend on what earlier calls left in the caches
+    b2 = Budget()
+    verify_lambda(e, cover, 8, 9, b2)
+    assert b2.used == b.used
+    with pytest.raises(ResourceLimitError):
+        verify_lambda(e, cover, 8, 9, Budget(3))

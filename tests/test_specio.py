@@ -58,6 +58,34 @@ def test_hfn_roundtrip():
         specio.parse_hfn({})
 
 
+def test_hfn_roundtrip_keeps_n_max_and_interval_tables():
+    from cantordim.hfun import DEFAULT_N_MAX, multiply, power_log_hfn
+    lg = power_log_hfn(Fraction(1, 2), 1, n_max=20)
+    d = specio.hfn_to_dict(lg)
+    assert d["n_max"] == 20
+    lg2 = specio.parse_hfn(d)
+    assert lg2.n_max == 20 and lg2.lo == lg.lo and lg2.hi == lg.hi
+    # the default table depth is left implicit
+    assert "n_max" not in specio.hfn_to_dict(specio.parse_hfn({"symbolic": {"s": "1"}}))
+    assert specio.parse_hfn({"symbolic": {"s": "1"}}).n_max == DEFAULT_N_MAX
+    # a product with a table is not exact at every sample: it travels as
+    # an interval table and comes back with the same bounds
+    mixed = multiply(power_log_hfn(1, 1, n_max=12),
+                     specio.parse_hfn({"table": ["1"] * 13}))
+    dm = specio.hfn_to_dict(mixed)
+    assert set(dm) == {"table_lo", "table_hi"}
+    mixed2 = specio.parse_hfn(dm)
+    assert mixed2.lo == mixed.lo and mixed2.hi == mixed.hi
+    with pytest.raises(SpecFormatError) as exc:
+        specio.parse_hfn({"table_lo": ["1"]})
+    assert "table_hi" in str(exc.value)
+    with pytest.raises(SpecFormatError) as exc:
+        specio.parse_hfn({"table_lo": ["1", "1/2"], "table_hi": ["1", "x"]})
+    assert "hfn.table_hi[1]" in str(exc.value)
+    with pytest.raises(SpecFormatError):
+        specio.parse_hfn({"table_lo": ["1/2"], "table_hi": ["1/4"]})
+
+
 def test_cover_roundtrip():
     c = Cover(("0", "1", "00"), ((0, 2), (2, 3)), (Fraction(1, 2),) * 3)
     obj = specio.cover_to_obj(c)

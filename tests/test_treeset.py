@@ -133,6 +133,11 @@ def test_block_constraint_and_gaps():
         BlockConstraintSet([0, 2], [[]])
 
 
+def test_block_index_edges():
+    e = BlockConstraintSet([1, 3, 6], [["01", "10"], None])
+    assert [e._block_index(d) for d in range(8)] == [None, 0, 0, 1, 1, 1, None, None]
+
+
 def test_cylinder_union():
     c = CylinderUnionSet(["0", "10"])
     assert c.trace(2) == ["00", "01", "10"]

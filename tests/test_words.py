@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from cantordim.errors import SpecFormatError
-from cantordim.words import (ISpec, all_words, deinterleave, evens,
-                             geometric_blocks, geometric_powers, interleave,
-                             periodic_ispec, xor_words)
+from cantordim.words import (ISpec, all_words, check_word, check_words,
+                             deinterleave, evens, geometric_blocks,
+                             geometric_powers, interleave, periodic_ispec,
+                             xor_words)
 
 
 def test_xor_words():
@@ -79,3 +80,14 @@ def test_bad_specs():
         ISpec("", ("powers", 0, 4))
     with pytest.raises(SpecFormatError):
         ISpec("01x", ("periodic", "1"))
+
+
+def test_check_words():
+    assert check_word("") == "" and check_word("0110") == "0110"
+    check_words(["", "0", "0110"])
+    for bad in ("012", "x", " 01", "10\n", 3, ("0", "1")):
+        with pytest.raises(SpecFormatError):
+            check_word(bad)
+        with pytest.raises(SpecFormatError) as exc:
+            check_words(["01", bad, "1"])
+        assert repr(bad) in str(exc.value)
