@@ -337,15 +337,12 @@ def build_bounded_groups(filtration: Filtration, g: DyadicHFn, eps,
     n_marks = []
     cursor = 1
     for k, x in enumerate(levels):
-        found = None
-        for n in range(cursor, len(deltas)):
-            if all(
-                levels[k].trace_count(levels[k].depth_of_scale(scales[n2]), bud)
-                * g.hi_at(scales[n2]) < 1
-                for n2 in range(n, len(deltas))
-            ):
-                found = n
+        counts = x.trace_counts(x.depth_of_scale(max(scales[cursor:], default=0)), bud)
+        found = None  # the least n >= cursor with N * g < 1 at every n2 >= n
+        for n in reversed(range(cursor, len(deltas))):
+            if counts[x.depth_of_scale(scales[n])] * g.hi_at(scales[n]) >= 1:
                 break
+            found = n
         if found is None:
             raise BuildError(f"no content witness for level {k} within the horizon")
         n_marks.append(found)
@@ -493,13 +490,16 @@ def build_dpnull_witness(filtration: Filtration, eps,
         cursor = found + 1
     index_set = []
     families = {}
-    for n in range(thresholds[0], len(eps)):
-        k = max(i for i, t in enumerate(thresholds) if t <= n)
+    # level k is the deepest applicable one on [thresholds[k], thresholds[k+1])
+    for k, end in enumerate(thresholds[1:] + [len(eps)]):
         x = levels[k]
-        scale = grid_index_floor(eps[n])
-        if x.trace_count(x.depth_of_scale(scale), bud) <= n:
-            families[n] = tuple(x.trace(x.depth_of_scale(scale), bud))
-            index_set.append(n)
+        depths = {n: x.depth_of_scale(grid_index_floor(eps[n]))
+                  for n in range(thresholds[k], end)}
+        counts = x.trace_counts(max(depths.values()), bud)
+        for n, d in depths.items():
+            if counts[d] <= n:
+                families[n] = tuple(x.trace(d, bud))
+                index_set.append(n)
     return DpNullWitness(eps, tuple(index_set), families)
 
 

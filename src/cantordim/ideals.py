@@ -497,8 +497,11 @@ def nadd_box_check(w: ShelahNWitness, growth, h: DyadicHFn, i_max: int,
     for n, x in enumerate(filt.sets):
         if n + 1 >= len(w.f.table):
             break
+        if w.f(n + 1) > i_max:
+            continue
+        counts = x.trace_counts(i_max, bud)
         for i in range(w.f(n + 1), i_max + 1):
-            count = x.trace_count(i, bud)
+            count = counts[i]
             k = max(kk for kk in range(k_top) if w.f(kk) <= i)
             bound = 1 << w.f(n)
             for j in range(n, k + 1):
@@ -597,11 +600,11 @@ def tprime_lbox_check(w: TPrimeWitness, growth, h: DyadicHFn,
     rows = []
     ok = True
     for k, x in enumerate(filt.sets):
-        for n in idx:
-            if n < k:
-                continue
+        active = [n for n in idx if n >= k]
+        counts = x.trace_counts(max((w.f(n + 1) for n in active), default=0), bud)
+        for n in active:
             scale = w.f(n + 1)
-            count = x.trace_count(scale, bud)
+            count = counts[scale]
             bound = (1 << w.f(n)) * _growth(w.g, n)
             content = count * h.hi_at(scale)
             good = count <= bound and content <= 1

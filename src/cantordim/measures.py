@@ -52,10 +52,10 @@ def box_content_sequence(e: TreeSet, h: DyadicHFn, n_lo: int, n_hi: int,
     """Contents N_E(2^-n) * h(2^-n) for metric scales n in [n_lo, n_hi]."""
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("bad scale range")
-    bud = _budget(budget)
+    counts = e.trace_counts(e.depth_of_scale(n_hi), budget)
     entries = []
     for n in range(n_lo, n_hi + 1):
-        count = e.trace_count(e.depth_of_scale(n), bud)
+        count = counts[e.depth_of_scale(n)]
         lo, hi = h.value(n)
         entries.append((n, count, count * lo, count * hi))
     start = max(n_lo, n_hi - (n_hi - n_lo) // 2, (n_hi + 1) // 2)
@@ -81,10 +81,10 @@ def box_dimensions(e: TreeSet, n_lo: int, n_hi: int,
                    budget: Budget | None = None) -> BoxDimensionReport:
     import math
 
-    bud = _budget(budget)
+    counts = e.trace_counts(e.depth_of_scale(n_hi), budget)
     rows = []
     for n in range(max(1, n_lo), n_hi + 1):
-        count = e.trace_count(e.depth_of_scale(n), bud)
+        count = counts[e.depth_of_scale(n)]
         rows.append((n, count, math.log2(count) / n if count > 1 else 0.0))
     start = max(max(1, n_lo), (n_hi + 1) // 2)
     window = [r[2] for r in rows if r[0] >= start]
@@ -150,6 +150,10 @@ def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
         return val
 
     root = bounds(e.root_state(), 0)
+    # `bounds` reaches itself through its closure cell; clearing it breaks
+    # that cycle, so memo and e's children cache are freed by refcount as
+    # soon as the caller drops them instead of waiting for the cyclic GC
+    bounds = None
     return memo, root
 
 
@@ -588,11 +592,10 @@ def product_inequality_check(a: TreeSet, b: TreeSet, h: DyadicHFn, g: DyadicHFn,
     p = make_product(a, b)
     hg = multiply(h, g)
 
-    counting = True
-    for n in range(n_lo, n_hi + 1):
-        if p.trace_count(2 * n, bud) != a.trace_count(n, bud) * b.trace_count(n, bud):
-            counting = False
-            break
+    na = a.trace_counts(n_hi, bud)
+    nb = b.trace_counts(max(n_hi, depth), bud)  # the transported cost reads it too
+    nprod = p.trace_counts(2 * n_hi, bud)
+    counting = all(nprod[2 * n] == na[n] * nb[n] for n in range(n_lo, n_hi + 1))
 
     seq_a = box_content_sequence(a, h, n_lo, n_hi, bud)
     seq_b = box_content_sequence(b, g, n_lo, n_hi, bud)
@@ -608,7 +611,7 @@ def product_inequality_check(a: TreeSet, b: TreeSet, h: DyadicHFn, g: DyadicHFn,
     for word in cover_a:
         diam = a.local_diameter(word, depth + 64, bud)
         scale = min(diam.scale if not diam.is_point_to_depth else depth, depth)
-        transported += h.hi_at(scale) * g.hi_at(scale) * b.trace_count(scale, bud)
+        transported += h.hi_at(scale) * g.hi_at(scale) * nb[scale]
     transport_ok = bounds_p.upper <= transported
 
     lower_ok = bounds_a.lower * bounds_b.lower <= bounds_p.upper

@@ -134,9 +134,13 @@ def hfn_to_dict(h: DyadicHFn) -> dict:
             out["n_max"] = h.n_max
         return out
     if all(h.is_exact_at(n) for n in range(h.n_max + 1)):
-        return {"table": [rational_str(v) for v in h.lo]}
-    return {"table_lo": [rational_str(v) for v in h.lo],
-            "table_hi": [rational_str(v) for v in h.hi]}
+        out = {"table": [rational_str(v) for v in h.lo]}
+    else:
+        out = {"table_lo": [rational_str(v) for v in h.lo],
+               "table_hi": [rational_str(v) for v in h.hi]}
+    if h.precision != DEFAULT_PRECISION_BITS:
+        out["precision_bits"] = h.precision
+    return out
 
 
 # ---------------------------------------------------------------------------

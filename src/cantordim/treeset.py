@@ -146,23 +146,31 @@ class TreeSet:
         out.sort()
         return out
 
-    def trace_count(self, n: int, budget: Budget | None = None) -> int:
-        """|trace_n|, computed by state-collapsed path counting."""
+    def trace_counts(self, n: int, budget: Budget | None = None) -> list[int]:
+        """[|trace_0|, ..., |trace_n|] from one forward sweep.
+
+        The frontier maps each state at depth d to the number of depth-d
+        trace words that reach it; every frontier state is expanded once,
+        at one budget node, whether or not its children are cached.
+        """
+        if n < 0:
+            raise ValueError("depth must be nonnegative")
         bud = _budget(budget)
-        memo: dict = {}
+        frontier = {self.root_state(): 1}
+        out = [1]
+        for d in range(n):
+            bud.spend(len(frontier))
+            nxt: dict = {}
+            for state, mult in frontier.items():
+                for _, child in self.children(state, d):
+                    nxt[child] = nxt.get(child, 0) + mult
+            frontier = nxt
+            out.append(sum(nxt.values()))
+        return out
 
-        def count(state, d: int) -> int:
-            if d == n:
-                return 1
-            key = (state, d)
-            hit = memo.get(key)
-            if hit is None:
-                bud.spend()
-                hit = sum(count(s, d + 1) for _, s in self.children(state, d, bud))
-                memo[key] = hit
-            return hit
-
-        return count(self.root_state(), 0)
+    def trace_count(self, n: int, budget: Budget | None = None) -> int:
+        """|trace_n|, the last entry of ``trace_counts(n)``."""
+        return self.trace_counts(n, budget)[n]
 
     def first_branch(self, state, depth: int, horizon: int,
                      budget: Budget | None = None) -> int | None:

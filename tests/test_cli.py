@@ -89,9 +89,21 @@ def test_dim_budget_blowout(specs, tmp_path, capsys):
                 "b": {"kind": "explicit", "tail": "free",
                       "words": [f"{i:08b}" for i in range(0, 256, 3)]}}
     big.write_text(canonical_json(spec))
-    code, _, err = run(["dim", str(big), "--range", "1:18", "--budget", "200"],
+    # the sumset collapses to one state per depth after depth 8, so only a
+    # range deeper than the budget makes one sweep exceed it
+    code, _, err = run(["dim", str(big), "--range", "1:256", "--budget", "200"],
                        capsys)
     assert code == 3 and "budget" in err
+    code, _, _ = run(["dim", str(big), "--range", "1:256"], capsys)
+    assert code == 0
+
+
+def test_dim_deep_range(specs, capsys):
+    code, out, _ = run(["dim", specs["ce"], "--range", "1:600"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 600 and rows[-1] == {
+        "N": str(2 ** 300), "log2N_over_n": "0.500000", "n": 600}
 
 
 def test_verify_builtins(specs, capsys):

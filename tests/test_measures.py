@@ -172,6 +172,17 @@ def test_box_contents_and_dimensions(battery):
     assert abs(repb.upper_estimate - 2 / 3) <= 0.05
 
 
+def test_box_dimensions_deep_single_sweep():
+    rep = box_dimensions(CISet(evens()), 1, 512)
+    # the free indices below n are the odd ones: n // 2 of them
+    assert [(n, count) for n, count, _ in rep.rows] == [
+        (n, 2 ** (n // 2)) for n in range(1, 513)]
+    seq = box_content_sequence(ProductSet(FullCube(), CISet(evens())),
+                               power_hfn(Fraction(3, 2), n_max=300), 250, 300)
+    assert [count for _, count, _, _ in seq.entries] == [
+        2 ** (n + n // 2) for n in range(250, 301)]
+
+
 def test_content_sequence_window():
     seq = box_content_sequence(FullCube(), power_hfn(1), 0, 16)
     assert seq.tail_sup == seq.tail_inf == 1

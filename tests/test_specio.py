@@ -86,6 +86,18 @@ def test_hfn_roundtrip_keeps_n_max_and_interval_tables():
         specio.parse_hfn({"table_lo": ["1/2"], "table_hi": ["1/4"]})
 
 
+def test_hfn_roundtrip_keeps_table_precision():
+    from cantordim.hfun import multiply, power_log_hfn, table_hfn
+    t = table_hfn(["1", "1/2"], 64)
+    assert specio.parse_hfn(specio.hfn_to_dict(t)).precision == 64
+    mixed = multiply(power_log_hfn(1, 1, n_max=1, precision=64),
+                     table_hfn(["1", "1/2"], 64))
+    d = specio.hfn_to_dict(mixed)
+    assert "table_lo" in d and specio.parse_hfn(d).precision == 64
+    # the default precision is left implicit
+    assert "precision_bits" not in specio.hfn_to_dict(table_hfn(["1", "1/2"]))
+
+
 def test_cover_roundtrip():
     c = Cover(("0", "1", "00"), ((0, 2), (2, 3)), (Fraction(1, 2),) * 3)
     obj = specio.cover_to_obj(c)

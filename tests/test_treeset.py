@@ -117,6 +117,49 @@ def test_trace_nonempty_invariant(battery):
         assert e.trace_count(7) >= 1, name
 
 
+def test_trace_counts_match_traces(battery):
+    extra = {
+        "block": BlockConstraintSet([1, 3, 6], [["01", "10"], ["001", "111"]]),
+        "block_gap": BlockConstraintSet([0, 2, 4, 6], [["00"], None, ["11"]]),
+        "explicit_free": ExplicitSet(["010", "111"], tail="free"),
+        "cylinders": CylinderUnionSet(["01", "1"]),
+        "sum_block": SumSet(BlockConstraintSet([0, 2], [["01"]]), CISet(evens())),
+        "union_prod": UnionSet([ProductSet(CISet(evens()), FullCube()),
+                                ProductSet(FullCube(), CISet(odds()))]),
+    }
+    for name, e in {**battery, **extra}.items():
+        counts = e.trace_counts(9)
+        assert counts == [len(e.trace(d)) for d in range(10)], name
+        assert e.trace_count(9) == counts[9], name
+
+
+def test_trace_counts_deep_without_recursion():
+    assert FullCube().trace_count(1024) == 2 ** 1024
+    counts = CISet(evens()).trace_counts(2000)
+    assert counts[2000] == 2 ** 1000 and len(counts) == 2001
+    with pytest.raises(ValueError):
+        FullCube().trace_counts(-1)
+
+
+def test_trace_count_charge_ignores_cache_warmth():
+    s = SumSet(CISet(evens()), SumSet(CISet(odds()), ExplicitSet(["0110", "1011"])))
+    cold, warm = Budget(), Budget()
+    first = s.trace_count(20, cold)
+    assert s.trace_count(20, warm) == first
+    assert cold.used == warm.used > 0
+
+
+def test_trace_counts_budget_is_one_node_per_expanded_state():
+    e = SumSet(ExplicitSet(["0110", "1011", "1100"], tail="free"), CISet(evens()))
+    expanded = sum(len({e.state_at(w) for w in e.trace(d)}) for d in range(12))
+    b = Budget()
+    e.trace_counts(12, b)
+    assert b.used == expanded
+    with pytest.raises(ResourceLimitError):
+        SumSet(e.a, e.b).trace_counts(12, Budget(expanded - 1))
+    SumSet(e.a, e.b).trace_counts(12, Budget(expanded))
+
+
 def test_explicit_tails():
     zeros = ExplicitSet(["01"], tail="zeros")
     assert zeros.trace(4) == ["0100"]
