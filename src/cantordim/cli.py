@@ -411,15 +411,23 @@ COMMANDS = {
 }
 
 
+def _default_budget() -> int:
+    text = os.environ.get("CANTORDIM_BUDGET")
+    if text is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecFormatError(f"CANTORDIM_BUDGET={text!r} is not an integer") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("CANTORDIM_BUDGET", DEFAULT_BUDGET))
-    cfg = RunConfig(args.command, args.depth, args.groups, args.scale,
-                    args.precision, budget, args.out, args.format)
     try:
+        budget = args.budget if args.budget is not None else _default_budget()
+        cfg = RunConfig(args.command, args.depth, args.groups, args.scale,
+                        args.precision, budget, args.out, args.format)
         if min(cfg.depth, cfg.groups, cfg.precision, cfg.budget) <= 0 or cfg.scale < 0:
             raise SpecFormatError("limits must be positive (scale nonnegative)")
         return COMMANDS[args.command](cfg, args)

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import BuildError, SpecFormatError
 from .hfun import DyadicHFn, grid_index_floor
+from .ideals import _growth, _least_threshold
 from .measures import Filtration, extract_optimal_cover
 from .treeset import Budget, TreeSet, _budget
 from .words import Word, check_words, interleave
@@ -182,14 +183,10 @@ def verify_gamma_groupable(e: TreeSet, cover: Cover, horizon: int, depth: int,
     top = min(horizon, cover.group_count - 1)
     covered = _covered_groups(e, [cover.group_elements(j) for j in range(top + 1)],
                               depth, budget)
-    ok = [bool(covered >> j & 1) for j in range(top + 1)]
-    failures = tuple(j for j, good in enumerate(ok) if not good)
-    j0 = top + 1
-    while j0 > 0 and ok[j0 - 1]:
-        j0 -= 1
-    if j0 > top:
-        return GammaVerdict("fails", None, top, depth, failures)
-    return GammaVerdict("holds", j0, top, depth, failures)
+    outcomes = [(j, bool(covered >> j & 1)) for j in range(top + 1)]
+    failures = tuple(j for j, good in outcomes if not good)
+    j0 = _least_threshold(outcomes)
+    return GammaVerdict("fails" if j0 is None else "holds", j0, top, depth, failures)
 
 
 def gamma_grouped_sum(cover: Cover, h: DyadicHFn, interleaved: bool = False):
@@ -393,40 +390,23 @@ class FamilyVerdict:
         return self.status == "holds"
 
 
-def _f_bound(f_bound, n: int) -> int:
-    return f_bound(n) if callable(f_bound) else f_bound[n]
-
-
 def verify_combPnull_witness(e: TreeSet, eps, families, f_bound,
                              horizon: int, depth: int,
                              budget: Budget | None = None) -> FamilyVerdict:
     """Families F_n with d(F_n) <= eps_n, |F_n| <= f(n), whose unions form a
-    gamma-cover of E at truncation (J, D)."""
-    eps = [Fraction(x) for x in eps]
+    gamma-cover of E at truncation (J, D): the directed check on every
+    n <= J."""
     top = min(horizon, len(families) - 1)
-    fine_bad, size_bad, cover_bad = [], [], []
-    for n in range(top + 1):
-        fam = families[n]
-        if any(Fraction(1, 1 << len(w)) > eps[n] for w in fam):
-            fine_bad.append(n)
-        if len(fam) > _f_bound(f_bound, n):
-            size_bad.append(n)
-    mask = _covered_groups(e, [families[n] for n in range(top + 1)], depth, budget)
-    covered = [bool(mask >> n & 1) for n in range(top + 1)]
-    n0 = top + 1
-    while n0 > 0 and covered[n0 - 1]:
-        n0 -= 1
-    cover_bad = [n for n in range(top + 1) if not covered[n]]
-    ok = not fine_bad and not size_bad and n0 <= top
-    return FamilyVerdict("holds" if ok else "fails", n0 if n0 <= top else None,
-                         top, depth, tuple(fine_bad), tuple(size_bad),
-                         tuple(cover_bad))
+    return verify_combDnull_witness(e, eps, range(top + 1), families, f_bound,
+                                    top, depth, budget)
 
 
 def verify_combDnull_witness(e: TreeSet, eps, index_set, families, f_bound,
                              horizon: int, depth: int,
                              budget: Budget | None = None) -> FamilyVerdict:
-    """The directed variant: the same checks restricted to n in I."""
+    """The directed variant: the same checks restricted to n in I, holding
+    when fineness and size never fail and coverage holds from some n0 in I
+    on."""
     eps = [Fraction(x) for x in eps]
     idx = [n for n in sorted(index_set) if n <= horizon]
     fine_bad, size_bad = [], []
@@ -434,19 +414,15 @@ def verify_combDnull_witness(e: TreeSet, eps, index_set, families, f_bound,
         fam = families[n]
         if any(Fraction(1, 1 << len(w)) > eps[n] for w in fam):
             fine_bad.append(n)
-        if len(fam) > _f_bound(f_bound, n):
+        if len(fam) > _growth(f_bound, n):
             size_bad.append(n)
     mask = _covered_groups(e, [families[n] for n in idx], depth, budget)
-    covered = {n: bool(mask >> i & 1) for i, n in enumerate(idx)}
-    n0 = None
-    for i in range(len(idx) + 1):
-        if all(covered[n] for n in idx[i:]):
-            n0 = idx[i] if i < len(idx) else None
-            break
-    cover_bad = tuple(n for n in idx if not covered[n])
+    outcomes = [(n, bool(mask >> i & 1)) for i, n in enumerate(idx)]
+    n0 = _least_threshold(outcomes)
     ok = not fine_bad and not size_bad and n0 is not None
     return FamilyVerdict("holds" if ok else "fails", n0, horizon, depth,
-                         tuple(fine_bad), tuple(size_bad), cover_bad)
+                         tuple(fine_bad), tuple(size_bad),
+                         tuple(n for n, good in outcomes if not good))
 
 
 @dataclass(frozen=True)

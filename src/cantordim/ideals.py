@@ -280,6 +280,8 @@ class ThresholdVerdict:
 
 
 def _least_threshold(outcomes) -> int | None:
+    """The least index from which every (index, ok) outcome holds; None when
+    the last one fails or there are none."""
     n0 = None
     for idx, ok in reversed(outcomes):
         if ok:
@@ -308,35 +310,42 @@ def shelahM_check(w: ShelahMWitness, x: Word, n_lo: int, n_hi: int) -> Threshold
     return ThresholdVerdict(tuple(outcomes), _least_threshold(outcomes), n_hi)
 
 
+def _least_partition(k_max: int, ok, limit, fail,
+                     first=lambda k, f: f + 1) -> BlockPartition:
+    """The minimal recursion f(0) = 0, f(k+1) = the least m > f(k) with
+    ok(k, f(k), m), searched from first(k, f(k)) up to ``limit``
+    (BuildError(fail(k, f(k))) past it), then re-checked at every step."""
+    table = [0]
+    for k in range(k_max):
+        m = first(k, table[-1])
+        while m <= limit and not ok(k, table[-1], m):
+            m += 1
+        if m > limit:
+            raise BuildError(fail(k, table[-1]))
+        table.append(m)
+    part = BlockPartition(tuple(table))
+    for k in range(k_max):
+        if not ok(k, part(k), part(k + 1)):
+            raise AssertionError("recursion postcondition failed")
+    return part
+
+
 def me_fbuilder(h: DyadicHFn, k_max: int) -> BlockPartition:
     """The minimal recursion 2^f(k) * h(2^-f(k+1)) <= 2^-k.
 
     Each f(k+1) is the least grid index past f(k) satisfying the displayed
     inequality; a gauge whose table bottoms out first (e.g. a non-vanishing
-    table) raises.
+    table) raises.  For h = r^s the least index is ceil((k + f(k)) / s),
+    read off directly, so the table may run past the gauge's stored grid.
     """
-    table = [0]
-    for k in range(k_max):
-        needed = k + table[-1]  # want h(2^-m) <= 2^-(k + f(k))
-        if h.symbolic is not None and h.symbolic.t == 0:
-            s = h.symbolic.s
-            m = max(table[-1] + 1, -(-needed * s.denominator // s.numerator))
-        else:
-            m = table[-1] + 1
-            while True:
-                if m > h.n_max:
-                    raise BuildError(
-                        f"gauge {h.name} never reaches 2^-{needed} within its "
-                        "table (not vanishing fast enough)")
-                if h.below_dyadic(needed, m):
-                    break
-                m += 1
-        table.append(m)
-    part = BlockPartition(tuple(table))
-    for k in range(k_max):
-        if h.below_dyadic(k + part(k), part(k + 1)) is not True:
-            raise AssertionError("recursion postcondition failed")
-    return part
+    ok = lambda k, f, m: h.below_dyadic(k + f, m) is True
+    fail = lambda k, f: (f"gauge {h.name} never reaches 2^-{k + f} within its "
+                         "table (not vanishing fast enough)")
+    if h.symbolic is not None and h.symbolic.t == 0:
+        s = h.symbolic.s
+        return _least_partition(k_max, ok, math.inf, fail, lambda k, f: max(
+            f + 1, -(-(k + f) * s.denominator // s.numerator)))
+    return _least_partition(k_max, ok, h.n_max, fail)
 
 
 def me_sums(f: BlockPartition, h: DyadicHFn, k_max: int):
@@ -439,26 +448,18 @@ def shelahN_filtration(w: ShelahNWitness) -> Filtration:
 
 
 def _growth(fn, n: int) -> Fraction:
+    """fn(n) for a callable bound, fn[n] for a table."""
     return Fraction(fn(n) if callable(fn) else fn[n])
 
 
 def nadd_fbuilder(growth, k_max: int, search_limit: int = 1 << 14) -> BlockPartition:
     """Minimal recursion 2^f(n) * (n+1)! <= growth(f(n+1))."""
-    table = [0]
-    for n in range(k_max):
-        target = (1 << table[-1]) * math.factorial(n + 1)
-        m = table[-1] + 1
-        while _growth(growth, m) < target:
-            m += 1
-            if m > search_limit:
-                raise BuildError("growth function cannot absorb the recursion "
-                                 f"at step {n} (constant or too slow)")
-        table.append(m)
-    part = BlockPartition(tuple(table))
-    for n in range(k_max):
-        if (1 << part(n)) * math.factorial(n + 1) > _growth(growth, part(n + 1)):
-            raise AssertionError("recursion postcondition failed")
-    return part
+    return _least_partition(
+        k_max,
+        lambda n, f, m: _growth(growth, m) >= (1 << f) * math.factorial(n + 1),
+        search_limit,
+        lambda n, f: ("growth function cannot absorb the recursion "
+                      f"at step {n} (constant or too slow)"))
 
 
 @dataclass(frozen=True)
@@ -550,17 +551,10 @@ def tprime_check(w: TPrimeWitness, x: Word, n_lo: int, n_hi: int) -> ThresholdVe
 
 def tprime_fbuilder(growth, g, k_max: int, search_limit: int = 1 << 14) -> BlockPartition:
     """Minimal recursion 2^f(n) * g(n) <= growth(f(n+1))."""
-    table = [0]
-    for n in range(k_max):
-        target = (1 << table[-1]) * _growth(g, n)
-        m = table[-1] + 1
-        while _growth(growth, m) < target:
-            m += 1
-            if m > search_limit:
-                raise BuildError("growth function cannot absorb the recursion "
-                                 f"at step {n}")
-        table.append(m)
-    return BlockPartition(tuple(table))
+    return _least_partition(
+        k_max, lambda n, f, m: _growth(growth, m) >= (1 << f) * _growth(g, n),
+        search_limit,
+        lambda n, f: f"growth function cannot absorb the recursion at step {n}")
 
 
 def tprime_level_sets(w: TPrimeWitness) -> Filtration:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BuildError
+from .errors import BuildError, DepthExceededError, SpecFormatError
 from .hfun import DyadicHFn, finite_order
 from .treeset import (Budget, CISet, FullCube, TreeSet, _budget,
                       is_trace_subset)
@@ -51,7 +51,7 @@ def box_content_sequence(e: TreeSet, h: DyadicHFn, n_lo: int, n_hi: int,
                          budget: Budget | None = None) -> ContentSequence:
     """Contents N_E(2^-n) * h(2^-n) for metric scales n in [n_lo, n_hi]."""
     if n_lo < 0 or n_hi < n_lo:
-        raise ValueError("bad scale range")
+        raise SpecFormatError(f"bad scale range {n_lo}:{n_hi}")
     counts = e.trace_counts(e.depth_of_scale(n_hi), budget)
     entries = []
     for n in range(n_lo, n_hi + 1):
@@ -81,6 +81,9 @@ def box_dimensions(e: TreeSet, n_lo: int, n_hi: int,
                    budget: Budget | None = None) -> BoxDimensionReport:
     import math
 
+    if n_hi < max(1, n_lo):
+        raise SpecFormatError(f"bad scale range {n_lo}:{n_hi}; "
+                              "box dimensions need a scale n >= 1")
     counts = e.trace_counts(e.depth_of_scale(n_hi), budget)
     rows = []
     for n in range(max(1, n_lo), n_hi + 1):
@@ -119,7 +122,8 @@ def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
     """Min-cost cover DP over (state, depth); returns memo and root value."""
     leaf_scale = e.scale_of_depth(depth)
     if leaf_scale < m:
-        raise ValueError("truncation depth does not reach the cover scale")
+        raise DepthExceededError(f"truncation depth {depth} does not reach "
+                                 f"the cover scale {m}")
     h.value(leaf_scale)  # raises DepthExceededError when the gauge is short
     memo: dict = {}
 
@@ -175,18 +179,6 @@ def hausdorff_measure_delta(e: TreeSet, h: DyadicHFn, m: int, depth: int,
     if lower > dp_up:
         raise AssertionError("mass certificate exceeded the DP upper bound")
     return MeasureBound(lower, dp_up, m, depth, h.name, source, exact)
-
-
-def finite_cover_optimum(e: TreeSet, h: DyadicHFn, m: int, depth: int,
-                         budget: Budget | None = None) -> MeasureBound:
-    """The finite-cover content at scale 2^-m.
-
-    For tree-coded (hence compact) sets this coincides with the countable
-    delta-cover optimum, which is why the engine aliases the two; exposed
-    separately so small instances can exercise the finite-cover definition
-    directly.
-    """
-    return hausdorff_measure_delta(e, h, m, depth, budget)
 
 
 def extract_optimal_cover(e: TreeSet, h: DyadicHFn, m: int, depth: int,

@@ -318,11 +318,17 @@ class BlockConstraintSet(TreeSet):
         }
 
 
+END = frozenset({""})  # an explicit-set state: a whole word has been read
+
+
 class ExplicitSet(TreeSet):
     """A set given by its depth-D trace.
 
     ``tail='zeros'`` codes the finite point set {w followed by zeros};
-    ``tail='free'`` codes the clopen union of the cylinders [w].
+    ``tail='free'`` codes the clopen union of the cylinders [w].  The state
+    is the set of word suffixes still to be read; once a word has been read
+    it is END, the set holding only the empty suffix, which a free tail
+    keeps under either bit and a zeros tail only under 0.
     """
 
     kind = "explicit"
@@ -331,25 +337,23 @@ class ExplicitSet(TreeSet):
         super().__init__()
         ws = frozenset(check_word(w) for w in words)
         if not ws:
-            raise SpecFormatError("explicit set needs at least one word")
-        lengths = {len(w) for w in ws}
-        if len(lengths) != 1:
+            raise SpecFormatError(f"{self.kind} set needs at least one word")
+        if self.kind == "explicit" and len({len(w) for w in ws}) != 1:
             raise SpecFormatError("explicit set words must share one length")
         if tail not in ("zeros", "free"):
             raise SpecFormatError("tail must be 'zeros' or 'free'")
         self.words = ws
-        self.depth = lengths.pop()
         self.tail = tail
 
     def root_state(self):
-        return frozenset(self.words)
+        return END if "" in self.words else self.words
 
     def step(self, state, depth, bit):
-        if depth >= self.depth:
-            if self.tail == "free":
-                return state
-            return state if bit == 0 else None
+        if state is END:
+            return END if self.tail == "free" or bit == 0 else None
         nxt = frozenset(w[1:] for w in state if w[0] == str(bit))
+        if "" in nxt:
+            return END
         return nxt or None
 
     def spec_dict(self):
@@ -445,39 +449,16 @@ class UnionSet(TreeSet):
         return {"kind": "union", "members": [m.spec_dict() for m in self.members]}
 
 
-class CylinderUnionSet(TreeSet):
-    """The clopen union of finitely many cylinders (free tails).
-
-    A node is absorbed once some cylinder's word has been consumed as a
-    prefix.  The scale convention of the space the cylinders live in is
-    carried through so subset checks against product sets line up.
-    """
+class CylinderUnionSet(ExplicitSet):
+    """The clopen union of finitely many cylinders of any lengths."""
 
     kind = "cylinder_union"
 
-    def __init__(self, cylinders, interleaved: bool = False):
-        super().__init__()
-        cyls = frozenset(check_word(c) for c in cylinders)
-        if not cyls:
-            raise SpecFormatError("cylinder union needs at least one cylinder")
-        self.cylinders = cyls
-        self.interleaved = interleaved
-
-    def root_state(self):
-        if "" in self.cylinders:
-            return "covered"
-        return frozenset(self.cylinders)
-
-    def step(self, state, depth, bit):
-        if state == "covered":
-            return "covered"
-        nxt = frozenset(c[1:] for c in state if c[0] == str(bit))
-        if "" in nxt:
-            return "covered"
-        return nxt or None
+    def __init__(self, cylinders):
+        super().__init__(cylinders, tail="free")
 
     def spec_dict(self):
-        return {"kind": "cylinder_union", "cylinders": sorted(self.cylinders)}
+        return {"kind": "cylinder_union", "cylinders": sorted(self.words)}
 
 
 # ---------------------------------------------------------------------------

@@ -227,3 +227,25 @@ def test_byte_determinism_across_hash_seeds(specs, tmp_path):
         assert proc.returncode == 0
         outputs.append(((tmp_path / f"c{seed}.json").read_bytes(), proc.stdout))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "ce", "--range", "0:0"],
+    ["dim", "ce", "--range", "3:1"],
+    ["dim", "ce", "--hfn", "r1", "--range", "5:3"],
+    ["measure", "ce", "r1", "--scale", "40", "--depth", "32"],
+])
+def test_bad_ranges_and_scales_are_input_errors(specs, capsys, argv):
+    argv = [specs.get(a, a) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
+def test_bad_env_budget_is_input_error(specs, capsys, monkeypatch):
+    monkeypatch.setenv("CANTORDIM_BUDGET", "abc")
+    code, out, err = run(["dim", specs["ce"]], capsys)
+    assert code == 2 and out == "" and err.startswith("input error:")
+    assert "CANTORDIM_BUDGET" in err
+    monkeypatch.setenv("CANTORDIM_BUDGET", "64")
+    code, out, _ = run(["dim", specs["ce"], "--range", "1:4"], capsys)
+    assert code == 0 and json.loads(out)["limits"]["budget"] == 64

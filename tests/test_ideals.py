@@ -281,6 +281,18 @@ def test_tprime_pipeline():
     assert rep.ok and all(row.content <= 1 for row in rep.rows)
 
 
+def test_fbuilders_stay_within_search_limit():
+    # f(1) = 1 and f(2) = 2 solve both recursions; a limit of 1 leaves f(2)
+    # no admissible value
+    growth = lambda n: 4 if n >= 2 else 1
+    assert nadd_fbuilder(growth, 2, search_limit=2).table == (0, 1, 2)
+    with pytest.raises(BuildError):
+        nadd_fbuilder(growth, 2, search_limit=1)
+    assert tprime_fbuilder(growth, lambda n: 1, 2, search_limit=2).table == (0, 1, 2)
+    with pytest.raises(BuildError):
+        tprime_fbuilder(growth, lambda n: 1, 2, search_limit=1)
+
+
 def test_tprime_level_sets_have_gaps():
     ft = BlockPartition(tuple(range(10)))
     w = TPrimeWitness(ft, lambda n: 1, (2, 4), {2: ("0",), 4: ("0",)})

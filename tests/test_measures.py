@@ -12,7 +12,7 @@ from cantordim.measures import (CIProductMass, Filtration, TableMass,
                                 UniformMass, box_content_sequence,
                                 box_dimensions, chain_check, covering_number,
                                 dbox_on_filtration, extract_optimal_cover,
-                                finite_cover_optimum, hausdorff_measure_delta,
+                                hausdorff_measure_delta,
                                 increasing_sets_split, lipschitz_image_check,
                                 mass_lower_certificate,
                                 product_inequality_check, sparse_I_builder,
@@ -235,12 +235,6 @@ def test_chain_singleton_vanishes():
     assert rep.ok
     assert rep.h_bounds.upper <= Fraction(1, 1 << 16)
     assert rep.ubox_tail_sup <= Fraction(1, 1 << 8)
-
-
-def test_uh_alias_is_h():
-    b1 = hausdorff_measure_delta(CISet(evens()), power_hfn(1), 3, 10)
-    b2 = finite_cover_optimum(CISet(evens()), power_hfn(1), 3, 10)
-    assert (b1.lower, b1.upper) == (b2.lower, b2.upper)
 
 
 def test_monotonicity_in_scale_and_depth(battery, gauges):

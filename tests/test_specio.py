@@ -18,6 +18,8 @@ def test_set_roundtrip():
         {"kind": "block_constraint", "boundaries": [0, 2, 4],
          "blocks": [["00", "11"], None]},
         {"kind": "explicit", "words": ["0011", "1100"], "tail": "zeros"},
+        {"kind": "explicit", "words": ["010", "111"], "tail": "free"},
+        {"kind": "cylinder_union", "cylinders": ["0", "10", "1101"]},
         {"kind": "sumset", "a": {"kind": "full_cube"},
          "b": {"kind": "ci", "I": {"preperiod": "", "period": "10"}}},
         {"kind": "product", "a": {"kind": "full_cube"}, "b": {"kind": "full_cube"}},
@@ -28,6 +30,7 @@ def test_set_roundtrip():
         e = specio.parse_set(d)
         e2 = specio.parse_set(specio.set_to_dict(e))
         assert e.trace(6) == e2.trace(6)
+        assert specio.set_to_dict(e2) == specio.set_to_dict(e)
 
 
 def test_set_parse_errors_carry_location():

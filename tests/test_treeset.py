@@ -184,6 +184,27 @@ def test_block_index_edges():
 def test_cylinder_union():
     c = CylinderUnionSet(["0", "10"])
     assert c.trace(2) == ["00", "01", "10"]
+    assert c.trace_count(5) == 24
+
+
+def test_automaton_states_share_isomorphic_subtrees():
+    # nodes with the same words left to read have one state, wherever they
+    # sit in the word list; that sharing is what keeps counting linear
+    e = ExplicitSet(["00", "10"])
+    assert e.state_at("0") == e.state_at("1")
+    c = CylinderUnionSet(["0", "10"])
+    assert c.state_at("0") == c.state_at("10")
+    assert c.state_at("0") == c.state_at("0110") == c.state_at("101")
+    assert c.state_at("11") is None
+
+
+def test_explicit_words_share_one_length():
+    with pytest.raises(SpecFormatError, match="share one length"):
+        ExplicitSet(["0", "10"])
+    with pytest.raises(SpecFormatError, match="share one length"):
+        ExplicitSet(["0", "10"], tail="free")
+    with pytest.raises(SpecFormatError):
+        CylinderUnionSet([])
 
 
 def test_union_members():
