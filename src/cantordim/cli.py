@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import covers, ideals, measures, specio
 from .errors import (BuildError, CantorDimError, DepthExceededError,
                      ResourceLimitError, SpecFormatError)
-from .hfun import power_hfn
+from .hfun import DyadicHFn, power_hfn
 from .treeset import Budget, CISet, FullCube
 from .words import evens, odds
 
@@ -53,6 +53,10 @@ class RunConfig:
     def make_budget(self) -> Budget:
         return Budget(self.budget)
 
+    def parse_hfn(self, d: dict, where: str = "hfn") -> DyadicHFn:
+        """A gauge spec read at --precision unless it sets precision_bits."""
+        return specio.parse_hfn(d, where, self.precision)
+
 
 def _write(cfg: RunConfig, text: str) -> None:
     if cfg.out:
@@ -84,7 +88,7 @@ def cmd_dim(cfg: RunConfig, args) -> int:
     lo, hi = _parse_range(args.range, default=(1, cfg.depth))
     if args.hfn:
         # gauge given: emit the box-content sequence n, N, N*h instead
-        h = specio.parse_hfn(specio.load_json(args.hfn))
+        h = cfg.parse_hfn(specio.load_json(args.hfn))
         seq = measures.box_content_sequence(e, h, lo, hi, cfg.make_budget())
         rows = [(n, count, specio.rational_str(v_hi))
                 for n, count, _, v_hi in seq.entries]
@@ -121,7 +125,7 @@ def cmd_dim(cfg: RunConfig, args) -> int:
 
 def cmd_measure(cfg: RunConfig, args) -> int:
     e = specio.parse_set(specio.load_json(args.set))
-    h = specio.parse_hfn(specio.load_json(args.hfn))
+    h = cfg.parse_hfn(specio.load_json(args.hfn))
     bound = measures.hausdorff_measure_delta(e, h, cfg.scale, cfg.depth,
                                              cfg.make_budget())
     _emit_json(cfg, {
@@ -138,7 +142,7 @@ def cmd_measure(cfg: RunConfig, args) -> int:
 
 
 def _instance_ec3(cfg: RunConfig):
-    h = power_hfn(Fraction(1, 2))
+    h = power_hfn(Fraction(1, 2), precision=cfg.precision)
     ispec = measures.sparse_I_builder(h, 64)
     e = CISet(ispec)
     cert = measures.mass_lower_certificate(e, h, measures.CIProductMass(ispec), 64,
@@ -155,9 +159,9 @@ def _instance_ec3(cfg: RunConfig):
 
 
 def _instance_howroyd_i(cfg: RunConfig):
+    half = power_hfn(Fraction(1, 2), precision=cfg.precision)
     rep = measures.product_inequality_check(
-        CISet(evens()), CISet(odds()), power_hfn(Fraction(1, 2)),
-        power_hfn(Fraction(1, 2)), 1, 12, budget=cfg.make_budget())
+        CISet(evens()), CISet(odds()), half, half, 1, 12, budget=cfg.make_budget())
     return rep.counting_exact and rep.content_window_ok, {
         "counting_exact": rep.counting_exact,
         "content_window_ok": rep.content_window_ok,
@@ -178,9 +182,10 @@ def _instance_chain(cfg: RunConfig, e, h):
 BUILTIN_INSTANCES = {
     "EC3": _instance_ec3,
     "howroyd-i": _instance_howroyd_i,
-    "chain-fullcube": lambda cfg: _instance_chain(cfg, FullCube(), power_hfn(1)),
-    "chain-ci": lambda cfg: _instance_chain(cfg, CISet(evens()),
-                                            power_hfn(Fraction(1, 2))),
+    "chain-fullcube": lambda cfg: _instance_chain(
+        cfg, FullCube(), power_hfn(1, precision=cfg.precision)),
+    "chain-ci": lambda cfg: _instance_chain(
+        cfg, CISet(evens()), power_hfn(Fraction(1, 2), precision=cfg.precision)),
 }
 
 
@@ -188,13 +193,13 @@ def _verify_from_file(cfg: RunConfig, spec: dict):
     check = spec.get("check")
     if check == "chain":
         e = specio.parse_set(spec.get("set", {}), "set")
-        h = specio.parse_hfn(spec.get("hfn", {}), "hfn")
+        h = cfg.parse_hfn(spec.get("hfn", {}), "hfn")
         return _instance_chain(cfg, e, h)
     if check == "product":
         a = specio.parse_set(spec.get("a", {}), "a")
         b = specio.parse_set(spec.get("b", {}), "b")
-        h = specio.parse_hfn(spec.get("h", {}), "h")
-        g = specio.parse_hfn(spec.get("g", {}), "g")
+        h = cfg.parse_hfn(spec.get("h", {}), "h")
+        g = cfg.parse_hfn(spec.get("g", {}), "g")
         lo, hi = spec.get("range", [1, 12])
         rep = measures.product_inequality_check(a, b, h, g, int(lo), int(hi),
                                                 budget=cfg.make_budget())
@@ -239,7 +244,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_cover(cfg: RunConfig, args) -> int:
     if args.action == "build":
         e = specio.parse_set(specio.load_json(args.set))
-        h = specio.parse_hfn(specio.load_json(args.hfn))
+        h = cfg.parse_hfn(specio.load_json(args.hfn))
         filt = measures.Filtration(tuple([e] * args.levels))
         cover = covers.build_gamma_groupable(filt, h, max_scale=cfg.depth,
                                              depth=cfg.depth,
@@ -280,7 +285,7 @@ def cmd_cover(cfg: RunConfig, args) -> int:
 
 def cmd_witness(cfg: RunConfig, args) -> int:
     if args.action == "compile-me":
-        h = specio.parse_hfn(specio.load_json(args.hfn))
+        h = cfg.parse_hfn(specio.load_json(args.hfn))
         f = ideals.me_fbuilder(h, args.k)
         sums = ideals.me_sums(f, h, args.k)
         ok = all((1 << f(k)) * h.hi_at(f(k + 1)) <= Fraction(1, 1 << k)
@@ -295,7 +300,7 @@ def cmd_witness(cfg: RunConfig, args) -> int:
                          "limits": cfg.limits()})
         return EXIT_PASS if ok else EXIT_FAIL
     if args.action == "compile-nadd":
-        h = specio.parse_hfn(specio.load_json(args.hfn))
+        h = cfg.parse_hfn(specio.load_json(args.hfn))
         growth = lambda n: Fraction(1, h.hi_at(max(0, n - 1)))
         f = ideals.nadd_fbuilder(growth, args.k)
         if args.witness_out:
@@ -305,7 +310,7 @@ def cmd_witness(cfg: RunConfig, args) -> int:
                          "limits": cfg.limits()})
         return EXIT_PASS
     if args.action == "compile-tprime":
-        h = specio.parse_hfn(specio.load_json(args.hfn))
+        h = cfg.parse_hfn(specio.load_json(args.hfn))
         growth = lambda n: Fraction(1, h.hi_at(n))
         f = ideals.tprime_fbuilder(growth, lambda n: n + 1, args.k)
         if args.witness_out:

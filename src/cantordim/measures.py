@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .errors import BuildError, DepthExceededError, SpecFormatError
 from .hfun import DyadicHFn, finite_order
@@ -119,46 +121,57 @@ class MeasureBound:
 
 
 def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
-    """Min-cost cover DP over (state, depth); returns memo and root value."""
+    """Min-cost cover DP over (state, depth), on integer numerators.
+
+    Every gauge sample the DP can read, at scales max(m, 0)..scale(depth),
+    is put over one common denominator `den`; costs are then added and
+    compared as integers.  Returns (memo, root, den, hi): memo maps
+    (state, d) to the (lower, upper) numerators, root is the root's pair
+    and hi maps each of those scales to the numerator of h's upper sample.
+    The DP walks an explicit post-order stack, c0's subtree before c1's,
+    so every (state, d) is charged once, as a recursive walk would.
+    """
     leaf_scale = e.scale_of_depth(depth)
     if leaf_scale < m:
         raise DepthExceededError(f"truncation depth {depth} does not reach "
                                  f"the cover scale {m}")
     h.value(leaf_scale)  # raises DepthExceededError when the gauge is short
+    samples = {n: h.value(n) for n in range(max(m, 0), leaf_scale + 1)}
+    den = lcm(*(v.denominator for pair in samples.values() for v in pair))
+    lo = {n: v.numerator * (den // v.denominator) for n, (v, _) in samples.items()}
+    hi = {n: v.numerator * (den // v.denominator) for n, (_, v) in samples.items()}
+    leaf = (0, hi[leaf_scale])
     memo: dict = {}
-
-    def bounds(state, d: int):
-        key = (state, d)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        bud.spend()
-        b = e.first_branch(state, d, depth, bud)
-        if b is None:
-            val = (Fraction(0), h.hi_at(leaf_scale))
-        else:
+    stack = [(e.root_state(), 0, None)]
+    while stack:
+        state, d, kids = stack.pop()
+        if kids is None:  # expand (state, d) unless it is already priced
+            if (state, d) in memo:
+                continue
+            bud.spend()
+            b = e.first_branch(state, d, depth, bud)
+            if b is None:
+                memo[state, d] = leaf
+                continue
             s = state
             for dd in range(d, b):
                 s = e.children(s, dd, bud)[0][1]
-            kids = e.children(s, b, bud)
-            l0, u0 = bounds(kids[0][1], b + 1)
-            l1, u1 = bounds(kids[1][1], b + 1)
-            scale = e.scale_of_depth(b)
-            if scale >= m:
-                # covering the whole piece by one set is admissible here;
-                # ties prefer the parent cylinder
-                val = (min(h.lo_at(scale), l0 + l1), min(h.hi_at(scale), u0 + u1))
-            else:
-                val = (l0 + l1, u0 + u1)
-        memo[key] = val
-        return val
-
-    root = bounds(e.root_state(), 0)
-    # `bounds` reaches itself through its closure cell; clearing it breaks
-    # that cycle, so memo and e's children cache are freed by refcount as
-    # soon as the caller drops them instead of waiting for the cyclic GC
-    bounds = None
-    return memo, root
+            (_, c0), (_, c1) = e.children(s, b, bud)
+            stack.append((state, d, (b, c0, c1)))
+            stack.append((c1, b + 1, None))
+            stack.append((c0, b + 1, None))
+            continue
+        b, c0, c1 = kids  # combine: both children are priced
+        l0, u0 = memo[c0, b + 1]
+        l1, u1 = memo[c1, b + 1]
+        scale = e.scale_of_depth(b)
+        if scale >= m:
+            # covering the whole piece by one set is admissible here;
+            # ties prefer the parent cylinder
+            memo[state, d] = (min(lo[scale], l0 + l1), min(hi[scale], u0 + u1))
+        else:
+            memo[state, d] = (l0 + l1, u0 + u1)
+    return memo, memo[e.root_state(), 0], den, hi
 
 
 def hausdorff_measure_delta(e: TreeSet, h: DyadicHFn, m: int, depth: int,
@@ -171,8 +184,9 @@ def hausdorff_measure_delta(e: TreeSet, h: DyadicHFn, m: int, depth: int,
     the mass distribution principle.
     """
     bud = _budget(budget)
-    _, (dp_lo, dp_up) = _dp_bounds(e, h, m, depth, bud)
-    lower, source, exact = dp_lo, "dp", False
+    _, (lo, up), den, _ = _dp_bounds(e, h, m, depth, bud)
+    dp_up = Fraction(up, den)
+    lower, source, exact = Fraction(lo, den), "dp", False
     cert = _structural_mass_lower(e, h)
     if cert is not None and cert > lower:
         lower, source, exact = cert, "mass", True
@@ -189,10 +203,7 @@ def extract_optimal_cover(e: TreeSet, h: DyadicHFn, m: int, depth: int,
     bottom), so diameters can be read off the words.
     """
     bud = _budget(budget)
-    memo, root = _dp_bounds(e, h, m, depth, bud)
-
-    def upper(state, d):
-        return memo[(state, d)][1]
+    memo, root, den, hi = _dp_bounds(e, h, m, depth, bud)
 
     out: list[Word] = []
     stack = [("", e.root_state())]
@@ -210,16 +221,16 @@ def extract_optimal_cover(e: TreeSet, h: DyadicHFn, m: int, depth: int,
             bit, state = e.children(state, len(word), bud)[0]
             word += str(bit)
         kids = e.children(state, b, bud)
-        children_sum = upper(kids[0][1], b + 1) + upper(kids[1][1], b + 1)
+        children_sum = memo[kids[0][1], b + 1][1] + memo[kids[1][1], b + 1][1]
         scale = e.scale_of_depth(b)
-        if scale >= m and h.hi_at(scale) <= children_sum:
+        if scale >= m and hi[scale] <= children_sum:
             out.append(word)
         else:
             for bit, child in reversed(kids):
                 bud.spend()
                 stack.append((word + str(bit), child))
     out.sort()
-    return out, root[1]
+    return out, Fraction(root[1], den)
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +319,14 @@ def _ci_mass_exact(e: CISet, h: DyadicHFn) -> bool:
     ps = e.ispec.period_structure()
     if ps is None:
         return False
-    pre, period = ps
+    _, period = ps
     s = h.symbolic.s
     zeros = period.count("0")
     if Fraction(zeros, len(period)) < s:
         return False
-    for n in range(pre + 2 * len(period) + 1):
-        if Fraction(e.ispec.complement_count(n)) < s * n:
-            return False
-    return True
+    # |n \ I| for n up to the preperiod plus two periods, counted as n runs
+    gaps = accumulate((c == "0" for c in e.ispec.prefix + 2 * period), initial=0)
+    return all(g * s.denominator >= s.numerator * n for n, g in enumerate(gaps))
 
 
 def _structural_mass_lower(e: TreeSet, h: DyadicHFn) -> Fraction | None:
@@ -416,16 +426,16 @@ def sparse_I_builder(h: DyadicHFn, depth: int) -> ISpec:
     if not verdict.holds:
         raise BuildError("sparse_I_builder needs h strictly above r (h < 1)")
 
-    symbolic_s = h.symbolic.s if (h.symbolic and h.symbolic.t == 0) else None
+    # 1 - s for a symbolic power r^s, the density the symbolic branch keeps
+    frac = 1 - h.symbolic.s if (h.symbolic and h.symbolic.t == 0) else None
     bits = []
-    count = 0
 
     def admissible(j: int, cnt_after) -> bool:
         # cnt_after(n) = |n cap I| if we admit j; check every n in (j, depth]
         for n in range(j + 1, depth + 1):
             c = cnt_after(n)
-            if symbolic_s is not None:
-                if Fraction(c) > n * (1 - symbolic_s):
+            if frac is not None:
+                if c * frac.denominator > n * frac.numerator:  # c > n * frac
                     return False
             else:
                 if n > h.n_max:
@@ -445,8 +455,7 @@ def sparse_I_builder(h: DyadicHFn, depth: int) -> ISpec:
             bits.append("0")
     prefix = "".join(bits)
 
-    if symbolic_s is not None:
-        frac = 1 - symbolic_s
+    if frac is not None:
         b = frac.denominator
         period = "".join(
             "1" if (o + 1) * frac.numerator // b > o * frac.numerator // b else "0"

@@ -104,10 +104,13 @@ def _table(d: dict, key: str, where: str) -> list:
     return [rational(v, f"{where}.{key}[{i}]") for i, v in enumerate(_need(d, key, where))]
 
 
-def parse_hfn(d: dict, where: str = "hfn") -> DyadicHFn:
+def parse_hfn(d: dict, where: str = "hfn",
+              precision: int = DEFAULT_PRECISION_BITS) -> DyadicHFn:
+    """A gauge from its spec; `precision` applies when it sets no
+    ``precision_bits``."""
     if not isinstance(d, dict):
         raise SpecFormatError("gauge spec must be an object", where)
-    precision = int(d.get("precision_bits", DEFAULT_PRECISION_BITS))
+    precision = int(d.get("precision_bits", precision))
     n_max = int(d.get("n_max", DEFAULT_N_MAX))
     if "symbolic" in d:
         sym = d["symbolic"]

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import ResourceLimitError, SpecFormatError
-from .words import ISpec, Word, check_word
+from .words import ISpec, Word, check_word, check_words
 
 DEFAULT_NODE_BUDGET = 1 << 22
 
@@ -318,7 +318,42 @@ class BlockConstraintSet(TreeSet):
         }
 
 
-END = frozenset({""})  # an explicit-set state: a whole word has been read
+END = 0  # the explicit-set state in which a whole word has been read
+
+
+def _interned_trie(words, tail: str):
+    """Root state and transition rows of the words' trie, hash-consed.
+
+    Built bottom-up one depth at a time, with the node words at depth d read
+    as d-bit integers.  A node is keyed by whether it ends a word and by its
+    children's keys, so one key stands for one set of suffixes left to read.
+    A key that ends a word has state END; every other key gets its own
+    integer state, whose row holds the (child0, child1) states, None where
+    no suffix continues.  END's row keeps a free tail under either bit and a
+    zeros tail only under 0.
+    """
+    rows = [(END, END) if tail == "free" else (END, None)]
+    keys: dict = {}  # (ends a word, child key 0, child key 1) -> key id
+    state_of: dict = {None: None}  # key id -> state
+    ends_at: dict = {}  # d -> the words of length d
+    for w in words:
+        ends_at.setdefault(len(w), set()).add(int(w, 2) if w else 0)
+    level: dict = {}  # node at depth d + 1 -> key id
+    for d in range(max(ends_at), -1, -1):
+        ends = ends_at.get(d, set())
+        below, level = level, {}
+        for v in ends.union(q >> 1 for q in below):
+            key = (v in ends, below.get(v << 1), below.get(v << 1 | 1))
+            kid = keys.get(key)
+            if kid is None:
+                kid = keys[key] = len(keys)
+                if key[0]:
+                    state_of[kid] = END
+                else:
+                    state_of[kid] = len(rows)
+                    rows.append((state_of[key[1]], state_of[key[2]]))
+            level[v] = kid
+    return state_of[level[0]], rows
 
 
 class ExplicitSet(TreeSet):
@@ -326,16 +361,18 @@ class ExplicitSet(TreeSet):
 
     ``tail='zeros'`` codes the finite point set {w followed by zeros};
     ``tail='free'`` codes the clopen union of the cylinders [w].  The state
-    is the set of word suffixes still to be read; once a word has been read
-    it is END, the set holding only the empty suffix, which a free tail
-    keeps under either bit and a zeros tail only under 0.
+    is an integer standing for the set of word suffixes still to be read
+    (see ``_interned_trie``); once a word has been read it is END, which a
+    free tail keeps under either bit and a zeros tail only under 0.
     """
 
     kind = "explicit"
 
     def __init__(self, words, tail: str = "zeros"):
         super().__init__()
-        ws = frozenset(check_word(w) for w in words)
+        words = list(words)
+        check_words(words)
+        ws = frozenset(words)
         if not ws:
             raise SpecFormatError(f"{self.kind} set needs at least one word")
         if self.kind == "explicit" and len({len(w) for w in ws}) != 1:
@@ -344,17 +381,13 @@ class ExplicitSet(TreeSet):
             raise SpecFormatError("tail must be 'zeros' or 'free'")
         self.words = ws
         self.tail = tail
+        self._root, self._rows = _interned_trie(ws, tail)
 
     def root_state(self):
-        return END if "" in self.words else self.words
+        return self._root
 
     def step(self, state, depth, bit):
-        if state is END:
-            return END if self.tail == "free" or bit == 0 else None
-        nxt = frozenset(w[1:] for w in state if w[0] == str(bit))
-        if "" in nxt:
-            return END
-        return nxt or None
+        return self._rows[state][bit]
 
     def spec_dict(self):
         return {"kind": "explicit", "words": sorted(self.words), "tail": self.tail}

@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from cantordim.cli import main
+from cantordim.hfun import power_hfn
+from cantordim.measures import hausdorff_measure_delta
 from cantordim.specio import canonical_json
+from cantordim.treeset import FullCube
 
 
 @pytest.fixture
@@ -46,6 +50,35 @@ def test_measure_ci_upper(specs, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["upper"] == "1/16"  # 2^-|8 cap evens|
+
+
+def test_measure_deep_depth(specs, capsys):
+    code, out, _ = run(["measure", specs["ce"], specs["r1"],
+                        "--depth", "3000"], capsys)
+    assert code == 0
+    assert json.loads(out)["upper"] == f"1/{2 ** 1500}"  # 2^-|3000 cap evens|
+
+
+def test_measure_precision_reaches_the_gauge(specs, tmp_path, capsys):
+    argv = ["measure", specs["fc"], specs["rhalf"], "--scale", "3", "--depth", "6"]
+    uppers = {}
+    for bits in (64, 128):
+        code, out, _ = run(argv + ["--precision", str(bits)], capsys)
+        payload = json.loads(out)
+        assert code == 0 and payload["limits"]["precision"] == bits
+        gauge = power_hfn(Fraction(1, 2), precision=bits)
+        want = hausdorff_measure_delta(FullCube(), gauge, 3, 6)
+        assert payload["upper"] == str(want.upper)
+        uppers[bits] = payload["upper"]
+    assert uppers[64] != uppers[128]
+    assert run(argv, capsys)[1] == run(argv + ["--precision", "128"], capsys)[1]
+    # a gauge that sets precision_bits keeps it
+    pinned = tmp_path / "pinned.json"
+    pinned.write_text(canonical_json({"symbolic": {"s": "1/2", "t": "0"},
+                                      "precision_bits": 128}))
+    argv[2] = str(pinned)
+    code, out, _ = run(argv + ["--precision", "64"], capsys)
+    assert json.loads(out)["upper"] == uppers[128]
 
 
 def test_measure_bad_spec(specs, capsys):

@@ -9,7 +9,8 @@ from oracles import (min_cover_count_arbitrary, min_cylinder_cover_cost,
 from cantordim.errors import BuildError
 from cantordim.hfun import power_hfn, power_log_hfn, table_hfn
 from cantordim.measures import (CIProductMass, Filtration, TableMass,
-                                UniformMass, box_content_sequence,
+                                UniformMass, _ci_mass_exact,
+                                box_content_sequence,
                                 box_dimensions, chain_check, covering_number,
                                 dbox_on_filtration, extract_optimal_cover,
                                 hausdorff_measure_delta,
@@ -18,9 +19,10 @@ from cantordim.measures import (CIProductMass, Filtration, TableMass,
                                 product_inequality_check, sparse_I_builder,
                                 trivial_filtration, IdentityCode, RepeatCode,
                                 ShiftCode, verify_code_modulus)
-from cantordim.treeset import (CISet, ExplicitSet, FullCube, ProductSet,
-                               UnionSet)
-from cantordim.words import all_words, evens, odds
+from cantordim.specio import parse_hfn
+from cantordim.treeset import (Budget, CISet, CylinderUnionSet, ExplicitSet,
+                               FullCube, ProductSet, UnionSet)
+from cantordim.words import all_words, evens, odds, periodic_ispec
 
 
 def test_covering_numbers(battery):
@@ -81,15 +83,41 @@ def test_singleton_bounds():
 def test_dp_against_bruteforce_oracle(rng):
     h = table_hfn([Fraction(1, n + 1) for n in range(10)])
     r1 = power_hfn(1)
+    # r^(1/2) samples over 2^64 and 2^128, and an interval table whose lo and
+    # hi sides have unrelated denominators
+    halves = [power_hfn(Fraction(1, 2), precision=p) for p in (64, 128)]
+    interval = parse_hfn({"table_lo": [f"1/{n + 2}" for n in range(10)],
+                          "table_hi": [f"2/{2 * n + 3}" for n in range(10)]})
+    assert interval.lo != interval.hi
+    assert halves[0].hi_at(3) != halves[1].hi_at(3)
+
+    def check(e, words, depth, gauge, m, where):
+        got = hausdorff_measure_delta(e, gauge, m, depth)
+        want = min_cylinder_cover_cost(words, gauge.hi_at, m, depth)
+        assert got.upper == want, where
+        # leaves priced at zero give the lower side
+        free_leaves = lambda k: gauge.lo_at(k) if k < depth else Fraction(0)
+        want = min_cylinder_cover_cost(words, free_leaves, m, depth)
+        assert got.lower == want, where
+
     for trial in range(12):
         depth = rng.randint(3, 6)
         words = rng.sample(all_words(depth), rng.randint(1, 1 << (depth - 1)))
         e = ExplicitSet(words)
-        for gauge in (h, r1):
+        for gauge in (h, r1, *halves, interval):
             for m in (0, 1, 2):
-                got = hausdorff_measure_delta(e, gauge, m, depth).upper
-                want = min_cylinder_cover_cost(words, gauge.hi_at, m, depth)
-                assert got == want, (trial, words, m)
+                check(e, words, depth, gauge, m, (trial, words, m, gauge.name))
+    # cylinder unions whose words are prefixes of other words: the DP reads
+    # the tree only to the truncation depth, where it is the trace's tree
+    for trial in range(12):
+        depth = rng.randint(3, 6)
+        short = rng.sample(all_words(rng.randint(1, 2)), 1)
+        longer = [w + x for w in short for x in rng.sample(all_words(2), 2)]
+        cyls = short + longer + rng.sample(all_words(depth - 1), 3)
+        c = CylinderUnionSet(cyls)
+        for gauge in (h, *halves, interval):
+            for m in (0, 2):
+                check(c, c.trace(depth), depth, gauge, m, (trial, cyls, m, gauge.name))
 
 
 def test_extract_cover_examples():
@@ -334,3 +362,49 @@ def test_increasing_sets_split_shelahn():
     top = filt.sets[-1]
     out = increasing_sets_split(top, power_hfn(1), Fraction(2), 10)
     assert len(out) == len(filt)
+
+
+def test_dp_deep_without_recursion():
+    r1 = power_hfn(1)
+    # the optimal r^1 cover of C_evens is its deepest trace: 2^-|3000 cap I|
+    ce = hausdorff_measure_delta(CISet(evens()), r1, 8, 3000)
+    assert ce.upper == Fraction(1, 1 << 1500) and ce.lower == 0
+    fc = hausdorff_measure_delta(FullCube(), r1, 0, 3000)
+    assert fc.lower == fc.upper == 1 and fc.lower_source == "mass"
+    assert extract_optimal_cover(FullCube(), r1, 0, 3000) == ([""], 1)
+
+
+def test_dp_budget_charges_are_pinned():
+    # one node per (state, depth) priced and per transition-cache miss,
+    # with one automaton state per distinct set of suffixes left to read
+    rng = random.Random(20)
+    words = sorted(format(i, "012b") for i in rng.sample(range(1 << 12), 300))
+    half = power_hfn(Fraction(1, 2))
+    b = Budget()
+    hausdorff_measure_delta(ExplicitSet(words), half, 3, 12, b)
+    assert b.used == 711
+    b = Budget()
+    cover, _ = extract_optimal_cover(ExplicitSet(words), half, 3, 12, b)
+    assert b.used == 725 and len(cover) == 8
+    # "0" and "1" have the distinct suffix sets {"0", "01"} and {"0"}
+    c = CylinderUnionSet(["00", "001", "10", "110"])
+    b = Budget()
+    hausdorff_measure_delta(c, half, 1, 9, b)
+    assert b.used == 23
+    b = Budget()
+    assert extract_optimal_cover(c, half, 1, 9, b)[0] == ["00", "1"]
+    assert b.used == 14
+
+
+def test_ci_mass_exact_matches_fraction_scan():
+    rng = random.Random(7)
+    for trial in range(200):
+        pre = "".join(rng.choice("01") for _ in range(rng.randint(0, 6)))
+        period = "".join(rng.choice("01") for _ in range(rng.randint(1, 5))) + "1"
+        ispec = periodic_ispec(pre, period)
+        s = Fraction(rng.randint(1, 7), rng.randint(1, 8))
+        want = (Fraction(period.count("0"), len(period)) >= s
+                and all(ispec.complement_count(n) >= s * n
+                        for n in range(len(pre) + 2 * len(period) + 1)))
+        got = _ci_mass_exact(CISet(ispec), power_hfn(s, n_max=2))
+        assert got == want, (pre, period, s)

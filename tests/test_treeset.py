@@ -6,7 +6,7 @@ import pytest
 from oracles import ci_trace, interleave_trace, xor_trace
 
 from cantordim.errors import ResourceLimitError, SpecFormatError
-from cantordim.treeset import (BlockConstraintSet, Budget, CISet,
+from cantordim.treeset import (END, BlockConstraintSet, Budget, CISet,
                                CylinderUnionSet, ExplicitSet, FullCube,
                                ProductSet, SumSet, UnionSet, coherence_holds,
                                is_trace_subset, product, singleton_zero,
@@ -196,6 +196,27 @@ def test_automaton_states_share_isomorphic_subtrees():
     assert c.state_at("0") == c.state_at("10")
     assert c.state_at("0") == c.state_at("0110") == c.state_at("101")
     assert c.state_at("11") is None
+
+
+def test_explicit_states_are_interned_integers():
+    e = ExplicitSet(["0110", "1011", "1100"], tail="free")
+    states = {e.state_at(w) for d in range(7) for w in e.trace(d)}
+    assert states and all(isinstance(s, int) for s in states)
+    assert e.state_at("0110") == e.state_at("1011") == END
+    assert e.step(END, 4, 1) == END
+    z = ExplicitSet(["01"])
+    assert z.step(END, 2, 0) == END and z.step(END, 2, 1) is None
+    assert ExplicitSet([""]).root_state() == END
+
+
+def test_long_explicit_words_build_without_recursion():
+    rng = random.Random(4000)
+    a = "".join(rng.choice("01") for _ in range(4000))
+    b = a[:1999] + ("1" if a[1999] == "0" else "0") + a[2000:]
+    e = ExplicitSet([a, b])
+    assert e.trace_count(4000) == 2 and e.trace_count(1999) == 1
+    assert e.state_at(a) == e.state_at(b) == END
+    assert CylinderUnionSet([a, a[:3000]]).trace_count(3001) == 2
 
 
 def test_explicit_words_share_one_length():
