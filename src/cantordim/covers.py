@@ -9,9 +9,10 @@ toolkit never claims an infinite-horizon verdict.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, repeat
 
 from .errors import BuildError, SpecFormatError
 from .hfun import DyadicHFn, grid_index_floor
@@ -72,46 +73,77 @@ class Cover:
         return None
 
 
+def _pool(table: dict, key, nodes: set) -> None:
+    """Add the set ``nodes`` to the set held at ``table[key]``."""
+    held = table.setdefault(key, nodes)
+    if held is not nodes:
+        held |= nodes
+
+
 def _covering_groups(e: TreeSet, tags: dict, n: int,
                      budget: Budget | None) -> int:
-    """Bitmask of the groups that cover E at depth n, in one walk.
+    """Bitmask of the groups that cover E at depth n, in one forward sweep.
 
-    ``tags`` maps each cover word to the bitmask of the groups listing it.
-    The walk follows E's depth-n trace only as far as the sorted cover words
-    reach: a node carries the range [lo, hi) of words it prefixes and the OR
-    of the tags of the words it passed.  A branch stops where the range runs
-    out (every trace node has a descendant, so its mask holds for all leaves
-    below), at depth n (words longer than n are dropped, so the range is
-    empty there), or where the mask cannot grow.  Bit j of the AND over all
-    stops is set iff every depth-n trace node lies under a word of group j.
-    Each expanded node costs one budget node.
+    ``tags`` maps each cover word to the bitmask of the groups listing it;
+    words longer than n are dropped, and the rest are validated.  The sweep
+    follows E's trace one depth at a time with the node words read as
+    integers.  The frontier maps (E state, mask) to the set of nodes that
+    reach that state with that OR of the tags of the words they extend, so
+    one ``children`` call serves a whole bucket, and set operations split
+    it.  A node stops where no longer word lies below it (every trace node
+    has a descendant, so its mask holds for all leaves below, and at depth n
+    nothing is longer) or where its mask cannot grow.  Bit j of the AND over
+    all stops is set iff every depth-n trace node lies under a word of group
+    j.  Each expanded node costs one budget node.
     """
-    words = sorted(w for w in tags if len(w) <= n)
+    words = sorted(tags, key=len)
+    del words[bisect_right(words, n, key=len):]
     check_words(words)
-    masks = [tags[w] for w in words]
+    tag_of = tags.__getitem__
+    ends: dict = {}  # d -> {tag: the words of length d with that tag, as ints}
     full = 0
-    for m in masks:
-        full |= m
+    for d, same_length in groupby(words, len):
+        ends[d] = {tag: set(map(int, ws, repeat(2))) if d else {0}
+                   for tag, ws in groupby(sorted(same_length, key=tag_of), tag_of)}
+        for tag in ends[d]:
+            full |= tag
+    if not full:
+        return 0
+    # live[d]: the depth-d nodes with a word strictly below them
+    live = [set()] * (max(ends) + 1)
+    for d in range(len(live) - 1, 0, -1):
+        below = live[d].union(*ends.get(d, {}).values())
+        live[d - 1] = {v >> 1 for v in below}
     covered = full
     children, spend = e.children, _budget(budget).spend
-    stack = [(e.root_state(), "", 0, len(words), 0)]
-    push, pop = stack.append, stack.pop
-    while stack and covered:
-        state, word, lo, hi, mask = pop()
-        d = len(word)
-        if lo < hi and len(words[lo]) == d:  # the node is a cover word
-            mask |= masks[lo]
-            lo += 1
-        if lo == hi or mask == full:
-            covered &= mask
-            continue
-        spend()
-        mid = bisect_left(words, word + "1", lo, hi)
-        for bit, child in children(state, d):
-            if bit:
-                push((child, word + "1", mid, hi, mask))
-            else:
-                push((child, word + "0", lo, mid, mask))
+    frontier = {(e.root_state(), 0): {0}}
+    for d, live_d in enumerate(live):
+        ends_d = ends.pop(d, {})
+        live[d] = None  # a depth's tables go once the sweep has passed it
+        grown: dict = {}  # (state, mask) -> the depth-d nodes to expand
+        for (state, mask), nodes in frontier.items():
+            for tag, tagged in ends_d.items():
+                hit = nodes & tagged
+                if hit:
+                    nodes -= hit
+                    m = mask | tag
+                    go = hit & live_d if m != full else set()
+                    if len(go) < len(hit):
+                        covered &= m
+                    if go:
+                        _pool(grown, (state, m), go)
+            go = nodes & live_d
+            if len(go) < len(nodes):
+                covered &= mask
+            if go:
+                _pool(grown, (state, mask), go)
+        if not covered or not grown:
+            break
+        frontier = {}
+        for (state, mask), nodes in grown.items():
+            spend(len(nodes))
+            for bit, child in children(state, d):
+                _pool(frontier, (child, mask), {v << 1 | bit for v in nodes})
     return covered
 
 
@@ -119,8 +151,10 @@ def _covered_groups(e: TreeSet, groups, n: int, budget: Budget | None) -> int:
     """Bit j set iff the words of groups[j] cover E at depth n."""
     tags: dict = {}
     for j, words in enumerate(groups):
-        for w in words:
-            tags[w] = tags.get(w, 0) | 1 << j
+        group = dict.fromkeys(words, 1 << j)
+        for w in group.keys() & tags.keys():
+            group[w] |= tags[w]
+        tags.update(group)
     return _covering_groups(e, tags, n, budget)
 
 
@@ -146,11 +180,11 @@ def verify_lambda(e: TreeSet, cover: Cover, horizon: int, depth: int,
                   budget: Budget | None = None) -> LambdaVerdict:
     """Truncated lambda-cover criterion: for each j <= J the tail
     {U_n : n >= j} still covers E at the trace depth."""
-    top = max(horizon, -1)
-    tags: dict = {}
-    for i, w in enumerate(cover.elements):
-        # element i lies in every tail j <= i
-        tags[w] = tags.get(w, 0) | ((1 << (min(i, top) + 1)) - 1)
+    # element i lies in every tail j <= i; these masks nest, so a word's
+    # last listing gives its OR, and past the horizon it is every tail's
+    cut = max(horizon, 0)
+    tags = {w: (2 << i) - 1 for i, w in enumerate(cover.elements[:cut])}
+    tags.update(dict.fromkeys(cover.elements[cut:], (1 << max(horizon + 1, 0)) - 1))
     covered = _covering_groups(e, tags, depth, budget)
     j = ((covered + 1) & ~covered).bit_length() - 1  # the lowest zero bit
     if j <= horizon:

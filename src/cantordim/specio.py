@@ -65,9 +65,18 @@ def parse_ispec(d: dict, where: str = "I") -> ISpec:
     raise SpecFormatError("I-spec needs 'period', 'powers' or 'blocks'", where)
 
 
-def parse_set(d: dict, where: str = "set") -> TreeSet:
+# Deepest set-spec nesting accepted.  Sets nested this deep still evaluate
+# inside Python's default recursion limit (a sumset costs about three frames
+# per level per step; 330 levels of sumsets already overflow), so deeper
+# specs are input errors rather than crashes.
+MAX_SET_NESTING = 256
+
+
+def parse_set(d: dict, where: str = "set", depth: int = 0) -> TreeSet:
     if not isinstance(d, dict):
         raise SpecFormatError("set spec must be an object", where)
+    if depth > MAX_SET_NESTING:
+        raise SpecFormatError(f"set spec nests deeper than {MAX_SET_NESTING} levels", where)
     kind = _need(d, "kind", where)
     if kind == "full_cube":
         return FullCube()
@@ -81,13 +90,13 @@ def parse_set(d: dict, where: str = "set") -> TreeSet:
     if kind == "cylinder_union":
         return CylinderUnionSet(_need(d, "cylinders", where))
     if kind == "sumset":
-        return SumSet(parse_set(_need(d, "a", where), f"{where}.a"),
-                      parse_set(_need(d, "b", where), f"{where}.b"))
+        return SumSet(parse_set(_need(d, "a", where), f"{where}.a", depth + 1),
+                      parse_set(_need(d, "b", where), f"{where}.b", depth + 1))
     if kind == "product":
-        return ProductSet(parse_set(_need(d, "a", where), f"{where}.a"),
-                          parse_set(_need(d, "b", where), f"{where}.b"))
+        return ProductSet(parse_set(_need(d, "a", where), f"{where}.a", depth + 1),
+                          parse_set(_need(d, "b", where), f"{where}.b", depth + 1))
     if kind == "union":
-        return UnionSet([parse_set(m, f"{where}.members[{i}]")
+        return UnionSet([parse_set(m, f"{where}.members[{i}]", depth + 1)
                          for i, m in enumerate(_need(d, "members", where))])
     raise SpecFormatError(f"unknown set kind {kind!r}", where)
 
@@ -267,3 +276,5 @@ def load_json(path: str):
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON in {path}: {exc}",
                               f"{path}:{exc.lineno}:{exc.colno}") from None
+    except RecursionError:
+        raise SpecFormatError(f"JSON in {path} nests too deeply to decode") from None

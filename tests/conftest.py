@@ -2,12 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from cantordim.hfun import power_hfn, table_hfn
 from cantordim.treeset import (CISet, ExplicitSet, FullCube, ProductSet,
                                SumSet, UnionSet)
 from cantordim.words import (all_words, evens, geometric_blocks, odds,
                              periodic_ispec)
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic and its running time bounded.
+settings.register_profile("deterministic", derandomize=True, max_examples=150,
+                          deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -181,3 +181,30 @@ def covering_groups_by_words(trace, groups, n):
         if short and all(any(t.startswith(w) for w in short) for t in trace):
             out |= 1 << j
     return out
+
+
+def cover_walk_charge(trace, groups, n):
+    """Budget nodes a one-pass cover check of a depth-n trace expands.
+
+    Counts the depth < n trace nodes that have a cover word (of length at
+    most n) strictly below them and whose tag mask, the OR of the tags of
+    the cover words they extend (themselves included), is not yet the OR of
+    all tags; every word listed in groups[k] carries bit k.
+    """
+    tags = {}
+    for k, words in enumerate(groups):
+        for w in words:
+            if len(w) <= n:
+                tags[w] = tags.get(w, 0) | 1 << k
+    full = 0
+    for t in tags.values():
+        full |= t
+    count = 0
+    for v in {t[:d] for t in trace for d in range(n)}:
+        below = any(len(w) > len(v) and w.startswith(v) for w in tags)
+        mask = 0
+        for d in range(len(v) + 1):
+            mask |= tags.get(v[:d], 0)
+        if below and mask != full:
+            count += 1
+    return count

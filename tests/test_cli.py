@@ -8,7 +8,7 @@ import pytest
 from cantordim.cli import main
 from cantordim.hfun import power_hfn
 from cantordim.measures import hausdorff_measure_delta
-from cantordim.specio import canonical_json
+from cantordim.specio import MAX_SET_NESTING, canonical_json
 from cantordim.treeset import FullCube
 
 
@@ -137,6 +137,105 @@ def test_dim_deep_range(specs, capsys):
     rows = json.loads(out)["rows"]
     assert len(rows) == 600 and rows[-1] == {
         "N": str(2 ** 300), "log2N_over_n": "0.500000", "n": 600}
+
+
+def nested_spec(levels, inner='{"kind":"full_cube"}', kind="union"):
+    """A set spec nesting `inner` `levels` deep, built as text so that no
+    JSON encoder recursion limits how deep it goes."""
+    for _ in range(levels):
+        if kind == "union":
+            inner = '{"kind":"union","members":[%s]}' % inner
+        else:
+            inner = '{"kind":"%s","a":%s,"b":{"kind":"full_cube"}}' % (kind, inner)
+    return inner
+
+
+@pytest.mark.parametrize("levels", [600, 5000])
+def test_deeply_nested_spec_is_input_error(tmp_path, levels):
+    path = tmp_path / "deep.json"
+    path.write_text(nested_spec(levels))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cantordim.cli", "dim", str(path), "--range", "1:3"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("input error:")
+    assert "Traceback" not in proc.stderr
+
+
+EXPLICIT_01 = '{"kind":"explicit","words":["01","10"],"tail":"zeros"}'
+
+
+@pytest.mark.parametrize("inner, levels, cover, extra, code, err", [
+    # the deepest accepted nesting, an unknown field ignored: verifies
+    ('{"kind":"explicit","words":["01","10"],"note":"x"}', MAX_SET_NESTING,
+     ["0", "1"], [], 0, ""),
+    # the same nesting under a cover that misses a point: fails
+    (EXPLICIT_01, MAX_SET_NESTING, ["0", "11"], [], 1, ""),
+    # one level too deep, a bad kind deep inside, a member without its kind
+    (EXPLICIT_01, MAX_SET_NESTING + 1, ["0", "1"], [], 2,
+     "input error: set spec nests deeper than"),
+    ('{"kind":"bogus"}', 40, ["0", "1"], [], 2, "input error: unknown set kind"),
+    ('{"words":["01"]}', 40, ["0", "1"], [], 2, "input error: missing field"),
+    # a nested sumset whose cover check outgrows the budget
+    (nested_spec(12, EXPLICIT_01, "sumset"), 4, [f"{i:04b}" for i in range(16)],
+     ["--budget", "8"], 3, "resource limit:"),
+])
+def test_nested_spec_exit_codes(tmp_path, capsys, inner, levels, cover, extra,
+                                code, err):
+    path = tmp_path / "inst.json"
+    path.write_text('{"check":"cover-gamma","cover":%s,"set":%s}'
+                    % (json.dumps([{"cyl": w, "group": 0} for w in cover]),
+                       nested_spec(levels, inner)))
+    got, out, stderr = run(["verify", str(path), "--depth", "4"] + extra, capsys)
+    assert got == code and stderr.startswith(err)
+    if code < 2:
+        assert json.loads(out)["status"] == ("pass" if code == 0 else "fail")
+    else:
+        assert out == ""
+    if "deeper than" in err:  # the message names the offending path
+        assert "(at set" + ".members[0]" * (MAX_SET_NESTING + 1) + ")" in stderr
+
+
+def test_deepest_nested_sumset_evaluates(specs, tmp_path):
+    # a sumset takes the most stack per nesting level when stepped; the
+    # deepest accepted spec must still run inside the default recursion limit
+    spec = nested_spec(MAX_SET_NESTING, EXPLICIT_01, "sumset")
+    set_path, inst_path = tmp_path / "set.json", tmp_path / "inst.json"
+    set_path.write_text(spec)
+    inst_path.write_text('{"check":"cover-gamma","cover":[{"cyl":"0","group":0},'
+                         '{"cyl":"1","group":0}],"set":%s}' % spec)
+    for argv in (["dim", str(set_path), "--range", "1:6"],
+                 ["measure", str(set_path), specs["rhalf"], "--scale", "2",
+                  "--depth", "8"],
+                 ["verify", str(inst_path), "--depth", "6"]):
+        proc = subprocess.run([sys.executable, "-m", "cantordim.cli"] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == "", argv
+
+
+DEEP_MISS = [f"0{i:03b}" for i in range(8)] + ["10", "110", "1110"]
+
+
+@pytest.mark.parametrize("words, depth, budget, code", [
+    # only the leaf 1111 is missed; the sweep reaches it after expanding the
+    # 11 nodes of depths 0-3 that lie over a longer word
+    (DEEP_MISS, 4, 10, 3),
+    (DEEP_MISS, 4, 11, 1),
+    # nothing lies under 0, which the sweep sees at depth 1, after one node
+    (["110"], 3, 1, 1),
+])
+def test_failing_cover_check_under_a_small_budget(tmp_path, capsys, words,
+                                                  depth, budget, code):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"check": "cover-gamma", "set": {"kind": "full_cube"},
+                                "cover": [{"cyl": w, "group": 0} for w in words]}))
+    got, out, err = run(["verify", str(path), "--depth", str(depth),
+                         "--budget", str(budget)], capsys)
+    assert got == code
+    if code == 1:
+        assert json.loads(out)["status"] == "fail"
+    else:
+        assert err.startswith("resource limit:")
 
 
 def test_verify_builtins(specs, capsys):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import covering_groups_by_words
+from oracles import cover_walk_charge, covering_groups_by_words
 
-from cantordim.covers import (Cover, DpNullWitness, build_bounded_groups,
+from cantordim.covers import (Cover, DpNullWitness, _covered_groups,
+                              build_bounded_groups,
                               build_dpnull_witness, build_fine_lambda,
                               build_gamma_groupable, epsilons_for_gauge,
                               gamma_grouped_sum, is_cover_at_depth,
@@ -354,6 +355,12 @@ def test_walk_matches_word_oracle():
             if r.random() < 0.3 and groups:
                 groups[r.randrange(len(groups))] = ()
             want = covering_groups_by_words(trace, groups, n)
+            b = Budget()
+            assert _covered_groups(e, groups, n, b) == want
+            # one budget node per expanded node; a check that finds no
+            # covering group may stop before it has expanded them all
+            charge = cover_walk_charge(trace, groups, n)
+            assert b.used == charge if want else b.used <= charge
             elems = tuple(w for g in groups for w in g)
             spans, pos = [], 0
             for g in groups:
@@ -452,3 +459,14 @@ def test_walk_budget_charge():
     assert b2.used == b.used
     with pytest.raises(ResourceLimitError):
         verify_lambda(e, cover, 8, 9, Budget(3))
+
+
+def test_deep_cover_check():
+    r = random.Random(4000)
+    words = [format(r.getrandbits(4000), "04000b") for _ in range(2)]
+    e = ExplicitSet(words)
+    assert is_cover_at_depth(e, words, 4000)
+    assert not is_cover_at_depth(e, words[:1], 4000)
+    assert verify_lambda(e, Cover(tuple(words * 2)), 2, 4000).holds
+    lam = verify_lambda(e, Cover(tuple(words + words[:1])), 2, 4000)
+    assert lam.failure_index == 2
