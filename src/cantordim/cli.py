@@ -189,7 +189,21 @@ BUILTIN_INSTANCES = {
 }
 
 
+def _verify_cover(cfg: RunConfig, e, cover, gamma: bool):
+    """(ok, detail) of the gamma-groupable check, or of the lambda check."""
+    if gamma:
+        v = covers.verify_gamma_groupable(e, cover, cfg.groups, cfg.depth,
+                                          cfg.make_budget())
+        return v.holds, {"status": v.status, "j0": v.j0, "depth": v.depth,
+                         "group_failures": list(v.group_failures)}
+    v = covers.verify_lambda(e, cover, cfg.groups, cfg.depth, cfg.make_budget())
+    return v.holds, {"status": v.status, "failure_index": v.failure_index,
+                     "depth": v.depth}
+
+
 def _verify_from_file(cfg: RunConfig, spec: dict):
+    if not isinstance(spec, dict):
+        raise SpecFormatError("check spec must be an object")
     check = spec.get("check")
     if check == "chain":
         e = specio.parse_set(spec.get("set", {}), "set")
@@ -200,30 +214,26 @@ def _verify_from_file(cfg: RunConfig, spec: dict):
         b = specio.parse_set(spec.get("b", {}), "b")
         h = cfg.parse_hfn(spec.get("h", {}), "h")
         g = cfg.parse_hfn(spec.get("g", {}), "g")
-        lo, hi = spec.get("range", [1, 12])
+        bounds = spec.get("range", [1, 12])
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise SpecFormatError("range must list two integers", "range")
+        lo, hi = bounds
         rep = measures.product_inequality_check(a, b, h, g, int(lo), int(hi),
                                                 budget=cfg.make_budget())
         return rep.ok, {"counting_exact": rep.counting_exact,
                         "transport_ok": rep.transport_ok,
                         "lower_product_ok": rep.lower_product_ok}
-    if check == "cover-gamma":
+    if check in ("cover-gamma", "cover-lambda"):
         e = specio.parse_set(spec.get("set", {}), "set")
         cover = specio.parse_cover(spec.get("cover", []), "cover")
-        v = covers.verify_gamma_groupable(e, cover, cfg.groups, cfg.depth,
-                                          cfg.make_budget())
-        return v.holds, {"status": v.status, "j0": v.j0,
-                         "depth": v.depth, "group_failures": list(v.group_failures)}
-    if check == "cover-lambda":
-        e = specio.parse_set(spec.get("set", {}), "set")
-        cover = specio.parse_cover(spec.get("cover", []), "cover")
-        v = covers.verify_lambda(e, cover, cfg.groups, cfg.depth, cfg.make_budget())
-        return v.holds, {"status": v.status, "failure_index": v.failure_index,
-                         "depth": v.depth}
+        return _verify_cover(cfg, e, cover, check == "cover-gamma")
     if check == "einc":
-        f = ideals.BlockPartition(tuple(spec["f"]))
-        g = ideals.BlockPartition(tuple(spec["g"]))
-        fam = ideals.BlockFamily(f, tuple(tuple(x) for x in spec["F"]))
-        gfam = ideals.BlockFamily(f.compose(g), tuple(tuple(x) for x in spec["G"]))
+        f_table, g_table, fams, gfams = (specio._need(spec, key, "einc")
+                                         for key in ("f", "g", "F", "G"))
+        f = ideals.BlockPartition(tuple(f_table))
+        g = ideals.BlockPartition(tuple(g_table))
+        fam = ideals.BlockFamily(f, tuple(tuple(x) for x in fams))
+        gfam = ideals.BlockFamily(f.compose(g), tuple(tuple(x) for x in gfams))
         v = ideals.einc_inclusion(f, g, fam, gfam, int(spec.get("horizon", cfg.groups)))
         return v.n0 is not None, {"n0": v.n0, "failures": list(v.failures)}
     raise SpecFormatError(f"unknown check {check!r}", "check")
@@ -244,7 +254,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_cover(cfg: RunConfig, args) -> int:
     if args.action == "build":
         e = specio.parse_set(specio.load_json(args.set))
-        h = cfg.parse_hfn(specio.load_json(args.hfn))
+        h = cfg.parse_hfn(_load_flag(args, "hfn"))
         filt = measures.Filtration(tuple([e] * args.levels))
         cover = covers.build_gamma_groupable(filt, h, max_scale=cfg.depth,
                                              depth=cfg.depth,
@@ -264,19 +274,8 @@ def cmd_cover(cfg: RunConfig, args) -> int:
         return EXIT_PASS if v.holds else EXIT_FAIL
     if args.action == "verify":
         e = specio.parse_set(specio.load_json(args.set))
-        cover = specio.parse_cover(specio.load_json(args.cover))
-        if cover.groups is not None:
-            v = covers.verify_gamma_groupable(e, cover, cfg.groups, cfg.depth,
-                                              cfg.make_budget())
-            detail = {"status": v.status, "j0": v.j0, "depth": v.depth,
-                      "group_failures": list(v.group_failures)}
-            ok = v.holds
-        else:
-            v = covers.verify_lambda(e, cover, cfg.groups, cfg.depth,
-                                     cfg.make_budget())
-            detail = {"status": v.status, "failure_index": v.failure_index,
-                      "depth": v.depth}
-            ok = v.holds
+        cover = specio.parse_cover(_load_flag(args, "cover"))
+        ok, detail = _verify_cover(cfg, e, cover, cover.groups is not None)
         _emit_json(cfg, {"detail": detail, "status": "pass" if ok else "fail",
                          "limits": cfg.limits()})
         return EXIT_PASS if ok else EXIT_FAIL
@@ -284,43 +283,8 @@ def cmd_cover(cfg: RunConfig, args) -> int:
 
 
 def cmd_witness(cfg: RunConfig, args) -> int:
-    if args.action == "compile-me":
-        h = cfg.parse_hfn(specio.load_json(args.hfn))
-        f = ideals.me_fbuilder(h, args.k)
-        sums = ideals.me_sums(f, h, args.k)
-        ok = all((1 << f(k)) * h.hi_at(f(k + 1)) <= Fraction(1, 1 << k)
-                 for k in range(args.k))
-        if args.witness_out:
-            with open(args.witness_out, "w", encoding="utf-8") as fh:
-                fh.write(specio.canonical_json({"f": list(f.table)}))
-        _emit_json(cfg, {"f": list(f.table),
-                         "partial_sum": specio.rational_str(sum(sums)),
-                         "inequality_ok": ok,
-                         "status": "pass" if ok else "fail",
-                         "limits": cfg.limits()})
-        return EXIT_PASS if ok else EXIT_FAIL
-    if args.action == "compile-nadd":
-        h = cfg.parse_hfn(specio.load_json(args.hfn))
-        growth = lambda n: Fraction(1, h.hi_at(max(0, n - 1)))
-        f = ideals.nadd_fbuilder(growth, args.k)
-        if args.witness_out:
-            with open(args.witness_out, "w", encoding="utf-8") as fh:
-                fh.write(specio.canonical_json({"f": list(f.table)}))
-        _emit_json(cfg, {"f": list(f.table), "status": "pass",
-                         "limits": cfg.limits()})
-        return EXIT_PASS
-    if args.action == "compile-tprime":
-        h = cfg.parse_hfn(specio.load_json(args.hfn))
-        growth = lambda n: Fraction(1, h.hi_at(n))
-        f = ideals.tprime_fbuilder(growth, lambda n: n + 1, args.k)
-        if args.witness_out:
-            with open(args.witness_out, "w", encoding="utf-8") as fh:
-                fh.write(specio.canonical_json({"f": list(f.table)}))
-        _emit_json(cfg, {"f": list(f.table), "status": "pass",
-                         "limits": cfg.limits()})
-        return EXIT_PASS
     if args.action == "check":
-        w = specio.parse_witness(specio.load_json(args.witness))
+        w = specio.parse_witness(_load_flag(args, "witness"))
         lo, hi = _parse_range(args.range, default=(0, cfg.groups))
         if isinstance(w, ideals.ShelahMWitness):
             v = ideals.shelahM_check(w, args.x, lo, hi)
@@ -334,11 +298,39 @@ def cmd_witness(cfg: RunConfig, args) -> int:
                          "status": "pass" if ok else "fail",
                          "limits": cfg.limits()})
         return EXIT_PASS if ok else EXIT_FAIL
-    raise SpecFormatError(f"unknown witness action {args.action!r}")
+    if args.action not in ("compile-me", "compile-nadd", "compile-tprime"):
+        raise SpecFormatError(f"unknown witness action {args.action!r}")
+    h = cfg.parse_hfn(_load_flag(args, "hfn"))
+    report, ok = {}, True
+    if args.action == "compile-me":
+        f = ideals.me_fbuilder(h, args.k)
+        sums = ideals.me_sums(f, h, args.k)
+        ok = all((1 << f(k)) * h.hi_at(f(k + 1)) <= Fraction(1, 1 << k)
+                 for k in range(args.k))
+        report = {"partial_sum": specio.rational_str(sum(sums)), "inequality_ok": ok}
+    elif args.action == "compile-nadd":
+        f = ideals.nadd_fbuilder(lambda n: Fraction(1, h.hi_at(max(0, n - 1))), args.k)
+    else:
+        f = ideals.tprime_fbuilder(lambda n: Fraction(1, h.hi_at(n)), lambda n: n + 1,
+                                   args.k)
+    if args.witness_out:
+        with open(args.witness_out, "w", encoding="utf-8") as fh:
+            fh.write(specio.canonical_json({"f": list(f.table)}))
+    _emit_json(cfg, {"f": list(f.table), **report, "status": "pass" if ok else "fail",
+                     "limits": cfg.limits()})
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # Wiring
+
+
+def _load_flag(args, flag: str):
+    """The JSON file named by a flag that the chosen action requires."""
+    path = getattr(args, flag)
+    if path is None:
+        raise SpecFormatError(f"{args.command} {args.action} needs --{flag}")
+    return specio.load_json(path)
 
 
 def _parse_range(text, default):

@@ -125,11 +125,13 @@ def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
 
     Every gauge sample the DP can read, at scales max(m, 0)..scale(depth),
     is put over one common denominator `den`; costs are then added and
-    compared as integers.  Returns (memo, root, den, hi): memo maps
-    (state, d) to the (lower, upper) numerators, root is the root's pair
-    and hi maps each of those scales to the numerator of h's upper sample.
-    The DP walks an explicit post-order stack, c0's subtree before c1's,
-    so every (state, d) is charged once, as a recursive walk would.
+    compared as integers.  Returns (memo, den): memo maps (state, d) to
+    (lower, upper, b, bits, kids), the numerators, the depth b that ends the
+    single-child chain from d (the first branch, or `depth` at a leaf), the
+    chain's bits as an int, and the child states (c0, c1) at b + 1, or None
+    when one cylinder covers the piece optimally.  The DP walks an explicit
+    post-order stack, c0's subtree before c1's, so every (state, d) is
+    charged once, as a recursive walk would.
     """
     leaf_scale = e.scale_of_depth(depth)
     if leaf_scale < m:
@@ -140,38 +142,40 @@ def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
     den = lcm(*(v.denominator for pair in samples.values() for v in pair))
     lo = {n: v.numerator * (den // v.denominator) for n, (v, _) in samples.items()}
     hi = {n: v.numerator * (den // v.denominator) for n, (_, v) in samples.items()}
-    leaf = (0, hi[leaf_scale])
     memo: dict = {}
     stack = [(e.root_state(), 0, None)]
     while stack:
-        state, d, kids = stack.pop()
-        if kids is None:  # expand (state, d) unless it is already priced
+        state, d, branch = stack.pop()
+        if branch is None:  # expand (state, d) unless it is already priced
             if (state, d) in memo:
                 continue
             bud.spend()
-            b = e.first_branch(state, d, depth, bud)
-            if b is None:
-                memo[state, d] = leaf
+            s, b, bits = state, d, 0
+            while b < depth and len(kids := e.children(s, b, bud)) == 1:
+                bits = bits << 1 | kids[0][0]
+                s = kids[0][1]
+                b += 1
+            if b == depth:
+                memo[state, d] = (0, hi[leaf_scale], b, bits, None)
                 continue
-            s = state
-            for dd in range(d, b):
-                s = e.children(s, dd, bud)[0][1]
-            (_, c0), (_, c1) = e.children(s, b, bud)
-            stack.append((state, d, (b, c0, c1)))
+            (_, c0), (_, c1) = kids
+            stack.append((state, d, (b, bits, c0, c1)))
             stack.append((c1, b + 1, None))
             stack.append((c0, b + 1, None))
             continue
-        b, c0, c1 = kids  # combine: both children are priced
-        l0, u0 = memo[c0, b + 1]
-        l1, u1 = memo[c1, b + 1]
+        b, bits, c0, c1 = branch  # combine: both children are priced
+        l0, u0 = memo[c0, b + 1][:2]
+        l1, u1 = memo[c1, b + 1][:2]
+        lower, upper, kids = l0 + l1, u0 + u1, (c0, c1)
         scale = e.scale_of_depth(b)
         if scale >= m:
             # covering the whole piece by one set is admissible here;
             # ties prefer the parent cylinder
-            memo[state, d] = (min(lo[scale], l0 + l1), min(hi[scale], u0 + u1))
-        else:
-            memo[state, d] = (l0 + l1, u0 + u1)
-    return memo, memo[e.root_state(), 0], den, hi
+            lower = min(lo[scale], lower)
+            if hi[scale] <= upper:
+                upper, kids = hi[scale], None
+        memo[state, d] = (lower, upper, b, bits, kids)
+    return memo, den
 
 
 def hausdorff_measure_delta(e: TreeSet, h: DyadicHFn, m: int, depth: int,
@@ -184,7 +188,8 @@ def hausdorff_measure_delta(e: TreeSet, h: DyadicHFn, m: int, depth: int,
     the mass distribution principle.
     """
     bud = _budget(budget)
-    _, (lo, up), den, _ = _dp_bounds(e, h, m, depth, bud)
+    memo, den = _dp_bounds(e, h, m, depth, bud)
+    lo, up = memo[e.root_state(), 0][:2]
     dp_up = Fraction(up, den)
     lower, source, exact = Fraction(lo, den), "dp", False
     cert = _structural_mass_lower(e, h)
@@ -199,36 +204,23 @@ def extract_optimal_cover(e: TreeSet, h: DyadicHFn, m: int, depth: int,
                           budget: Budget | None = None):
     """Materialize the DP argmin: (cylinder words, certified cost).
 
+    Reads the words from the DP's table, so it charges what the DP does.
     Emits the minimal enclosing cylinder of every chosen piece (the chain
     bottom), so diameters can be read off the words.
     """
-    bud = _budget(budget)
-    memo, root, den, hi = _dp_bounds(e, h, m, depth, bud)
-
+    memo, den = _dp_bounds(e, h, m, depth, _budget(budget))
+    root = memo[e.root_state(), 0]
     out: list[Word] = []
-    stack = [("", e.root_state())]
+    # words are ints under a leading 1, which keeps their leading zeros
+    stack = [(1, 0, root)]
     while stack:
-        word, state = stack.pop()
-        d = len(word)
-        b = e.first_branch(state, d, depth, bud)
-        if b is None:
-            while len(word) < depth:
-                bit, state = e.children(state, len(word), bud)[0]
-                word += str(bit)
-            out.append(word)
+        word, d, (_, _, b, bits, kids) = stack.pop()
+        word = word << (b - d) | bits
+        if kids is None:
+            out.append(format(word, "b")[1:])
             continue
-        while len(word) < b:
-            bit, state = e.children(state, len(word), bud)[0]
-            word += str(bit)
-        kids = e.children(state, b, bud)
-        children_sum = memo[kids[0][1], b + 1][1] + memo[kids[1][1], b + 1][1]
-        scale = e.scale_of_depth(b)
-        if scale >= m and hi[scale] <= children_sum:
-            out.append(word)
-        else:
-            for bit, child in reversed(kids):
-                bud.spend()
-                stack.append((word + str(bit), child))
+        stack.append((word << 1, b + 1, memo[kids[0], b + 1]))
+        stack.append((word << 1 | 1, b + 1, memo[kids[1], b + 1]))
     out.sort()
     return out, Fraction(root[1], den)
 

@@ -38,9 +38,11 @@ def rational_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _need(d: dict, key: str, where: str):
+def _need(d: dict, key: str, where: str, kind: type = object):
     if key not in d:
         raise SpecFormatError(f"missing field {key!r}", where)
+    if not isinstance(d[key], kind):
+        raise SpecFormatError(f"field {key!r} must be a {kind.__name__}", where)
     return d[key]
 
 
@@ -83,12 +85,12 @@ def parse_set(d: dict, where: str = "set", depth: int = 0) -> TreeSet:
     if kind == "ci":
         return CISet(parse_ispec(_need(d, "I", where), f"{where}.I"))
     if kind == "block_constraint":
-        return BlockConstraintSet(_need(d, "boundaries", where),
-                                  _need(d, "blocks", where))
+        return BlockConstraintSet(_need(d, "boundaries", where, list),
+                                  _need(d, "blocks", where, list))
     if kind == "explicit":
-        return ExplicitSet(_need(d, "words", where), d.get("tail", "zeros"))
+        return ExplicitSet(_need(d, "words", where, list), d.get("tail", "zeros"))
     if kind == "cylinder_union":
-        return CylinderUnionSet(_need(d, "cylinders", where))
+        return CylinderUnionSet(_need(d, "cylinders", where, list))
     if kind == "sumset":
         return SumSet(parse_set(_need(d, "a", where), f"{where}.a", depth + 1),
                       parse_set(_need(d, "b", where), f"{where}.b", depth + 1))
@@ -97,7 +99,7 @@ def parse_set(d: dict, where: str = "set", depth: int = 0) -> TreeSet:
                           parse_set(_need(d, "b", where), f"{where}.b", depth + 1))
     if kind == "union":
         return UnionSet([parse_set(m, f"{where}.members[{i}]", depth + 1)
-                         for i, m in enumerate(_need(d, "members", where))])
+                         for i, m in enumerate(_need(d, "members", where, list))])
     raise SpecFormatError(f"unknown set kind {kind!r}", where)
 
 

@@ -251,13 +251,18 @@ class CISet(TreeSet):
         return out
 
 
+FREE = -1  # the block-constraint state outside constrained blocks
+
+
 class BlockConstraintSet(TreeSet):
     """Per-block pattern constraints on disjoint index intervals.
 
     Bits below the first boundary and beyond the last are free, and a block
-    whose pattern set is None is an unconstrained gap.  The state inside a
-    constrained block is the set of pattern suffixes still consistent with
-    the bits chosen so far; emptiness at construction is rejected since
+    whose pattern set is None is an unconstrained gap; every such bit, and
+    every block boundary, has the one state FREE.  Inside a constrained
+    block the state is a state of that block's interned pattern trie (see
+    ``_interned_trie``), standing for the pattern suffixes still consistent
+    with the bits chosen so far; emptiness at construction is rejected since
     coded sets must be nonempty.
     """
 
@@ -283,6 +288,8 @@ class BlockConstraintSet(TreeSet):
             frozen.append(pats)
         self.boundaries = tuple(boundaries)
         self.blocks = tuple(frozen)
+        self._tries = tuple(None if pats is None else _interned_trie(pats, "zeros")
+                            for pats in frozen)
 
     def _block_index(self, depth: int) -> int | None:
         bs = self.boundaries
@@ -291,24 +298,17 @@ class BlockConstraintSet(TreeSet):
         return bisect_right(bs, depth) - 1
 
     def root_state(self):
-        return ("free",)
+        return FREE
 
     def step(self, state, depth, bit):
         j = self._block_index(depth)
-        if j is None or self.blocks[j] is None:
-            return ("free",)
-        if depth == self.boundaries[j]:
-            suffixes = self.blocks[j]
-        else:
-            if state[0] != "in":
-                raise AssertionError("block-constraint automaton desynchronized")
-            suffixes = state[1]
-        nxt = frozenset(s[1:] for s in suffixes if s and s[0] == str(bit))
-        if not nxt and not any(s and s[0] == str(bit) for s in suffixes):
+        if j is None or self._tries[j] is None:
+            return FREE
+        root, rows = self._tries[j]
+        nxt = rows[root if depth == self.boundaries[j] else state][bit]
+        if nxt is None:
             return None
-        if depth + 1 == self.boundaries[j + 1]:
-            return ("free",)
-        return ("in", nxt)
+        return FREE if depth + 1 == self.boundaries[j + 1] else nxt
 
     def spec_dict(self):
         return {

@@ -381,3 +381,63 @@ def test_bad_env_budget_is_input_error(specs, capsys, monkeypatch):
     monkeypatch.setenv("CANTORDIM_BUDGET", "64")
     code, out, _ = run(["dim", specs["ce"], "--range", "1:4"], capsys)
     assert code == 0 and json.loads(out)["limits"]["budget"] == 64
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "explicit", "words": "0101"},
+    {"kind": "cylinder_union", "cylinders": "01"},
+    {"kind": "block_constraint", "boundaries": 3, "blocks": [["01"]]},
+    {"kind": "block_constraint", "boundaries": [0, 2], "blocks": "01"},
+    {"kind": "union", "members": {"kind": "full_cube"}},
+])
+def test_set_spec_fields_must_be_lists(tmp_path, capsys, spec):
+    path = tmp_path / "set.json"
+    path.write_text(canonical_json(spec))
+    code, out, err = run(["dim", str(path), "--range", "1:4"], capsys)
+    assert code == 2 and out == "" and err.startswith("input error:")
+    assert "must be a list" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["cover", "build", "--set", "ce"], "--hfn"),
+    (["cover", "verify", "--set", "ce"], "--cover"),
+    (["witness", "compile-me"], "--hfn"),
+    (["witness", "compile-nadd"], "--hfn"),
+    (["witness", "compile-tprime"], "--hfn"),
+    (["witness", "check"], "--witness"),
+])
+def test_missing_required_flag_is_input_error(specs, capsys, argv, flag):
+    code, out, err = run([specs.get(a, a) for a in argv], capsys)
+    assert code == 2 and out == "" and err.startswith("input error:")
+    assert flag in err
+
+
+EINC = {"check": "einc", "f": [0, 1, 2], "g": [0, 2],
+        "F": [["0", "1"], ["0"]], "G": [["00", "10"]]}
+PRODUCT = {"check": "product", "a": {"kind": "full_cube"},
+           "b": {"kind": "full_cube"}, "h": {"symbolic": {"s": "1", "t": "0"}},
+           "g": {"symbolic": {"s": "1", "t": "0"}}}
+
+
+@pytest.mark.parametrize("spec", [
+    [EINC],
+    "einc",
+    *({k: v for k, v in EINC.items() if k != key} for key in "fgFG"),
+    {**PRODUCT, "range": [3]},
+    {**PRODUCT, "range": [1, 2, 3]},
+    {**PRODUCT, "range": 4},
+])
+def test_malformed_check_spec_is_input_error(tmp_path, capsys, spec):
+    path = tmp_path / "check.json"
+    path.write_text(canonical_json(spec))
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("spec", [EINC, {**PRODUCT, "range": [1, 4]}])
+def test_well_formed_check_specs_run(tmp_path, capsys, spec):
+    # the malformed cases above break these specs one field at a time
+    path = tmp_path / "check.json"
+    path.write_text(canonical_json(spec))
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code in (0, 1) and err == "" and json.loads(out)["instance"] == str(path)

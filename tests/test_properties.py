@@ -6,13 +6,20 @@ group from one depth of five fixed sets; here the sets, the depth (0
 included) and the word lengths inside a group are all generated, and
 failures shrink to a minimal instance."""
 
+from fractions import Fraction
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import cover_walk_charge, covering_groups_by_words
+from oracles import (cover_walk_charge, covering_groups_by_words,
+                     min_cylinder_cover_cost)
 
 from cantordim.covers import Cover, _covered_groups, verify_lambda
-from cantordim.treeset import Budget, CISet, ExplicitSet, ProductSet
+from cantordim.hfun import power_hfn, table_hfn
+from cantordim.measures import extract_optimal_cover, hausdorff_measure_delta
+from cantordim.specio import parse_set
+from cantordim.treeset import (Budget, CISet, CylinderUnionSet, ExplicitSet,
+                               ProductSet)
 from cantordim.words import periodic_ispec
 
 bits = st.text("01", max_size=4)
@@ -65,3 +72,33 @@ def test_lambda_tails_match_the_word_oracle(instance, horizon):
     fail = next((j for j in range(horizon + 1) if not tails >> j & 1), None)
     v = verify_lambda(e, Cover(elements), horizon, n)
     assert v.failure_index == fail and v.holds == (fail is None)
+
+
+GAUGES = (power_hfn(Fraction(1, 2)), power_hfn(1),
+          table_hfn([Fraction(1, n + 1) for n in range(16)]))
+
+
+@st.composite
+def extraction_instances(draw):
+    """A set, a gauge, a cover scale m and a depth >= m reaching every word."""
+    e = draw(st.one_of(explicit_sets(), st.builds(
+        CylinderUnionSet, st.lists(bits, min_size=1, max_size=6))))
+    depth = draw(st.integers(max(map(len, e.words)), 6))
+    return e, draw(st.sampled_from(GAUGES)), draw(st.integers(0, depth)), depth
+
+
+@given(extraction_instances())
+def test_extracted_cover_is_an_optimal_antichain(instance):
+    e, h, m, depth = instance
+    dp_budget, budget = Budget(), Budget()
+    bound = hausdorff_measure_delta(parse_set(e.spec_dict()), h, m, depth, dp_budget)
+    words, cost = extract_optimal_cover(e, h, m, depth, budget)
+    # on a fresh set, extraction charges exactly what the DP charges
+    assert budget.used == dp_budget.used
+    assert not any(v.startswith(w) for w in words for v in words if v != w)
+    assert len(set(words)) == len(words)
+    trace = e.trace(depth)
+    assert all(any(t.startswith(w) for w in words) for t in trace)
+    assert all(len(w) >= m for w in words)
+    assert sum(h.hi_at(len(w)) for w in words) == cost == bound.upper
+    assert cost == min_cylinder_cover_cost(trace, h.hi_at, m, depth)
