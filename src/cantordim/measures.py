@@ -150,12 +150,8 @@ def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
             if (state, d) in memo:
                 continue
             bud.spend()
-            s, b, bits = state, d, 0
-            while b < depth and len(kids := e.children(s, b, bud)) == 1:
-                bits = bits << 1 | kids[0][0]
-                s = kids[0][1]
-                b += 1
-            if b == depth:
+            b, bits, kids = e.chain(state, d, depth, bud)
+            if kids is None:
                 memo[state, d] = (0, hi[leaf_scale], b, bits, None)
                 continue
             (_, c0), (_, c1) = kids
@@ -204,11 +200,14 @@ def extract_optimal_cover(e: TreeSet, h: DyadicHFn, m: int, depth: int,
                           budget: Budget | None = None):
     """Materialize the DP argmin: (cylinder words, certified cost).
 
-    Reads the words from the DP's table, so it charges what the DP does.
-    Emits the minimal enclosing cylinder of every chosen piece (the chain
-    bottom), so diameters can be read off the words.
+    Reads the words from the DP's table, so it charges what the DP does
+    plus one node per child piece it splits into: the table is a DAG, and
+    the cover can be exponentially larger than it.  Emits the minimal enclosing cylinder of
+    every chosen piece (the chain bottom), so diameters can be read off the
+    words.
     """
-    memo, den = _dp_bounds(e, h, m, depth, _budget(budget))
+    bud = _budget(budget)
+    memo, den = _dp_bounds(e, h, m, depth, bud)
     root = memo[e.root_state(), 0]
     out: list[Word] = []
     # words are ints under a leading 1, which keeps their leading zeros
@@ -219,6 +218,7 @@ def extract_optimal_cover(e: TreeSet, h: DyadicHFn, m: int, depth: int,
         if kids is None:
             out.append(format(word, "b")[1:])
             continue
+        bud.spend(2)
         stack.append((word << 1, b + 1, memo[kids[0], b + 1]))
         stack.append((word << 1 | 1, b + 1, memo[kids[1], b + 1]))
     out.sort()

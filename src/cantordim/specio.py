@@ -85,8 +85,10 @@ def parse_set(d: dict, where: str = "set", depth: int = 0) -> TreeSet:
     if kind == "ci":
         return CISet(parse_ispec(_need(d, "I", where), f"{where}.I"))
     if kind == "block_constraint":
-        return BlockConstraintSet(_need(d, "boundaries", where, list),
-                                  _need(d, "blocks", where, list))
+        blocks = _need(d, "blocks", where, list)
+        if not all(p is None or isinstance(p, list) for p in blocks):
+            raise SpecFormatError("each 'blocks' entry must be a list or null", where)
+        return BlockConstraintSet(_need(d, "boundaries", where, list), blocks)
     if kind == "explicit":
         return ExplicitSet(_need(d, "words", where, list), d.get("tail", "zeros"))
     if kind == "cylinder_union":

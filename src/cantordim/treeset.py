@@ -172,18 +172,26 @@ class TreeSet:
         """|trace_n|, the last entry of ``trace_counts(n)``."""
         return self.trace_counts(n, budget)[n]
 
+    def chain(self, state, depth: int, horizon: int, bud: Budget):
+        """Follow the single-child chain from (state, depth) up to horizon.
+
+        Returns (b, bits, kids): b the first branch or `horizon`, bits the
+        chain's bits as an int, kids the two children at b or None."""
+        b, bits = depth, 0
+        while b < horizon:
+            kids = self.children(state, b, bud)
+            if len(kids) == 2:
+                return b, bits, kids
+            bits = bits << 1 | kids[0][0]
+            state = kids[0][1]
+            b += 1
+        return b, bits, None
+
     def first_branch(self, state, depth: int, horizon: int,
                      budget: Budget | None = None) -> int | None:
         """Least depth >= `depth` where the subtree splits, up to horizon."""
-        bud = _budget(budget)
-        d = depth
-        while d < horizon:
-            kids = self.children(state, d, bud)
-            if len(kids) == 2:
-                return d
-            state = kids[0][1]
-            d += 1
-        return None
+        b, _, kids = self.chain(state, depth, horizon, _budget(budget))
+        return None if kids is None else b
 
     def local_diameter(self, p: Word, maxdepth: int,
                        budget: Budget | None = None) -> Diameter:

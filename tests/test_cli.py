@@ -388,6 +388,7 @@ def test_bad_env_budget_is_input_error(specs, capsys, monkeypatch):
     {"kind": "cylinder_union", "cylinders": "01"},
     {"kind": "block_constraint", "boundaries": 3, "blocks": [["01"]]},
     {"kind": "block_constraint", "boundaries": [0, 2], "blocks": "01"},
+    {"kind": "block_constraint", "boundaries": [0, 1, 2], "blocks": ["01", "1"]},
     {"kind": "union", "members": {"kind": "full_cube"}},
 ])
 def test_set_spec_fields_must_be_lists(tmp_path, capsys, spec):

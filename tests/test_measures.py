@@ -6,7 +6,7 @@ import pytest
 from oracles import (min_cover_count_arbitrary, min_cylinder_cover_cost,
                      separation_count)
 
-from cantordim.errors import BuildError
+from cantordim.errors import BuildError, ResourceLimitError
 from cantordim.hfun import power_hfn, power_log_hfn, table_hfn
 from cantordim.measures import (CIProductMass, Filtration, TableMass,
                                 UniformMass, _ci_mass_exact,
@@ -377,7 +377,8 @@ def test_dp_deep_without_recursion():
 def test_dp_budget_charges_are_pinned():
     # one node per (state, depth) priced and per transition-cache miss,
     # with one automaton state per distinct set of suffixes left to read;
-    # extraction reads the DP's table and adds no charge of its own
+    # extraction reads the DP's table and adds one node per child piece
+    # it splits into, 2 * (len(cover) - 1)
     rng = random.Random(20)
     words = sorted(format(i, "012b") for i in rng.sample(range(1 << 12), 300))
     half = power_hfn(Fraction(1, 2))
@@ -386,7 +387,7 @@ def test_dp_budget_charges_are_pinned():
     assert b.used == 711
     b = Budget()
     cover, _ = extract_optimal_cover(ExplicitSet(words), half, 3, 12, b)
-    assert b.used == 711 and len(cover) == 8
+    assert b.used == 725 and len(cover) == 8
     # "0" and "1" have the distinct suffix sets {"0", "01"} and {"0"}
     c = CylinderUnionSet(["00", "001", "10", "110"])
     b = Budget()
@@ -394,7 +395,17 @@ def test_dp_budget_charges_are_pinned():
     assert b.used == 23
     b = Budget()
     assert extract_optimal_cover(c, half, 1, 9, b)[0] == ["00", "1"]
-    assert b.used == 12
+    assert b.used == 14
+
+
+def test_extraction_charges_the_cover_it_builds():
+    # the DP prices FullCube in about 2 * depth nodes, but with children
+    # cheaper than their parent the optimal cover is every depth-16 word
+    assert len(extract_optimal_cover(FullCube(), power_hfn(2), 0, 16)[0]) == 1 << 16
+    b = Budget(10_000)
+    with pytest.raises(ResourceLimitError):
+        extract_optimal_cover(FullCube(), power_hfn(2), 0, 16, b)
+    assert b.used <= 10_002
 
 
 def test_ci_mass_exact_matches_fraction_scan():
