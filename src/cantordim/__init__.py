@@ -14,7 +14,7 @@ from .measures import (Filtration, MeasureBound, box_content_sequence,
                        product_inequality_check, sparse_I_builder)
 from .treeset import (BlockConstraintSet, Budget, CISet, CylinderUnionSet,
                       ExplicitSet, FullCube, ProductSet, SumSet, TreeSet,
-                      UnionSet, is_trace_subset, product, sumset, union)
+                      UnionSet, is_trace_subset)
 from .words import ISpec, evens, geometric_blocks, odds, periodic_ispec
 
 __version__ = "0.1.0"

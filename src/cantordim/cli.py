@@ -217,8 +217,8 @@ def _verify_from_file(cfg: RunConfig, spec: dict):
         bounds = spec.get("range", [1, 12])
         if not isinstance(bounds, list) or len(bounds) != 2:
             raise SpecFormatError("range must list two integers", "range")
-        lo, hi = bounds
-        rep = measures.product_inequality_check(a, b, h, g, int(lo), int(hi),
+        lo, hi = (specio.integer(v, f"range[{i}]") for i, v in enumerate(bounds))
+        rep = measures.product_inequality_check(a, b, h, g, lo, hi,
                                                 budget=cfg.make_budget())
         return rep.ok, {"counting_exact": rep.counting_exact,
                         "transport_ok": rep.transport_ok,
@@ -228,13 +228,14 @@ def _verify_from_file(cfg: RunConfig, spec: dict):
         cover = specio.parse_cover(spec.get("cover", []), "cover")
         return _verify_cover(cfg, e, cover, check == "cover-gamma")
     if check == "einc":
-        f_table, g_table, fams, gfams = (specio._need(spec, key, "einc")
-                                         for key in ("f", "g", "F", "G"))
-        f = ideals.BlockPartition(tuple(f_table))
-        g = ideals.BlockPartition(tuple(g_table))
-        fam = ideals.BlockFamily(f, tuple(tuple(x) for x in fams))
-        gfam = ideals.BlockFamily(f.compose(g), tuple(tuple(x) for x in gfams))
-        v = ideals.einc_inclusion(f, g, fam, gfam, int(spec.get("horizon", cfg.groups)))
+        f, g = (ideals.BlockPartition(specio.integers(spec, key, "einc"))
+                for key in ("f", "g"))
+        fams, gfams = (specio.word_lists(specio._need(spec, key, "einc"), f"einc.{key}")
+                       for key in ("F", "G"))
+        fam = ideals.BlockFamily(f, fams)
+        gfam = ideals.BlockFamily(f.compose(g), gfams)
+        horizon = specio.integer(spec.get("horizon", cfg.groups), "einc.horizon")
+        v = ideals.einc_inclusion(f, g, fam, gfam, horizon)
         return v.n0 is not None, {"n0": v.n0, "failures": list(v.failures)}
     raise SpecFormatError(f"unknown check {check!r}", "check")
 
@@ -290,8 +291,11 @@ def cmd_witness(cfg: RunConfig, args) -> int:
             v = ideals.shelahM_check(w, args.x, lo, hi)
         elif isinstance(w, ideals.ShelahNWitness):
             v = ideals.shelahN_check(w, args.x, lo, hi)
-        else:
+        elif isinstance(w, ideals.TPrimeWitness):
             v = ideals.tprime_check(w, args.x, lo, hi)
+        else:
+            raise SpecFormatError("witness check takes a shelahm, shelahn or "
+                                  "tprime witness")
         ok = v.n0 is not None
         _emit_json(cfg, {"outcomes": [[n, flag] for n, flag in v.outcomes],
                          "n0": v.n0, "horizon": v.horizon,

@@ -246,13 +246,17 @@ def xtilde_level_set(f: BlockPartition, g: BlockPartition, fam: BlockFamily,
 
 
 def xtilde_filtration(f, g, fam, gfam, depth_hint: int = 0) -> Filtration:
-    levels = []
-    for n0 in range(gfam.count):
-        levels.append(xtilde_level_set(f, g, fam, gfam, n0))
-    levels = tuple(levels)
-    for lvl in levels:
-        lvl.natural_filtration = Filtration(levels)
-    return Filtration(levels)
+    return _natural_filtration(xtilde_level_set(f, g, fam, gfam, n0)
+                               for n0 in range(gfam.count))
+
+
+def _natural_filtration(levels) -> Filtration:
+    """The increasing levels as a filtration that each level carries as its
+    natural one."""
+    filt = Filtration(tuple(levels))
+    for lvl in filt.sets:
+        lvl.natural_filtration = filt
+    return filt
 
 
 # ---------------------------------------------------------------------------
@@ -396,70 +400,7 @@ def me_cover(w: ShelahMWitness, h: DyadicHFn, k_max: int,
 
 
 # ---------------------------------------------------------------------------
-# Null-additive pipeline (ShelahN)
-
-
-@dataclass(frozen=True)
-class ShelahNWitness:
-    f: BlockPartition
-    families: tuple   # H_k as word tuples, |H_k| <= k required at k >= 1
-
-    def __post_init__(self):
-        if len(self.families) > self.f.block_count:
-            raise SpecFormatError("more H families than blocks")
-        for k, fam in enumerate(self.families):
-            if not fam:
-                raise SpecFormatError(f"H_{k} is empty")
-            width = self.f.block_width(k)
-            for word in fam:
-                check_word(word)
-                if len(word) != width:
-                    raise SpecFormatError(f"H_{k} word has wrong width")
-            if k >= 1 and len(fam) > k:
-                raise SpecFormatError(f"|H_{k}| = {len(fam)} exceeds {k}")
-
-
-def shelahN_check(w: ShelahNWitness, x: Word, n_lo: int, n_hi: int) -> ThresholdVerdict:
-    """Blockwise membership x|[f(k), f(k+1)) in H_k.
-
-    The level sets quantify over all blocks k >= n, each block tested
-    against its own family H_k.
-    """
-    outcomes = []
-    for k in range(n_lo, min(n_hi + 1, len(w.families))):
-        block = w.f.restrict(x, k)
-        outcomes.append((k, block in set(w.families[k])))
-    return ThresholdVerdict(tuple(outcomes), _least_threshold(outcomes), n_hi)
-
-
-def shelahN_filtration(w: ShelahNWitness) -> Filtration:
-    """The level sets X_n = {x : for all k >= n, block k lies in H_k} as
-    block-constraint sets, increasing in n."""
-    k_top = len(w.families)
-    levels = []
-    for n in range(k_top):
-        boundaries = [w.f(k) for k in range(n, k_top + 1)]
-        blocks = [list(w.families[k]) for k in range(n, k_top)]
-        levels.append(BlockConstraintSet(boundaries, blocks))
-    filt = Filtration(tuple(levels))
-    for lvl in levels:
-        lvl.natural_filtration = filt
-    return filt
-
-
-def _growth(fn, n: int) -> Fraction:
-    """fn(n) for a callable bound, fn[n] for a table."""
-    return Fraction(fn(n) if callable(fn) else fn[n])
-
-
-def nadd_fbuilder(growth, k_max: int, search_limit: int = 1 << 14) -> BlockPartition:
-    """Minimal recursion 2^f(n) * (n+1)! <= growth(f(n+1))."""
-    return _least_partition(
-        k_max,
-        lambda n, f, m: _growth(growth, m) >= (1 << f) * math.factorial(n + 1),
-        search_limit,
-        lambda n, f: ("growth function cannot absorb the recursion "
-                      f"at step {n} (constant or too slow)"))
+# Blockwise witnesses: families H_n with |H_n| bounded on the blocks of f
 
 
 @dataclass(frozen=True)
@@ -480,6 +421,112 @@ class BoxCheckReport:
         return self.ok
 
 
+def _growth(fn, n: int) -> Fraction:
+    """fn(n) for a callable bound, fn[n] for a table."""
+    return Fraction(fn(n) if callable(fn) else fn[n])
+
+
+def _check_families(f: BlockPartition, families: dict, bound) -> None:
+    """Each H_n names a block of f, is nonempty, holds words of the block's
+    width, and has at most bound(n) words (no bound when bound(n) is None)."""
+    for n, fam in families.items():
+        if not 0 <= n < f.block_count:
+            raise SpecFormatError(f"H_{n} names no block of f")
+        if not fam:
+            raise SpecFormatError(f"H_{n} is empty")
+        width = f.block_width(n)
+        for word in fam:
+            check_word(word)
+            if len(word) != width:
+                raise SpecFormatError(f"H_{n} word has wrong width")
+        limit = bound(n)
+        if limit is not None and len(fam) > limit:
+            raise SpecFormatError(f"|H_{n}| = {len(fam)} exceeds {limit}")
+
+
+def _blockwise_check(f: BlockPartition, families: dict, x: Word, n_lo: int,
+                     n_hi: int) -> ThresholdVerdict:
+    """Blockwise membership x|[f(n), f(n+1)) in H_n, for each n in [n_lo,
+    n_hi] with a family."""
+    outcomes = [(n, f.restrict(x, n) in set(families[n]))
+                for n in sorted(families) if n_lo <= n <= n_hi]
+    return ThresholdVerdict(tuple(outcomes), _least_threshold(outcomes), n_hi)
+
+
+def _block_levels(f: BlockPartition, families: dict) -> Filtration:
+    """X_k = {x : block n of x lies in H_n for every n >= k with a family},
+    for k up to the last such n, as block-constraint sets increasing in k;
+    blocks without a family are free."""
+    top = max(families)
+    levels = []
+    for k in range(top + 1):
+        lo = min(n for n in families if n >= k)
+        levels.append(BlockConstraintSet(
+            [f(j) for j in range(lo, top + 2)],
+            [list(families[j]) if j in families else None for j in range(lo, top + 1)]))
+    return _natural_filtration(levels)
+
+
+def _box_rows(filtration: Filtration, targets, budget: Budget | None) -> BoxCheckReport:
+    """Exact trace counts of each level against its targets: targets[k]
+    lists level k's (scale, count bound, gauge sample) triples, and a row
+    holds when count <= bound and count * sample <= 1.  Each level with a
+    target is counted once, to its largest target scale."""
+    bud = _budget(budget)
+    rows = []
+    for k, (x, triples) in enumerate(zip(filtration.sets, targets)):
+        if not triples:
+            continue
+        counts = x.trace_counts(max(scale for scale, _, _ in triples), bud)
+        for scale, bound, sample in triples:
+            count = counts[scale]
+            content = count * sample
+            rows.append(BoxCheckRow(k, scale, count, content,
+                                    count <= bound and content <= 1))
+    return BoxCheckReport(all(row.ok for row in rows), tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# Null-additive pipeline (ShelahN): a family on every block
+
+
+@dataclass(frozen=True)
+class ShelahNWitness:
+    f: BlockPartition
+    families: tuple   # H_k as word tuples, |H_k| <= k required at k >= 1
+
+    def __post_init__(self):
+        _check_families(self.f, self._by_block(), lambda k: k or None)
+
+    def _by_block(self) -> dict:
+        return dict(enumerate(self.families))
+
+
+def shelahN_check(w: ShelahNWitness, x: Word, n_lo: int, n_hi: int) -> ThresholdVerdict:
+    """Blockwise membership x|[f(k), f(k+1)) in H_k.
+
+    The level sets quantify over all blocks k >= n, each block tested
+    against its own family H_k.
+    """
+    return _blockwise_check(w.f, w._by_block(), x, n_lo, n_hi)
+
+
+def shelahN_filtration(w: ShelahNWitness) -> Filtration:
+    """The level sets X_n = {x : for all k >= n, block k lies in H_k} as
+    block-constraint sets, increasing in n."""
+    return _block_levels(w.f, w._by_block())
+
+
+def nadd_fbuilder(growth, k_max: int, search_limit: int = 1 << 14) -> BlockPartition:
+    """Minimal recursion 2^f(n) * (n+1)! <= growth(f(n+1))."""
+    return _least_partition(
+        k_max,
+        lambda n, f, m: _growth(growth, m) >= (1 << f) * math.factorial(n + 1),
+        search_limit,
+        lambda n, f: ("growth function cannot absorb the recursion "
+                      f"at step {n} (constant or too slow)"))
+
+
 def nadd_box_check(w: ShelahNWitness, growth, h: DyadicHFn, i_max: int,
                    budget: Budget | None = None) -> BoxCheckReport:
     """Exact trace counts of the level sets against the product bound and
@@ -487,35 +534,26 @@ def nadd_box_check(w: ShelahNWitness, growth, h: DyadicHFn, i_max: int,
 
     Pre: growth(i) <= 1 / h(2^(1-i)) on the checked range.
     """
-    bud = _budget(budget)
     for i in range(1, i_max + 1):
         if _growth(growth, i) * h.hi_at(i - 1) > 1:
             raise BuildError(f"growth({i}) exceeds 1/h(2^(1-{i}))")
-    filt = shelahN_filtration(w)
-    rows = []
-    ok = True
-    k_top = len(w.families)
-    for n, x in enumerate(filt.sets):
-        if n + 1 >= len(w.f.table):
-            break
-        if w.f(n + 1) > i_max:
-            continue
-        counts = x.trace_counts(i_max, bud)
-        for i in range(w.f(n + 1), i_max + 1):
-            count = counts[i]
-            k = max(kk for kk in range(k_top) if w.f(kk) <= i)
-            bound = 1 << w.f(n)
-            for j in range(n, k + 1):
-                bound *= len(w.families[j])
-            content = count * h.hi_at(i - 1)
-            good = count <= bound and content <= 1
-            rows.append(BoxCheckRow(n, i, count, content, good))
-            ok = ok and good
-    return BoxCheckReport(ok, tuple(rows))
+    f, sizes = w.f, [len(fam) for fam in w.families]
+    targets = []
+    for n in range(len(sizes)):
+        triples = []
+        for i in range(f(n + 1), i_max + 1):
+            # blocks n..k meet the first i bits
+            k = max(kk for kk in range(len(sizes)) if f(kk) <= i)
+            bound = 1 << f(n)
+            for size in sizes[n:k + 1]:
+                bound *= size
+            triples.append((i, bound, h.hi_at(i - 1)))
+        targets.append(triples)
+    return _box_rows(shelahN_filtration(w), targets, budget)
 
 
 # ---------------------------------------------------------------------------
-# T-prime pipeline
+# T-prime pipeline: families only along an index set I
 
 
 @dataclass(frozen=True)
@@ -527,26 +565,18 @@ class TPrimeWitness:
 
     def __post_init__(self):
         for n in self.index_set:
-            fam = self.families[n]
-            if not fam:
-                raise SpecFormatError(f"H_{n} is empty")
-            width = self.f.block_width(n)
-            for word in fam:
-                check_word(word)
-                if len(word) != width:
-                    raise SpecFormatError(f"H_{n} word has wrong width")
-            if len(fam) > _growth(self.g, n):
-                raise SpecFormatError(f"|H_{n}| exceeds g({n})")
+            if n not in self.families:
+                raise SpecFormatError(f"I names {n} but H has no H_{n}")
+            if not callable(self.g) and not 0 <= n < len(self.g):
+                raise SpecFormatError(f"the g table has no entry g({n})")
+        _check_families(self.f, self._by_block(), lambda n: _growth(self.g, n))
+
+    def _by_block(self) -> dict:
+        return {n: self.families[n] for n in self.index_set}
 
 
 def tprime_check(w: TPrimeWitness, x: Word, n_lo: int, n_hi: int) -> ThresholdVerdict:
-    outcomes = []
-    for n in sorted(w.index_set):
-        if not n_lo <= n <= n_hi:
-            continue
-        block = w.f.restrict(x, n)
-        outcomes.append((n, block in set(w.families[n])))
-    return ThresholdVerdict(tuple(outcomes), _least_threshold(outcomes), n_hi)
+    return _blockwise_check(w.f, w._by_block(), x, n_lo, n_hi)
 
 
 def tprime_fbuilder(growth, g, k_max: int, search_limit: int = 1 << 14) -> BlockPartition:
@@ -560,24 +590,7 @@ def tprime_fbuilder(growth, g, k_max: int, search_limit: int = 1 << 14) -> Block
 def tprime_level_sets(w: TPrimeWitness) -> Filtration:
     """X_k = intersection over n >= k, n in I of the block sets F_n, with
     unconstrained gaps at indices outside I."""
-    idx = sorted(w.index_set)
-    k_top = idx[-1] + 1
-    levels = []
-    for k in range(k_top):
-        active = [n for n in idx if n >= k]
-        if not active:
-            levels.append(FullCube())
-            continue
-        lo = min(active)
-        boundaries = [w.f(j) for j in range(lo, active[-1] + 2)]
-        blocks = []
-        for j in range(lo, active[-1] + 1):
-            blocks.append(list(w.families[j]) if j in w.index_set else None)
-        levels.append(BlockConstraintSet(boundaries, blocks))
-    filt = Filtration(tuple(levels))
-    for lvl in levels:
-        lvl.natural_filtration = filt
-    return filt
+    return _block_levels(w.f, w._by_block())
 
 
 def tprime_lbox_check(w: TPrimeWitness, growth, h: DyadicHFn,
@@ -585,26 +598,14 @@ def tprime_lbox_check(w: TPrimeWitness, growth, h: DyadicHFn,
     """Along eps_n = 2^-f(n+1), n in I: exact counts of the level sets
     against 2^f(n) * g(n) <= growth(f(n+1)) and content <= 1, so the
     liminf window along I stays at most 1."""
-    bud = _budget(budget)
-    idx = sorted(w.index_set)
+    idx = sorted(w._by_block())
     for n in idx:
         if _growth(growth, w.f(n + 1)) * h.hi_at(w.f(n + 1)) > 1:
             raise BuildError(f"growth(f({n}+1)) exceeds 1/h(eps_{n})")
-    filt = tprime_level_sets(w)
-    rows = []
-    ok = True
-    for k, x in enumerate(filt.sets):
-        active = [n for n in idx if n >= k]
-        counts = x.trace_counts(max((w.f(n + 1) for n in active), default=0), bud)
-        for n in active:
-            scale = w.f(n + 1)
-            count = counts[scale]
-            bound = (1 << w.f(n)) * _growth(w.g, n)
-            content = count * h.hi_at(scale)
-            good = count <= bound and content <= 1
-            rows.append(BoxCheckRow(k, scale, count, content, good))
-            ok = ok and good
-    return BoxCheckReport(ok, tuple(rows))
+    triples = [(w.f(n + 1), (1 << w.f(n)) * _growth(w.g, n), h.hi_at(w.f(n + 1)))
+               for n in idx]
+    targets = [[t for n, t in zip(idx, triples) if n >= k] for k in range(idx[-1] + 1)]
+    return _box_rows(tprime_level_sets(w), targets, budget)
 
 
 def tprime_from_dpnull_witness(eps, index_set, families,

@@ -19,7 +19,7 @@ from math import lcm
 
 from .errors import BuildError, DepthExceededError, SpecFormatError
 from .hfun import DyadicHFn, finite_order
-from .treeset import (Budget, CISet, FullCube, TreeSet, _budget,
+from .treeset import (Budget, CISet, FullCube, ProductSet, TreeSet, _budget,
                       is_trace_subset)
 from .words import ISpec, Word
 
@@ -237,9 +237,6 @@ class TreeMass:
     def value_at(self, word: Word) -> Fraction:
         raise NotImplementedError
 
-    def depth_value(self, d: int) -> Fraction:
-        raise NotImplementedError
-
 
 class UniformMass(TreeMass):
     """The fair-coin product measure; additive only on the full cube."""
@@ -248,9 +245,6 @@ class UniformMass(TreeMass):
 
     def value_at(self, word):
         return Fraction(1, 1 << len(word))
-
-    def depth_value(self, d):
-        return Fraction(1, 1 << d)
 
 
 class CIProductMass(TreeMass):
@@ -267,10 +261,7 @@ class CIProductMass(TreeMass):
         self.total = Fraction(total)
 
     def value_at(self, word):
-        return self.depth_value(len(word))
-
-    def depth_value(self, d):
-        return self.total * Fraction(1, 1 << self.ispec.complement_count(d))
+        return self.total * Fraction(1, 1 << self.ispec.complement_count(len(word)))
 
 
 class TableMass(TreeMass):
@@ -343,63 +334,36 @@ def mass_lower_certificate(e: TreeSet, h: DyadicHFn, mass: TreeMass, depth: int,
     """
     bud = _budget(budget)
     slack = 64  # look past the horizon so chain pieces resolve their diameter
-
-    def check_node(word, state, lam):
-        if lam == 0:
-            return None
-        b = e.first_branch(state, len(word), depth + slack, bud)
-        scale_idx = e.scale_of_depth(b if b is not None else depth)
-        scale_idx = min(scale_idx, h.n_max)
-        if not _gauge_covers(lam, h, scale_idx):
-            return f"h(2^-{scale_idx}) < mass at [{word}]"
-        return None
-
-    if mass.depth_uniform:
-        frontier = {e.root_state()}
-        words = {e.root_state(): ""}
-        for d in range(depth + 1):
-            lam = mass.depth_value(d)
-            nxt = {}
-            for state in frontier:
-                word = words[state]
-                err = check_node(word, state, lam)
-                if err:
-                    return MassCertificate(False, Fraction(0), False, depth,
-                                           word, err)
-                if d < depth:
-                    kids = e.children(state, d, bud)
-                    if mass.depth_value(d + 1) * len(kids) != lam:
-                        return MassCertificate(False, Fraction(0), False, depth,
-                                               word, "additivity fails")
-                    for bit, child in kids:
-                        nxt.setdefault(child, word + str(bit))
-            if d < depth:
-                frontier = set(nxt)
-                words = nxt
-        exact = (isinstance(e, FullCube) and h.symbolic is not None
-                 and h.symbolic.t == 0 and h.symbolic.s <= 1)
-        if isinstance(e, CISet):
-            exact = _ci_mass_exact(e, h)
-        return MassCertificate(True, mass.depth_value(0), exact, depth)
-
-    # explicit table mass: walk the words
-    stack = [("", e.root_state())]
-    while stack:
-        word, state = stack.pop()
-        bud.spend()
-        lam = mass.value_at(word)
-        err = check_node(word, state, lam)
-        if err:
-            return MassCertificate(False, Fraction(0), False, depth, word, err)
-        if len(word) < depth:
-            kids = e.children(state, len(word), bud)
-            child_sum = sum(mass.value_at(word + str(b)) for b, _ in kids)
-            if child_sum != lam:
+    # one level-synchronous sweep over (word, state, mass) nodes; a
+    # depth-uniform mass only sees the state, so its frontier is keyed by
+    # state, a table mass's by word; each key keeps the first (leftmost)
+    # node that reaches it
+    key = (lambda node: node[1]) if mass.depth_uniform else (lambda node: node[0])
+    root = ("", e.root_state(), mass.value_at(""))
+    frontier = {key(root): root}
+    for d in range(depth + 1):
+        bud.spend(len(frontier))
+        nxt = {}
+        for word, state, lam in frontier.values():
+            if lam != 0:
+                b = e.first_branch(state, d, depth + slack, bud)
+                scale_idx = min(e.scale_of_depth(b if b is not None else depth), h.n_max)
+                if not _gauge_covers(lam, h, scale_idx):
+                    return MassCertificate(False, Fraction(0), False, depth, word,
+                                           f"h(2^-{scale_idx}) < mass at [{word}]")
+            if d == depth:
+                continue
+            kids = []
+            for bit, child in e.children(state, d, bud):
+                kids.append((word + str(bit), child, mass.value_at(word + str(bit))))
+            if sum(kid[2] for kid in kids) != lam:
                 return MassCertificate(False, Fraction(0), False, depth, word,
                                        "additivity fails")
-            for bit, child in kids:
-                stack.append((word + str(bit), child))
-    return MassCertificate(True, mass.value_at(""), False, depth)
+            for kid in kids:
+                nxt.setdefault(key(kid), kid)
+        frontier = nxt
+    exact = mass.depth_uniform and _structural_mass_lower(e, h) is not None
+    return MassCertificate(True, root[2], exact, depth)
 
 
 def sparse_I_builder(h: DyadicHFn, depth: int) -> ISpec:
@@ -577,12 +541,11 @@ def product_inequality_check(a: TreeSet, b: TreeSet, h: DyadicHFn, g: DyadicHFn,
     """Finite-depth instances of the product inequalities for box contents
     and Hausdorff bounds on interleaved tree products."""
     from .hfun import multiply
-    from .treeset import product as make_product
 
     bud = _budget(budget)
     m = n_lo if m is None else m
     depth = depth if depth is not None else n_hi
-    p = make_product(a, b)
+    p = ProductSet(a, b)
     hg = multiply(h, g)
 
     na = a.trace_counts(n_hi, bud)

@@ -46,6 +46,31 @@ def _need(d: dict, key: str, where: str, kind: type = object):
     return d[key]
 
 
+def integer(value, where: str) -> int:
+    """An integer field, given as a JSON integer or a string of one; `where`
+    names the field."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SpecFormatError(f"field must be an integer, not {value!r}", where)
+
+
+def integers(d: dict, key: str, where: str) -> tuple:
+    """The list field `key` of integers."""
+    return tuple(integer(v, f"{where}.{key}[{i}]")
+                 for i, v in enumerate(_need(d, key, where, list)))
+
+
+def word_lists(families, where: str) -> tuple:
+    """A list of word families, each given as a list (a string would be
+    read as its letters)."""
+    if not isinstance(families, list) or not all(isinstance(f, list) for f in families):
+        raise SpecFormatError("families must be a list of word lists", where)
+    return tuple(tuple(fam) for fam in families)
+
+
 # ---------------------------------------------------------------------------
 # Index sets and tree sets
 
@@ -55,15 +80,11 @@ def parse_ispec(d: dict, where: str = "I") -> ISpec:
         raise SpecFormatError("I-spec must be an object", where)
     if "period" in d:
         return ISpec(d.get("preperiod", ""), ("periodic", _need(d, "period", where)))
-    if "powers" in d:
-        p = d["powers"]
-        return ISpec(d.get("prefix", ""),
-                     ("powers", int(_need(p, "c", where)), int(_need(p, "q", where))))
-    if "blocks" in d:
-        b = d["blocks"]
-        return ISpec(d.get("prefix", ""),
-                     ("blocks", int(_need(b, "c", where)), int(_need(b, "d", where)),
-                      int(_need(b, "q", where))))
+    for rule, keys in (("powers", "cq"), ("blocks", "cdq")):
+        if rule in d:
+            p, at = _need(d, rule, where, dict), f"{where}.{rule}"
+            return ISpec(d.get("prefix", ""),
+                         (rule, *(integer(_need(p, k, at), f"{at}.{k}") for k in keys)))
     raise SpecFormatError("I-spec needs 'period', 'powers' or 'blocks'", where)
 
 
@@ -123,12 +144,12 @@ def parse_hfn(d: dict, where: str = "hfn",
     ``precision_bits``."""
     if not isinstance(d, dict):
         raise SpecFormatError("gauge spec must be an object", where)
-    precision = int(d.get("precision_bits", precision))
-    n_max = int(d.get("n_max", DEFAULT_N_MAX))
+    precision = integer(d.get("precision_bits", precision), f"{where}.precision_bits")
+    n_max = integer(d.get("n_max", DEFAULT_N_MAX), f"{where}.n_max")
     if "symbolic" in d:
-        sym = d["symbolic"]
+        sym = _need(d, "symbolic", where, dict)
         s = rational(_need(sym, "s", where), f"{where}.symbolic.s")
-        t = int(str(sym.get("t", "0")).split("/")[0])
+        t = integer(sym.get("t", 0), f"{where}.symbolic.t")
         if t == 0:
             return power_hfn(s, n_max, precision)
         return power_log_hfn(s, t, n_max, precision)
@@ -228,27 +249,26 @@ def parse_witness(d: dict, where: str = "witness"):
             kind = "block_family"
         else:
             raise SpecFormatError("cannot infer witness kind", where)
-    f = BlockPartition(tuple(int(v) for v in _need(d, "f", where)))
+    f = BlockPartition(integers(d, "f", where))
     if kind == "block_family":
         from .ideals import BlockFamily
-        return BlockFamily(f, tuple(tuple(fam) for fam in _need(d, "F", where)))
+        return BlockFamily(f, word_lists(_need(d, "F", where), f"{where}.F"))
     if kind == "shelahm":
-        g = BlockPartition(tuple(int(v) for v in _need(d, "g", where)))
-        y = _need(d, "y", where)
+        g = BlockPartition(integers(d, "g", where))
+        y = _need(d, "y", where, dict)
         return ShelahMWitness(f, g, EventualPoint(y.get("preperiod", ""),
                                                   _need(y, "period", f"{where}.y")))
     if kind == "shelahn":
-        fams = tuple(tuple(fam) for fam in _need(d, "H", where))
-        return ShelahNWitness(f, fams)
+        return ShelahNWitness(f, word_lists(_need(d, "H", where), f"{where}.H"))
     if kind == "tprime":
-        idx = tuple(int(v) for v in _need(d, "I", where))
+        idx = integers(d, "I", where)
         raw = _need(d, "H", where)
         if isinstance(raw, dict):
-            fams = {int(k): tuple(v) for k, v in raw.items()}
+            keys = [integer(k, f"{where}.H") for k in raw]
+            fams = dict(zip(keys, word_lists(list(raw.values()), f"{where}.H")))
         else:
-            fams = {n: tuple(fam) for n, fam in zip(idx, raw)}
-        g = d.get("g")
-        g_fn = (lambda n: n) if g is None else (tuple(int(v) for v in g))
+            fams = dict(zip(idx, word_lists(raw, f"{where}.H")))
+        g_fn = (lambda n: n) if d.get("g") is None else integers(d, "g", where)
         return TPrimeWitness(f, g_fn, idx, fams)
     raise SpecFormatError(f"unknown witness kind {kind!r}", where)
 

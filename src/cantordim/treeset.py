@@ -506,18 +506,6 @@ class CylinderUnionSet(ExplicitSet):
 # Set algebra helpers
 
 
-def sumset(a: TreeSet, b: TreeSet) -> SumSet:
-    return SumSet(a, b)
-
-
-def product(a: TreeSet, b: TreeSet) -> ProductSet:
-    return ProductSet(a, b)
-
-
-def union(members) -> UnionSet:
-    return UnionSet(list(members))
-
-
 def singleton_zero(depth_hint: int = 0) -> ExplicitSet:
     """The constant-0 point, the group identity of the cube."""
     return ExplicitSet([""] if depth_hint == 0 else ["0" * depth_hint], tail="zeros")
@@ -530,20 +518,18 @@ def is_trace_subset(a: TreeSet, b: TreeSet, depth: int,
     if a.interleaved != b.interleaved:
         raise SpecFormatError("subset check needs matching scale conventions")
     bud = _budget(budget)
-    seen = set()
-    frontier = [(a.root_state(), b.root_state(), "")]
+    # (A state, B state) -> the first word reaching the pair at this depth
+    frontier = {(a.root_state(), b.root_state()): ""}
     for d in range(depth):
-        nxt = []
-        for sa, sb, w in frontier:
+        nxt = {}
+        for (sa, sb), w in frontier.items():
             for bit, ca in a.children(sa, d, bud):
                 cb = b.step(sb, d, bit)
                 if cb is None:
                     return w + str(bit)
-                key = (ca, cb, d + 1)
-                if key not in seen:
-                    seen.add(key)
+                if (ca, cb) not in nxt:
                     bud.spend()
-                    nxt.append((ca, cb, w + str(bit)))
+                    nxt[ca, cb] = w + str(bit)
         frontier = nxt
     return None
 

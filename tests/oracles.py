@@ -208,3 +208,12 @@ def cover_walk_charge(trace, groups, n):
         if below and mask != full:
             count += 1
     return count
+
+
+def block_level_trace(f_table, families, k, n):
+    """Depth-n trace of the level X_k of a blockwise witness: the words whose
+    slice of every block j >= k that has a family H_j (`families` maps j to
+    H_j) is a prefix of some member of H_j."""
+    return [w for w in all_words(n)
+            if all(any(h.startswith(w[f_table[j]:f_table[j + 1]]) for h in fam)
+                   for j, fam in families.items() if j >= k)]

@@ -442,3 +442,73 @@ def test_well_formed_check_specs_run(tmp_path, capsys, spec):
     path.write_text(canonical_json(spec))
     code, out, err = run(["verify", str(path)], capsys)
     assert code in (0, 1) and err == "" and json.loads(out)["instance"] == str(path)
+
+
+
+def _run_spec(tmp_path, capsys, command, spec):
+    """Run `command` (set, hfn, witness or check) on one spec file."""
+    path = str(tmp_path / "spec.json")
+    (tmp_path / "spec.json").write_text(canonical_json(spec))
+    fc = tmp_path / "fc.json"
+    fc.write_text(canonical_json({"kind": "full_cube"}))
+    argv = {"set": ["dim", path, "--range", "1:4"],
+            "hfn": ["measure", str(fc), path],
+            "witness": ["witness", "check", "--witness", path, "--x", "0" * 8],
+            "check": ["verify", path]}[command]
+    return run(argv, capsys)
+
+
+@pytest.mark.parametrize("command, spec, field", [
+    ("set", {"kind": "ci", "I": {"powers": {"c": "x", "q": 2}}}, "set.I.powers.c"),
+    ("set", {"kind": "ci", "I": {"powers": {"c": 1, "q": "x"}}}, "set.I.powers.q"),
+    ("set", {"kind": "ci", "I": {"blocks": {"c": 1, "d": "x", "q": 4}}},
+     "set.I.blocks.d"),
+    ("hfn", {**PRODUCT["h"], "precision_bits": "x"}, "hfn.precision_bits"),
+    ("hfn", {**PRODUCT["h"], "n_max": "x"}, "hfn.n_max"),
+    ("hfn", {"symbolic": {"s": "1", "t": "x"}}, "hfn.symbolic.t"),
+    ("witness", {"kind": "shelahn", "f": [0, "x", 2], "H": [["0"], ["1"]]},
+     "witness.f[1]"),
+    ("witness", {"kind": "shelahm", "f": [0, 1, 2], "g": [0, "x"],
+                 "y": {"period": "0"}}, "witness.g[1]"),
+    ("witness", {"kind": "tprime", "f": [0, 1, 2], "I": ["x"], "H": {"1": ["0"]}},
+     "witness.I[0]"),
+    ("witness", {"kind": "tprime", "f": [0, 1, 2], "I": [1], "H": {"x": ["0"]}},
+     "witness.H"),
+    ("check", {**PRODUCT, "range": ["a", 2]}, "range[0]"),
+    ("check", {**EINC, "horizon": "x"}, "einc.horizon"),
+])
+def test_non_integer_field_is_input_error(tmp_path, capsys, command, spec, field):
+    code, out, err = _run_spec(tmp_path, capsys, command, spec)
+    assert code == 2 and out == "" and err.startswith("input error:")
+    assert "must be an integer" in err and f"(at {field})" in err
+
+
+@pytest.mark.parametrize("spec", [
+    # I names an index with no H entry
+    {"kind": "tprime", "f": [0, 1, 2, 3], "I": [1, 2], "H": {"1": ["0"]}},
+    # I names an index past the last block
+    {"kind": "tprime", "f": [0, 1, 2], "I": [5], "H": {"5": ["0"]}},
+    # the g table stops before the last index of I
+    {"kind": "tprime", "f": [0, 1, 2, 3], "I": [2], "H": {"2": ["0"]}, "g": [1, 1]},
+    {"kind": "shelahm", "f": [0, 1, 2], "g": [0, 2], "y": "0"},
+    {"kind": "shelahn", "f": [0, 1, 2], "H": "01"},
+    {"kind": "shelahn", "f": [0, 1, 2], "H": [["0"], "1"]},
+    {"kind": "tprime", "f": [0, 1, 2], "I": [1], "H": {"1": "0"}},
+    {"kind": "tprime", "f": [0, 1, 2], "I": [1], "H": "0"},
+    # a block family parses as a witness but has no blockwise check
+    {"kind": "block_family", "f": [0, 1, 2], "F": [["0"], ["1"]]},
+])
+def test_malformed_witness_is_input_error(tmp_path, capsys, spec):
+    code, out, err = _run_spec(tmp_path, capsys, "witness", spec)
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "tprime", "f": [0, 1, 2, 3], "I": [1, 2], "H": {"1": ["0"], "2": ["0"]},
+     "g": [1, 1, 1]},
+    {"kind": "shelahn", "f": [0, 1, 2], "H": [["0"], ["1"]]},
+])
+def test_well_formed_witnesses_check(tmp_path, capsys, spec):
+    # the malformed witnesses above break these one field at a time
+    code, out, err = _run_spec(tmp_path, capsys, "witness", spec)
+    assert code in (0, 1) and err == "" and "outcomes" in json.loads(out)

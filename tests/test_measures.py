@@ -164,6 +164,45 @@ def test_sparse_builder_certificate():
         assert hausdorff_measure_delta(e, h, m, 64).upper >= cert.value
 
 
+def test_mass_sweep_charges_one_node_per_checked_state():
+    h = power_hfn(Fraction(1, 2))
+    ispec = sparse_I_builder(h, 64)
+    e, mass = CISet(ispec), CIProductMass(ispec)
+    cold, warm = Budget(), Budget()
+    assert mass_lower_certificate(e, h, mass, 64, cold).ok
+    misses = len(e._children_cache)
+    assert mass_lower_certificate(e, h, mass, 64, warm).ok
+    # C_I keeps one state per depth: 65 (state, depth) pairs at one node
+    # each, cold or warm; a cold run adds one node per transition-cache miss
+    assert warm.used == 65
+    assert cold.used - misses == warm.used and cold.used == 130
+    # a table mass is checked word by word, one node per word
+    for depth, used in ((4, 36), (8, 520)):
+        table = {w: Fraction(1, 1 << n) for n in range(depth + 1) for w in all_words(n)}
+        budget = Budget()
+        assert mass_lower_certificate(FullCube(), power_hfn(1), TableMass(table),
+                                      depth, budget).ok
+        assert budget.used == used
+
+
+def test_mass_sweep_reports_the_shallowest_leftmost_failure():
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    mass = TableMass({"": 1, "0": Fraction(1, 2), "1": Fraction(1, 2),
+                      "00": third, "01": sixth, "10": third, "11": sixth})
+    res = mass_lower_certificate(FullCube(), power_hfn(1), mass, 2)
+    # both "00" and "10" outweigh h(2^-2); the sweep meets "00" first
+    assert not res.ok and res.failure == "00"
+    assert res.reason == "h(2^-2) < mass at [00]"
+
+
+def test_mass_sweep_is_bounded_by_the_budget():
+    # a zero mass never fails a check, so only the per-node charge stops
+    # the walk of 2^40 words
+    with pytest.raises(ResourceLimitError):
+        mass_lower_certificate(FullCube(), power_hfn(1), TableMass({}), 40,
+                               Budget(10_000))
+
+
 def test_sparse_builder_rejects_r1():
     with pytest.raises(BuildError):
         sparse_I_builder(power_hfn(1), 64)

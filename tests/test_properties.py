@@ -7,20 +7,24 @@ included) and the word lengths inside a group are all generated, and
 failures shrink to a minimal instance."""
 
 from fractions import Fraction
+from itertools import accumulate
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (cover_walk_charge, covering_groups_by_words,
-                     min_cylinder_cover_cost)
+from oracles import (block_level_trace, cover_walk_charge,
+                     covering_groups_by_words, min_cylinder_cover_cost)
 
 from cantordim.covers import Cover, _covered_groups, verify_lambda
 from cantordim.hfun import power_hfn, table_hfn
+from cantordim.ideals import (BlockPartition, ShelahNWitness, TPrimeWitness,
+                              nadd_box_check, shelahN_filtration,
+                              tprime_lbox_check, tprime_level_sets)
 from cantordim.measures import extract_optimal_cover, hausdorff_measure_delta
 from cantordim.specio import parse_set
 from cantordim.treeset import (Budget, CISet, CylinderUnionSet, ExplicitSet,
                                ProductSet)
-from cantordim.words import periodic_ispec
+from cantordim.words import all_words, periodic_ispec
 
 bits = st.text("01", max_size=4)
 
@@ -103,3 +107,48 @@ def test_extracted_cover_is_an_optimal_antichain(instance):
     assert all(len(w) >= m for w in words)
     assert sum(h.hi_at(len(w)) for w in words) == cost == bound.upper
     assert cost == min_cylinder_cover_cost(trace, h.hi_at, m, depth)
+
+
+@st.composite
+def block_witnesses(draw):
+    """A ShelahN witness (a family on every block) or a T' witness (families
+    on a drawn index set, gaps included) on blocks of width 1 or 2, with the
+    families by block index."""
+    widths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4))
+    f = BlockPartition(tuple(accumulate(widths, initial=0)))
+
+    def family(n, limit):
+        words = all_words(widths[n])
+        return tuple(draw(st.lists(st.sampled_from(words), min_size=1,
+                                   max_size=min(limit, len(words)), unique=True)))
+
+    if draw(st.booleans()):
+        fams = {n: family(n, n or 4) for n in range(len(widths))}
+        return ShelahNWitness(f, tuple(fams.values())), fams
+    index = sorted(draw(st.sets(st.sampled_from(range(len(widths))), min_size=1)))
+    fams = {n: family(n, 2) for n in index}
+    return TPrimeWitness(f, (2,) * len(widths), tuple(index), fams), fams
+
+
+@given(block_witnesses())
+def test_block_levels_and_box_rows_match_the_word_oracle(instance):
+    w, fams = instance
+    table, r1 = w.f.table, power_hfn(1)
+    shelah = isinstance(w, ShelahNWitness)
+    levels = (shelahN_filtration(w) if shelah else tprime_level_sets(w)).sets
+    assert len(levels) == max(fams) + 1
+    for k, level in enumerate(levels):
+        for n in range(table[-1] + 1):
+            assert level.trace(n) == block_level_trace(table, fams, k, n)
+    if shelah:
+        report = nadd_box_check(w, lambda i: 1 << max(0, i - 1), r1, table[-1])
+        want = [(k, i) for k in range(len(levels))
+                for i in range(table[k + 1], table[-1] + 1)]
+    else:
+        report = tprime_lbox_check(w, lambda i: 1 << i, r1)
+        want = [(k, table[n + 1]) for k in range(len(levels)) for n in fams if n >= k]
+    assert [(row.level, row.scale) for row in report.rows] == want
+    for row in report.rows:
+        assert row.count == len(block_level_trace(table, fams, row.level, row.scale))
+        sample = r1.hi_at(row.scale - 1 if shelah else row.scale)
+        assert row.content == row.count * sample

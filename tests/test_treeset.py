@@ -9,8 +9,7 @@ from cantordim.errors import ResourceLimitError, SpecFormatError
 from cantordim.treeset import (END, BlockConstraintSet, Budget, CISet,
                                CylinderUnionSet, ExplicitSet, FullCube,
                                ProductSet, SumSet, UnionSet, coherence_holds,
-                               is_trace_subset, product, singleton_zero,
-                               sumset)
+                               is_trace_subset, singleton_zero)
 from cantordim.words import all_words, evens, odds, periodic_ispec
 
 
