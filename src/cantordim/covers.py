@@ -289,8 +289,7 @@ def build_fine_lambda(e: TreeSet, eps, h: DyadicHFn, witness: Cover,
 
 def build_gamma_groupable(filtration: Filtration, h: DyadicHFn,
                           level_covers=None, max_scale: int = 48,
-                          horizon: int = 16, depth: int = 24,
-                          budget: Budget | None = None) -> Cover:
+                          depth: int = 24, budget: Budget | None = None) -> Cover:
     """Concatenate per-level covers of cost < 2^-n into a grouped cover.
 
     Level covers are taken from the DP argmin at the shallowest scale whose

@@ -245,7 +245,7 @@ def xtilde_level_set(f: BlockPartition, g: BlockPartition, fam: BlockFamily,
     return BlockConstraintSet(boundaries, blocks)
 
 
-def xtilde_filtration(f, g, fam, gfam, depth_hint: int = 0) -> Filtration:
+def xtilde_filtration(f, g, fam, gfam) -> Filtration:
     return _natural_filtration(xtilde_level_set(f, g, fam, gfam, n0)
                                for n0 in range(gfam.count))
 
@@ -428,7 +428,10 @@ def _growth(fn, n: int) -> Fraction:
 
 def _check_families(f: BlockPartition, families: dict, bound) -> None:
     """Each H_n names a block of f, is nonempty, holds words of the block's
-    width, and has at most bound(n) words (no bound when bound(n) is None)."""
+    width, and has at most bound(n) words (no bound when bound(n) is None);
+    a witness needs at least one family."""
+    if not families:
+        raise SpecFormatError("the witness has no families")
     for n, fam in families.items():
         if not 0 <= n < f.block_count:
             raise SpecFormatError(f"H_{n} names no block of f")

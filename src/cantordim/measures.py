@@ -639,9 +639,6 @@ class _ShiftImage(TreeSet):
                 nxt.add(child)
         return frozenset(nxt) or None
 
-    def spec_dict(self):
-        return {"kind": "shift_image", "k": self.k, "base": self.base.spec_dict()}
-
 
 class ShiftCode(BlockCode):
     """Drop the first k coordinates; Lipschitz with constant 2^k."""
@@ -677,9 +674,6 @@ class _RepeatImage(TreeSet):
             return None
         child = self.base.step(s, depth // 2, bit)
         return None if child is None else (child, None)
-
-    def spec_dict(self):
-        return {"kind": "repeat_image", "base": self.base.spec_dict()}
 
 
 class RepeatCode(BlockCode):

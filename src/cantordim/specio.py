@@ -1,5 +1,7 @@
 """JSON formats for sets, gauges, covers and witnesses.
 
+This module is the only one that knows these formats: each has one reader
+and one writer here, and a writer emits exactly the keys its reader reads.
 All rationals travel as strings ("3/4"); every reader raises SpecFormatError
 with a location so the CLI can point at bad input.  Writers are canonical
 (sorted keys, fixed separators) so identical inputs give byte-identical
@@ -15,8 +17,8 @@ from .covers import Cover
 from .errors import SpecFormatError
 from .hfun import (DEFAULT_N_MAX, DEFAULT_PRECISION_BITS, DyadicHFn,
                    power_hfn, power_log_hfn, table_hfn)
-from .ideals import (BlockPartition, EventualPoint, ShelahMWitness,
-                     ShelahNWitness, TPrimeWitness)
+from .ideals import (BlockFamily, BlockPartition, EventualPoint,
+                     ShelahMWitness, ShelahNWitness, TPrimeWitness)
 from .treeset import (BlockConstraintSet, CISet, CylinderUnionSet,
                       ExplicitSet, FullCube, ProductSet, SumSet, TreeSet,
                       UnionSet)
@@ -75,17 +77,28 @@ def word_lists(families, where: str) -> tuple:
 # Index sets and tree sets
 
 
+# the parameter keys of each geometric I-spec tail rule, in tail order
+_TAIL_KEYS = {"powers": "cq", "blocks": "cdq"}
+
+
 def parse_ispec(d: dict, where: str = "I") -> ISpec:
     if not isinstance(d, dict):
         raise SpecFormatError("I-spec must be an object", where)
     if "period" in d:
         return ISpec(d.get("preperiod", ""), ("periodic", _need(d, "period", where)))
-    for rule, keys in (("powers", "cq"), ("blocks", "cdq")):
+    for rule, keys in _TAIL_KEYS.items():
         if rule in d:
             p, at = _need(d, rule, where, dict), f"{where}.{rule}"
             return ISpec(d.get("prefix", ""),
                          (rule, *(integer(_need(p, k, at), f"{at}.{k}") for k in keys)))
     raise SpecFormatError("I-spec needs 'period', 'powers' or 'blocks'", where)
+
+
+def ispec_to_dict(spec: ISpec) -> dict:
+    rule, *params = spec.tail
+    if rule == "periodic":
+        return {"preperiod": spec.prefix, "period": params[0]}
+    return {"prefix": spec.prefix, rule: dict(zip(_TAIL_KEYS[rule], params))}
 
 
 # Deepest set-spec nesting accepted.  Sets nested this deep still evaluate
@@ -114,12 +127,10 @@ def parse_set(d: dict, where: str = "set", depth: int = 0) -> TreeSet:
         return ExplicitSet(_need(d, "words", where, list), d.get("tail", "zeros"))
     if kind == "cylinder_union":
         return CylinderUnionSet(_need(d, "cylinders", where, list))
-    if kind == "sumset":
-        return SumSet(parse_set(_need(d, "a", where), f"{where}.a", depth + 1),
-                      parse_set(_need(d, "b", where), f"{where}.b", depth + 1))
-    if kind == "product":
-        return ProductSet(parse_set(_need(d, "a", where), f"{where}.a", depth + 1),
-                          parse_set(_need(d, "b", where), f"{where}.b", depth + 1))
+    if kind in ("sumset", "product"):
+        a = parse_set(_need(d, "a", where), f"{where}.a", depth + 1)
+        b = parse_set(_need(d, "b", where), f"{where}.b", depth + 1)
+        return (SumSet if kind == "sumset" else ProductSet)(a, b)
     if kind == "union":
         return UnionSet([parse_set(m, f"{where}.members[{i}]", depth + 1)
                          for i, m in enumerate(_need(d, "members", where, list))])
@@ -127,7 +138,24 @@ def parse_set(d: dict, where: str = "set", depth: int = 0) -> TreeSet:
 
 
 def set_to_dict(e: TreeSet) -> dict:
-    return e.spec_dict()
+    """The spec of `e`, which parse_set reads back as the same set."""
+    kind = e.kind
+    if kind == "full_cube":
+        return {"kind": kind}
+    if kind == "ci":
+        return {"kind": kind, "I": ispec_to_dict(e.ispec)}
+    if kind == "block_constraint":
+        return {"kind": kind, "boundaries": list(e.boundaries),
+                "blocks": [None if b is None else sorted(b) for b in e.blocks]}
+    if kind == "explicit":
+        return {"kind": kind, "words": sorted(e.words), "tail": e.tail}
+    if kind == "cylinder_union":
+        return {"kind": kind, "cylinders": sorted(e.words)}
+    if kind in ("sumset", "product"):
+        return {"kind": kind, "a": set_to_dict(e.a), "b": set_to_dict(e.b)}
+    if kind == "union":
+        return {"kind": kind, "members": [set_to_dict(m) for m in e.members]}
+    raise SpecFormatError(f"set kind {kind!r} has no spec format")
 
 
 # ---------------------------------------------------------------------------
@@ -192,38 +220,38 @@ def parse_cover(obj, where: str = "cover") -> Cover:
         items, eps = obj, None
     if not isinstance(items, list):
         raise SpecFormatError("cover elements must form a list", where)
-    words = []
-    group_of = []
+    if eps is not None and not isinstance(eps, list):
+        raise SpecFormatError("eps must be a list of rationals", f"{where}.eps")
+    words, ids = [], []
     for i, item in enumerate(items):
-        words.append(_need(item, "cyl", f"{where}[{i}]"))
-        group_of.append(item.get("group"))
+        at = f"{where}[{i}]"
+        if not isinstance(item, dict):
+            raise SpecFormatError("cover element must be an object", at)
+        words.append(_need(item, "cyl", at))
+        ids.append(None if item.get("group") is None
+                   else integer(item["group"], f"{at}.group"))
     groups = None
-    if any(g is not None for g in group_of):
-        if any(g is None for g in group_of):
+    if any(j is not None for j in ids):
+        if None in ids:
             raise SpecFormatError("either every element or none carries a group", where)
-        groups = []
-        pos = 0
-        for j in sorted(set(group_of)):
-            members = [i for i, g in enumerate(group_of) if g == j]
-            if members != list(range(pos, pos + len(members))):
-                raise SpecFormatError(f"group {j} is not a consecutive run", where)
-            groups.append((pos, pos + len(members)))
-            pos += len(members)
-        groups = tuple(groups)
+        # each group is one run of equal ids, the runs in increasing id order
+        cuts = [i for i in range(1, len(ids)) if ids[i] != ids[i - 1]]
+        for i in cuts:
+            if ids[i] < ids[i - 1]:
+                raise SpecFormatError(f"group {ids[i]} follows group {ids[i - 1]}; "
+                                      "groups must be consecutive runs in "
+                                      "increasing order", where)
+        edges = [0, *cuts, len(ids)]
+        groups = tuple(zip(edges, edges[1:]))
     eps_t = tuple(rational(x, f"{where}.eps") for x in eps) if eps else None
     return Cover(tuple(words), groups, eps_t)
 
 
 def cover_to_obj(cover: Cover):
-    items = []
-    for i, w in enumerate(cover.elements):
-        item = {"cyl": w}
-        if cover.groups is not None:
-            for j, (a, b) in enumerate(cover.groups):
-                if a <= i < b:
-                    item["group"] = j
-                    break
-        items.append(item)
+    items = [{"cyl": w} for w in cover.elements]
+    for j, (a, b) in enumerate(cover.groups or ()):
+        for item in items[a:b]:
+            item["group"] = j
     if cover.eps is None:
         return items
     return {"elements": items,
@@ -251,7 +279,6 @@ def parse_witness(d: dict, where: str = "witness"):
             raise SpecFormatError("cannot infer witness kind", where)
     f = BlockPartition(integers(d, "f", where))
     if kind == "block_family":
-        from .ideals import BlockFamily
         return BlockFamily(f, word_lists(_need(d, "F", where), f"{where}.F"))
     if kind == "shelahm":
         g = BlockPartition(integers(d, "g", where))
@@ -274,7 +301,6 @@ def parse_witness(d: dict, where: str = "witness"):
 
 
 def witness_to_dict(w) -> dict:
-    from .ideals import BlockFamily
     if isinstance(w, BlockFamily):
         return {"kind": "block_family", "f": list(w.partition.table),
                 "F": [list(fam) for fam in w.families]}
@@ -285,9 +311,18 @@ def witness_to_dict(w) -> dict:
         return {"kind": "shelahn", "f": list(w.f.table),
                 "H": [list(fam) for fam in w.families]}
     if isinstance(w, TPrimeWitness):
-        return {"kind": "tprime", "f": list(w.f.table),
-                "I": list(w.index_set),
-                "H": {str(n): list(w.families[n]) for n in w.index_set}}
+        out = {"kind": "tprime", "f": list(w.f.table), "I": list(w.index_set),
+               "H": {str(n): list(w.families[n]) for n in w.index_set}}
+        # g is read on I only: the table holds g(n) there and n elsewhere
+        g = list(range(max(w.index_set) + 1))
+        for n in w.index_set:
+            value = Fraction(w.g(n) if callable(w.g) else w.g[n])
+            if value.denominator != 1:
+                raise SpecFormatError(f"g({n}) = {value} is not an integer", "witness.g")
+            g[n] = int(value)
+        if g != list(range(len(g))):
+            out["g"] = g
+        return out
     raise SpecFormatError(f"unknown witness object {type(w).__name__}")
 
 

@@ -204,9 +204,6 @@ class TreeSet:
             return Diameter(None, None, maxdepth)
         return Diameter(b, self.scale_of_depth(b), maxdepth)
 
-    def spec_dict(self) -> dict:
-        raise NotImplementedError
-
     def __repr__(self):
         return f"<TreeSet {self.kind}>"
 
@@ -223,9 +220,6 @@ class FullCube(TreeSet):
 
     def step(self, state, depth, bit):
         return ()
-
-    def spec_dict(self):
-        return {"kind": "full_cube"}
 
 
 class CISet(TreeSet):
@@ -244,19 +238,6 @@ class CISet(TreeSet):
         if bit == 1 and self.ispec.contains(depth):
             return None
         return ()
-
-    def spec_dict(self):
-        out = {"kind": "ci"}
-        kind = self.ispec.tail[0]
-        if kind == "periodic":
-            out["I"] = {"preperiod": self.ispec.prefix, "period": self.ispec.tail[1]}
-        elif kind == "powers":
-            _, c, q = self.ispec.tail
-            out["I"] = {"prefix": self.ispec.prefix, "powers": {"c": c, "q": q}}
-        else:
-            _, c, d, q = self.ispec.tail
-            out["I"] = {"blocks": {"c": c, "d": d, "q": q}}
-        return out
 
 
 FREE = -1  # the block-constraint state outside constrained blocks
@@ -317,13 +298,6 @@ class BlockConstraintSet(TreeSet):
         if nxt is None:
             return None
         return FREE if depth + 1 == self.boundaries[j + 1] else nxt
-
-    def spec_dict(self):
-        return {
-            "kind": "block_constraint",
-            "boundaries": list(self.boundaries),
-            "blocks": [None if b is None else sorted(b) for b in self.blocks],
-        }
 
 
 END = 0  # the explicit-set state in which a whole word has been read
@@ -397,9 +371,6 @@ class ExplicitSet(TreeSet):
     def step(self, state, depth, bit):
         return self._rows[state][bit]
 
-    def spec_dict(self):
-        return {"kind": "explicit", "words": sorted(self.words), "tail": self.tail}
-
 
 class SumSet(TreeSet):
     """A + B, coordinatewise mod-2 sum.
@@ -431,9 +402,6 @@ class SumSet(TreeSet):
                         nxt.add((ca, cb))
         return frozenset(nxt) or None
 
-    def spec_dict(self):
-        return {"kind": "sumset", "a": self.a.spec_dict(), "b": self.b.spec_dict()}
-
 
 class ProductSet(TreeSet):
     """A x B via index interleaving; realizes the max metric at dyadic scales."""
@@ -459,9 +427,6 @@ class ProductSet(TreeSet):
         nxt = self.b.step(sb, depth // 2, bit)
         return None if nxt is None else (sa, nxt)
 
-    def spec_dict(self):
-        return {"kind": "product", "a": self.a.spec_dict(), "b": self.b.spec_dict()}
-
 
 class UnionSet(TreeSet):
     kind = "union"
@@ -486,9 +451,6 @@ class UnionSet(TreeSet):
                 nxt.add((i, child))
         return frozenset(nxt) or None
 
-    def spec_dict(self):
-        return {"kind": "union", "members": [m.spec_dict() for m in self.members]}
-
 
 class CylinderUnionSet(ExplicitSet):
     """The clopen union of finitely many cylinders of any lengths."""
@@ -497,9 +459,6 @@ class CylinderUnionSet(ExplicitSet):
 
     def __init__(self, cylinders):
         super().__init__(cylinders, tail="free")
-
-    def spec_dict(self):
-        return {"kind": "cylinder_union", "cylinders": sorted(self.words)}
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,21 @@ def test_well_formed_check_specs_run(tmp_path, capsys, spec):
 
 
 
+@pytest.mark.parametrize("cover", [
+    [0, 1],
+    [{"cyl": "0", "group": [0]}, {"cyl": "1", "group": [0]}],
+    [{"cyl": "0", "group": "a"}, {"cyl": "1", "group": 0}],
+    {"elements": [{"cyl": "0"}, {"cyl": "1"}], "eps": 5},
+    {"elements": [{"cyl": "0"}, {"cyl": "1"}], "eps": "11"},
+])
+def test_malformed_cover_is_input_error(specs, tmp_path, capsys, cover):
+    path = tmp_path / "cover.json"
+    path.write_text(canonical_json(cover))
+    code, out, err = run(["cover", "verify", "--set", specs["fc"],
+                          "--cover", str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
 def _run_spec(tmp_path, capsys, command, spec):
     """Run `command` (set, hfn, witness or check) on one spec file."""
     path = str(tmp_path / "spec.json")
@@ -497,6 +512,10 @@ def test_non_integer_field_is_input_error(tmp_path, capsys, command, spec, field
     {"kind": "tprime", "f": [0, 1, 2], "I": [1], "H": "0"},
     # a block family parses as a witness but has no blockwise check
     {"kind": "block_family", "f": [0, 1, 2], "F": [["0"], ["1"]]},
+    # a witness without families
+    {"kind": "shelahn", "f": [0, 1, 2], "H": []},
+    {"kind": "tprime", "f": [0, 1, 2], "I": [], "H": {}},
+    {"kind": "tprime", "f": [0, 1, 2], "I": [], "H": {"1": ["0"]}},
 ])
 def test_malformed_witness_is_input_error(tmp_path, capsys, spec):
     code, out, err = _run_spec(tmp_path, capsys, "witness", spec)

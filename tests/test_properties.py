@@ -1,13 +1,19 @@
-"""Property tests: the engine against the independent oracles, on
-generated instances (drawn deterministically; see conftest.py).
+"""Property tests: the engine against the independent oracles, the spec
+writers against their readers and the CLI's exit codes against mutated
+input, on generated instances (drawn deterministically; see conftest.py).
 
 The seeded battery in test_covers.py fixes the depth at 7 and draws each
 group from one depth of five fixed sets; here the sets, the depth (0
 included) and the word lengths inside a group are all generated, and
 failures shrink to a minimal instance."""
 
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,13 +21,17 @@ from hypothesis import strategies as st
 from oracles import (block_level_trace, cover_walk_charge,
                      covering_groups_by_words, min_cylinder_cover_cost)
 
+from cantordim.cli import main
 from cantordim.covers import Cover, _covered_groups, verify_lambda
+from cantordim.errors import SpecFormatError
 from cantordim.hfun import power_hfn, table_hfn
-from cantordim.ideals import (BlockPartition, ShelahNWitness, TPrimeWitness,
-                              nadd_box_check, shelahN_filtration,
+from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
+                              ShelahMWitness, ShelahNWitness, TPrimeWitness,
+                              _growth, nadd_box_check, shelahN_filtration,
                               tprime_lbox_check, tprime_level_sets)
 from cantordim.measures import extract_optimal_cover, hausdorff_measure_delta
-from cantordim.specio import parse_set
+from cantordim.specio import (canonical_json, parse_cover, parse_set,
+                              parse_witness, set_to_dict, witness_to_dict)
 from cantordim.treeset import (Budget, CISet, CylinderUnionSet, ExplicitSet,
                                ProductSet)
 from cantordim.words import all_words, periodic_ispec
@@ -95,7 +105,7 @@ def extraction_instances(draw):
 def test_extracted_cover_is_an_optimal_antichain(instance):
     e, h, m, depth = instance
     dp_budget, budget = Budget(), Budget()
-    bound = hausdorff_measure_delta(parse_set(e.spec_dict()), h, m, depth, dp_budget)
+    bound = hausdorff_measure_delta(parse_set(set_to_dict(e)), h, m, depth, dp_budget)
     words, cost = extract_optimal_cover(e, h, m, depth, budget)
     # on a fresh set, extraction charges what the DP charges plus one node
     # per child piece it splits into
@@ -152,3 +162,182 @@ def test_block_levels_and_box_rows_match_the_word_oracle(instance):
         assert row.count == len(block_level_trace(table, fams, row.level, row.scale))
         sample = r1.hi_at(row.scale - 1 if shelah else row.scale)
         assert row.content == row.count * sample
+
+
+# ---------------------------------------------------------------------------
+# Serialized objects round-trip: set_to_dict / witness_to_dict write what
+# parse_set / parse_witness read back as the same object
+
+
+def words_of(width):
+    return st.text("01", min_size=width, max_size=width)
+
+
+@st.composite
+def ispec_specs(draw):
+    prefix = draw(bits)
+    rule = draw(st.sampled_from(("periodic", "powers", "blocks")))
+    if rule == "periodic":
+        return {"preperiod": prefix, "period": draw(bits.filter(lambda p: "1" in p))}
+    c, q = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    if rule == "powers":
+        return {"prefix": prefix, "powers": {"c": c, "q": q}}
+    d = draw(st.integers(c + 1, c * q))
+    return {"prefix": prefix, "blocks": {"c": c, "d": d, "q": q}}
+
+
+@st.composite
+def block_constraint_specs(draw):
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    return {"kind": "block_constraint",
+            "boundaries": list(accumulate(widths, initial=draw(st.integers(0, 2)))),
+            "blocks": [draw(st.none() | st.lists(words_of(w), min_size=1, max_size=3))
+                       for w in widths]}
+
+
+@st.composite
+def explicit_specs(draw):
+    width = draw(st.integers(0, 4))
+    return {"kind": "explicit", "tail": draw(st.sampled_from(("zeros", "free"))),
+            "words": draw(st.lists(words_of(width), min_size=1, max_size=4))}
+
+
+leaf_specs = st.one_of(
+    st.just({"kind": "full_cube"}),
+    st.builds(lambda i: {"kind": "ci", "I": i}, ispec_specs()),
+    block_constraint_specs(),
+    explicit_specs(),
+    st.builds(lambda c: {"kind": "cylinder_union", "cylinders": c},
+              st.lists(bits, min_size=1, max_size=4)))
+
+
+def combined(kids):
+    """Sumsets and unions of specs that share one scale convention."""
+    return st.one_of(
+        st.builds(lambda a, b: {"kind": "sumset", "a": a, "b": b}, kids, kids),
+        st.builds(lambda m: {"kind": "union", "members": m},
+                  st.lists(kids, min_size=1, max_size=3)))
+
+
+plain_specs = st.recursive(leaf_specs, combined, max_leaves=4)
+product_specs = st.builds(lambda a, b: {"kind": "product", "a": a, "b": b},
+                          plain_specs, plain_specs)
+set_specs = st.one_of(plain_specs, st.recursive(product_specs, combined, max_leaves=3))
+
+
+@given(set_specs)
+def test_set_specs_round_trip(spec):
+    e = parse_set(spec)
+    text = canonical_json(set_to_dict(e))
+    e2 = parse_set(json.loads(text))
+    assert set_to_dict(e2) == set_to_dict(e)
+    assert canonical_json(set_to_dict(e2)) == text
+    assert e2.trace(6) == e.trace(6)
+
+
+@st.composite
+def witnesses(draw):
+    """A witness of each kind: block family, ShelahM, ShelahN, T' (its g a
+    table or a callable)."""
+    kind = draw(st.sampled_from(("block_family", "shelahm", "blockwise")))
+    if kind == "blockwise":
+        w, fams = draw(block_witnesses())
+        if isinstance(w, ShelahNWitness):
+            return w
+        g = draw(st.sampled_from(("table", "callable")))
+        if g == "callable":
+            return TPrimeWitness(w.f, lambda n: n + 2, w.index_set, w.families)
+        table = tuple(draw(st.integers(len(fams.get(n, ())), 5))
+                      for n in range(max(fams) + 1))
+        return TPrimeWitness(w.f, table, w.index_set, w.families)
+    widths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4))
+    f = BlockPartition(tuple(accumulate(widths, initial=0)))
+    if kind == "shelahm":
+        g_widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        g = BlockPartition(tuple(accumulate(g_widths, initial=0)))
+        return ShelahMWitness(f, g, EventualPoint(draw(bits), draw(bits.filter(bool))))
+    # |F_n| <= 2^(f(n+1) - n), the smallness bound
+    fams = tuple(tuple(draw(st.lists(words_of(widths[n]), unique=True,
+                                     max_size=1 << (f(n + 1) - n))))
+                 for n in range(draw(st.integers(0, len(widths)))))
+    return BlockFamily(f, fams)
+
+
+@given(witnesses())
+def test_witnesses_round_trip(w):
+    text = canonical_json(witness_to_dict(w))
+    w2 = parse_witness(json.loads(text))
+    assert canonical_json(witness_to_dict(w2)) == text
+    if isinstance(w, TPrimeWitness):
+        assert (w2.f, w2.index_set, w2.families) == (w.f, w.index_set, w.families)
+        assert [_growth(w2.g, n) for n in w.index_set] == \
+            [_growth(w.g, n) for n in w.index_set]
+    else:
+        assert w2 == w
+
+
+@given(st.lists(st.integers(0, 3), max_size=6))
+def test_cover_groups_are_runs_of_increasing_ids(ids):
+    items = [{"cyl": "0", "group": j} for j in ids]
+    if ids != sorted(ids):
+        try:
+            parse_cover(items)
+        except SpecFormatError:
+            return
+        raise AssertionError("a decreasing group id was accepted")
+    runs = tuple((ids.index(j), len(ids) - ids[::-1].index(j)) for j in sorted(set(ids)))
+    assert parse_cover(items).groups == (runs or None)
+
+
+def json_values():
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                        st.sampled_from(("", "0", "1", "11", "1/2", "a", "1/0")))
+    return st.recursive(scalars, lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.dictionaries(st.sampled_from(("cyl", "group", "eps", "elements")), kids,
+                        max_size=3)), max_leaves=6)
+
+
+def _paths(obj, path=()):
+    yield path
+    if isinstance(obj, (dict, list)):
+        for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _paths(v, path + (k,))
+
+
+COVER = {"elements": [{"cyl": "0", "group": 0}, {"cyl": "10", "group": 1},
+                      {"cyl": "11", "group": 1}], "eps": ["1", "1/2", "1/2"]}
+
+
+@st.composite
+def mutated_covers(draw):
+    """A well-formed cover file (wrapped or bare) with up to three values
+    replaced or keys deleted."""
+    obj = json.loads(json.dumps(draw(st.sampled_from((COVER, COVER["elements"])))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        if not path:
+            obj = draw(json_values())
+            continue
+        parent = obj
+        for k in path[:-1]:
+            parent = parent[k]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values())
+    return obj
+
+
+@given(mutated_covers())
+def test_cover_verify_survives_mutated_covers(cover):
+    with tempfile.TemporaryDirectory() as tmp:
+        set_path, cover_path = Path(tmp, "set.json"), Path(tmp, "cover.json")
+        set_path.write_text(canonical_json({"kind": "cylinder_union",
+                                            "cylinders": ["0", "11"]}))
+        cover_path.write_text(canonical_json(cover))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["cover", "verify", "--set", str(set_path), "--cover",
+                         str(cover_path), "--depth", "4", "--groups", "3"])
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()

@@ -14,6 +14,7 @@ def test_set_roundtrip():
         {"kind": "full_cube"},
         {"kind": "ci", "I": {"preperiod": "1", "period": "10"}},
         {"kind": "ci", "I": {"blocks": {"c": 1, "d": 2, "q": 4}}},
+        {"kind": "ci", "I": {"blocks": {"c": 1, "d": 2, "q": 4}, "prefix": "101"}},
         {"kind": "ci", "I": {"prefix": "", "powers": {"c": 1, "q": 4}}},
         {"kind": "block_constraint", "boundaries": [0, 2, 4],
          "blocks": [["00", "11"], None]},
@@ -31,6 +32,14 @@ def test_set_roundtrip():
         e2 = specio.parse_set(specio.set_to_dict(e))
         assert e.trace(6) == e2.trace(6)
         assert specio.set_to_dict(e2) == specio.set_to_dict(e)
+
+
+def test_set_kinds_without_a_format_are_not_written():
+    from cantordim.measures import RepeatCode, ShiftCode
+    from cantordim.treeset import FullCube
+    for image in (ShiftCode(1).image(FullCube()), RepeatCode().image(FullCube())):
+        with pytest.raises(SpecFormatError):
+            specio.set_to_dict(image)
 
 
 def test_set_parse_errors_carry_location():
@@ -135,6 +144,23 @@ def test_witness_roundtrip():
     fam = BlockFamily(BlockPartition((0, 2, 4)), (("00", "11"), ("01",)))
     fam2 = specio.parse_witness(specio.witness_to_dict(fam))
     assert isinstance(fam2, BlockFamily) and fam2.families == fam.families
+
+
+def test_tprime_g_roundtrip():
+    d = {"f": [0, 2, 4, 6], "I": [1], "H": {"1": ["00", "01", "10"]}, "g": [5, 5, 2]}
+    w = specio.parse_witness(d)
+    out = specio.witness_to_dict(w)
+    assert out["g"] == [0, 5]  # g(1) = 5; entries off I are not read
+    w2 = specio.parse_witness(out)
+    assert w2.g[1] == 5 and specio.witness_to_dict(w2) == out
+    # an identity g on I is left implicit, a callable one is tabulated
+    same = TPrimeWitness(w.f, (7, 1, 9), (1,), {1: ("00",)})
+    assert "g" not in specio.witness_to_dict(same)
+    wide = TPrimeWitness(w.f, lambda n: n + 3, (0, 2), {0: ("00",), 2: ("01",)})
+    assert specio.witness_to_dict(wide)["g"] == [3, 1, 5]
+    half = TPrimeWitness(w.f, lambda n: Fraction(5, 2), (1,), {1: ("00",)})
+    with pytest.raises(SpecFormatError):
+        specio.witness_to_dict(half)
 
 
 def test_canonical_json_deterministic():
