@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import BuildError, DepthExceededError, SpecFormatError
 
@@ -58,34 +59,66 @@ def pow2_bounds(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
 
 def ln2_bounds(prec: int) -> tuple[Fraction, Fraction]:
     """Outward bounds on ln 2 via sum over k of 1/(k 2^k)."""
-    total = Fraction(0)
     terms = prec + 4
-    for k in range(1, terms + 1):
-        total += Fraction(1, k * (1 << k))
+    # the partial sum over one common denominator: a single normalization
+    den = lcm(*range(1, terms + 1)) << terms
+    total = Fraction(sum(den // (k << k) for k in range(1, terms + 1)), den)
     # tail is below 2/(terms * 2^terms)
     tail = Fraction(2, terms * (1 << terms))
     return total, total + tail
 
 
-def _interval_mul(a, b):
-    (al, ah), (bl, bh) = a, b
-    cands = (al * bl, al * bh, ah * bl, ah * bh)
-    return min(cands), max(cands)
+class _Grid:
+    """Samples of one symbolic gauge on the dyadic grid at one precision.
 
+    For s = a/b, sample n is 2^-c * 2^(j/b) with c = ceil(s n) and
+    j = c b - a n, so its root floor(2^(prec + j/b)) depends on n only
+    through the residue j: one gauge needs at most b - 1 integer roots,
+    and one ln 2 bracket.  Both are kept per grid, never process-wide, and
+    every sample equals the one ``pow2_bounds`` and ``ln2_bounds`` give.
+    """
 
-def _interval_intpow(a, t: int):
-    al, ah = a
-    if t == 0:
-        return Fraction(1), Fraction(1)
-    if t > 0:
-        lo, hi = Fraction(1), Fraction(1)
-        for _ in range(t):
-            lo, hi = _interval_mul((lo, hi), a)
-        return lo, hi
-    if al <= 0:
-        raise ValueError("negative power of an interval touching zero")
-    lo, hi = _interval_intpow(a, -t)
-    return 1 / hi, 1 / lo
+    def __init__(self, sym: Symbolic, prec: int):
+        self.a, self.b = sym.s.numerator, sym.s.denominator
+        self.t = sym.t
+        self.prec = prec
+        self._roots: dict[int, int] = {}
+        self._log_powers = None  # (ln2_lo^|t|, ln2_hi^|t|)
+
+    def sample(self, n: int) -> tuple[Fraction, Fraction]:
+        """Outward bounds on h(2^-n): pow2_bounds(-s n, prec), times
+        (n ln 2)^t for a log gauge."""
+        t, b, prec = self.t, self.b, self.prec
+        if t:
+            n = n or 1  # log(1/r) vanishes at r=1: the n=0 sample is the n=1 one
+        an = self.a * n
+        c = -(-an // b)
+        j = c * b - an
+        if not j:
+            lo = hi = Fraction(1, 1 << c)
+        else:
+            root = self._roots.get(j)
+            if root is None:
+                root = self._roots[j] = iroot_floor(1 << (b * prec + j), b)
+            if c > prec:
+                # where pow2_bounds pushes the exponent up by c: the same
+                # root, over 2^(prec + c)
+                den = 1 << (prec + c)
+            else:
+                root, den = root >> c, 1 << prec
+            lo, hi = Fraction(root, den), Fraction(root + 1, den)
+        if not t:
+            return lo, hi
+        if self._log_powers is None:
+            l2lo, l2hi = ln2_bounds(prec)
+            self._log_powers = l2lo ** abs(t), l2hi ** abs(t)
+        plo, phi = self._log_powers
+        # every factor is positive, so the bracket's ends pair up directly
+        if t > 0:
+            scale = n ** t
+            return lo * plo * scale, hi * phi * scale
+        scale = n ** -t
+        return lo / (phi * scale), hi / (plo * scale)
 
 
 @dataclass(frozen=True)
@@ -96,15 +129,7 @@ class Symbolic:
     t: int = 0
 
     def grid_bounds(self, n: int, prec: int) -> tuple[Fraction, Fraction]:
-        base = pow2_bounds(-self.s * n, prec)
-        if self.t == 0:
-            return base
-        if n == 0:
-            # log(1/r) vanishes at r=1; clamp the n=0 sample to the n=1 value
-            return self.grid_bounds(1, prec)
-        l2 = ln2_bounds(prec)
-        logpart = _interval_intpow((l2[0] * n, l2[1] * n), self.t)
-        return _interval_mul(base, logpart)
+        return _Grid(self, prec).sample(n)
 
 
 class DyadicHFn:
@@ -112,11 +137,12 @@ class DyadicHFn:
 
     def __init__(self, lo, hi, symbolic: Symbolic | None = None,
                  precision: int = DEFAULT_PRECISION_BITS, name: str | None = None):
-        self.lo = tuple(Fraction(v) for v in lo)
-        self.hi = tuple(Fraction(v) for v in hi)
+        self.lo = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in lo)
+        self.hi = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in hi)
         self.symbolic = symbolic
         self.precision = precision
         self.name = name or (self._symbolic_name() if symbolic else "table")
+        self._grid: _Grid | None = None  # samples past n_max, made on first use
         self._deep_cache: dict = {}
         self._validate()
 
@@ -129,11 +155,14 @@ class DyadicHFn:
     def _validate(self):
         if len(self.lo) != len(self.hi) or not self.lo:
             raise SpecFormatError("gauge table bounds must be nonempty and aligned")
+        # p/q <= r/s iff p s <= r q, as denominators are positive
         for n, (l, h) in enumerate(zip(self.lo, self.hi)):
-            if not (0 < l <= h):
+            ln, ld, hn, hd = l.numerator, l.denominator, h.numerator, h.denominator
+            if not (0 < ln and ln * hd <= hn * ld):
                 raise SpecFormatError(f"gauge values must be positive (index {n})")
-            if n and (l > self.lo[n - 1] or h > self.hi[n - 1]):
+            if n and (ln * pld > pln * ld or hn * phd > phn * hd):
                 raise SpecFormatError(f"gauge values must be nonincreasing in n (index {n})")
+            pln, pld, phn, phd = ln, ld, hn, hd
 
     @property
     def n_max(self) -> int:
@@ -146,8 +175,9 @@ class DyadicHFn:
             # symbolic gauges extend past their stored table on demand
             hit = self._deep_cache.get(n)
             if hit is None:
-                hit = self.symbolic.grid_bounds(n, self.precision)
-                self._deep_cache[n] = hit
+                if self._grid is None:
+                    self._grid = _Grid(self.symbolic, self.precision)
+                hit = self._deep_cache[n] = self._grid.sample(n)
             return hit
         raise DepthExceededError(f"gauge undefined at grid index {n} (table to {self.n_max})")
 
@@ -212,9 +242,7 @@ def power_hfn(s, n_max: int = DEFAULT_N_MAX,
     s = Fraction(s)
     if s <= 0:
         raise SpecFormatError("power gauge needs s > 0")
-    sym = Symbolic(s)
-    pairs = [sym.grid_bounds(n, precision) for n in range(n_max + 1)]
-    return DyadicHFn([p[0] for p in pairs], [p[1] for p in pairs], sym, precision)
+    return _symbolic_hfn(Symbolic(s), n_max, precision)
 
 
 def power_log_hfn(s, t: int, n_max: int = DEFAULT_N_MAX,
@@ -226,15 +254,22 @@ def power_log_hfn(s, t: int, n_max: int = DEFAULT_N_MAX,
         raise SpecFormatError("power-log exponent t must be an integer")
     if t == 0:
         return power_hfn(s, n_max, precision)
-    sym = Symbolic(s, t)
-    pairs = [sym.grid_bounds(n, precision) for n in range(n_max + 1)]
-    lo = [p[0] for p in pairs]
-    hi = [p[1] for p in pairs]
-    # r^s log(1/r)^t can wobble at the top of the grid; clamp to monotone
-    for n in range(1, len(lo)):
-        lo[n] = min(lo[n], lo[n - 1])
-        hi[n] = min(hi[n], hi[n - 1])
-    return DyadicHFn(lo, hi, sym, precision)
+    return _symbolic_hfn(Symbolic(s, t), n_max, precision)
+
+
+def _symbolic_hfn(sym: Symbolic, n_max: int, precision: int) -> DyadicHFn:
+    """The gauge's table from one grid, which then serves its deep samples."""
+    grid = _Grid(sym, precision)
+    samples = [grid.sample(n) for n in range(n_max + 1)]
+    lo, hi = [p[0] for p in samples], [p[1] for p in samples]
+    if sym.t:
+        # r^s log(1/r)^t can wobble at the top of the grid; clamp to monotone
+        for n in range(1, len(lo)):
+            lo[n] = min(lo[n], lo[n - 1])
+            hi[n] = min(hi[n], hi[n - 1])
+    h = DyadicHFn(lo, hi, sym, precision)
+    h._grid = grid
+    return h
 
 
 def table_hfn(values, precision: int = DEFAULT_PRECISION_BITS,

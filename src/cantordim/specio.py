@@ -248,10 +248,23 @@ def parse_cover(obj, where: str = "cover") -> Cover:
 
 
 def cover_to_obj(cover: Cover):
+    """The cover file for `cover`.  A cover the format cannot carry (no
+    groups or an empty one, elements past the last group, a group offset)
+    is refused rather than written as a different cover."""
     items = [{"cyl": w} for w in cover.elements]
-    for j, (a, b) in enumerate(cover.groups or ()):
-        for item in items[a:b]:
-            item["group"] = j
+    if cover.group_offset:
+        raise SpecFormatError("cover files cannot carry a group offset")
+    if cover.groups is not None:
+        # the file gives groups as runs of ids, one id per element
+        if not cover.groups:
+            raise SpecFormatError("cover files cannot carry a grouping without groups")
+        if any(a == b for a, b in cover.groups):
+            raise SpecFormatError("cover files cannot carry an empty group")
+        if cover.groups[-1][1] != len(items):
+            raise SpecFormatError("cover files cannot carry elements past the last group")
+        for j, (a, b) in enumerate(cover.groups):
+            for item in items[a:b]:
+                item["group"] = j
     if cover.eps is None:
         return items
     return {"elements": items,

@@ -25,9 +25,9 @@ def check_word(p: str) -> str:
 def check_words(words) -> None:
     """check_word on every word, in one C-level scan when all are valid."""
     try:
-        if not "".join(words).strip("01"):
+        if not "".join(words).encode("ascii").translate(None, b"01"):
             return
-    except TypeError:
+    except (TypeError, UnicodeEncodeError):
         pass
     for w in words:
         check_word(w)

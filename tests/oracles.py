@@ -7,7 +7,9 @@ can disagree.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
+from cantordim.hfun import pow2_bounds
 from cantordim.words import all_words, xor_words
 
 
@@ -217,3 +219,55 @@ def block_level_trace(f_table, families, k, n):
     return [w for w in all_words(n)
             if all(any(h.startswith(w[f_table[j]:f_table[j + 1]]) for h in fam)
                    for j, fam in families.items() if j >= k)]
+
+
+@lru_cache(maxsize=None)
+def ln2_series(prec):
+    """Outward bounds on ln 2: the partial sum of 1/(k 2^k) over k <= prec + 4,
+    added term by term, and that sum plus a bound on its tail."""
+    terms = prec + 4
+    total = Fraction(0)
+    for k in range(1, terms + 1):
+        total += Fraction(1, k * (1 << k))
+    return total, total + Fraction(2, terms * (1 << terms))
+
+
+def gauge_sample(s, t, n, prec):
+    """Outward bounds on r^s log(1/r)^t at r = 2^-n, from one `pow2_bounds`
+    call and one ln 2 bracket per sample; the n = 0 sample of a log gauge is
+    the n = 1 sample, since log(1/r) vanishes at r = 1."""
+    if t and n == 0:
+        n = 1
+    lo, hi = pow2_bounds(-Fraction(s) * n, prec)
+    if t == 0:
+        return lo, hi
+    l2lo, l2hi = ln2_series(prec)
+    if t > 0:
+        return lo * (l2lo * n) ** t, hi * (l2hi * n) ** t
+    return lo / (l2hi * n) ** -t, hi / (l2lo * n) ** -t
+
+
+def gauge_table(s, t, n_max, prec):
+    """The samples 0..n_max of r^s log(1/r)^t, a log gauge's clamped to be
+    nonincreasing."""
+    lo, hi = zip(*(gauge_sample(s, t, n, prec) for n in range(n_max + 1)))
+    lo, hi = list(lo), list(hi)
+    if t:
+        for n in range(1, n_max + 1):
+            lo[n] = min(lo[n], lo[n - 1])
+            hi[n] = min(hi[n], hi[n - 1])
+    return lo, hi
+
+
+def gauge_table_error(lo, hi):
+    """The message a gauge table with these bounds is refused with, or None:
+    every sample must satisfy 0 < lo <= hi, and both bounds must be
+    nonincreasing in n; the first failing index is named."""
+    if len(lo) != len(hi) or not lo:
+        return "gauge table bounds must be nonempty and aligned"
+    for n in range(len(lo)):
+        if not 0 < lo[n] <= hi[n]:
+            return f"gauge values must be positive (index {n})"
+        if n and (lo[n] > lo[n - 1] or hi[n] > hi[n - 1]):
+            return f"gauge values must be nonincreasing in n (index {n})"
+    return None

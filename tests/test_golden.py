@@ -28,6 +28,8 @@ CASES = {
                      "--format", "csv"], 0),
     "dim_hfn_explicit": (["dim", "explicit_free.json", "--range", "1:10",
                           "--hfn", "harmonic.json"], 0),
+    # rlog.json stops its table at n_max 40, so scales past 40 read deep samples
+    "dim_hfn_log": (["dim", "ce.json", "--range", "1:48", "--hfn", "rlog.json"], 0),
     "measure_ce": (["measure", "ce.json", "r1.json", "--scale", "8",
                     "--depth", "16"], 0),
     "measure_fc": (["measure", "fc.json", "r1.json", "--scale", "0",

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cantordim import hfun
 from cantordim.errors import BuildError, DepthExceededError, SpecFormatError
 from cantordim.hfun import (DyadicHFn, Symbolic, compose, diagonal_dominate,
                             eval_at_rational, finite_order, grid_index_floor,
@@ -36,6 +37,43 @@ def test_ln2_bounds():
     lo, hi = ln2_bounds(64)
     assert lo < hi
     assert Fraction(693147, 1000000) < lo and hi < Fraction(693148, 1000000)
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(hfun, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(hfun, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("s", ["1/2", "2/3", "7/10", "13/7", "9/4", "3"])
+@pytest.mark.parametrize("precision", [3, 128])
+def test_power_table_takes_one_root_per_residue_class(monkeypatch, s, precision):
+    # at precision 3 most samples take the pushed-up-exponent branch, which
+    # reads the same roots
+    s = Fraction(s)
+    roots = _counted(monkeypatch, "iroot_floor")
+    h = power_hfn(s, 96, precision)
+    residues = {-s.numerator * n % s.denominator for n in range(97)} - {0}
+    assert len(roots) == len(residues) <= s.denominator - 1
+    h.value(150)
+    assert len(roots) == len(residues)  # deep samples reuse the table's roots
+
+
+@pytest.mark.parametrize("t", [-2, 1, 2])
+def test_log_gauge_takes_one_ln2_bracket(monkeypatch, t):
+    brackets = _counted(monkeypatch, "ln2_bounds")
+    h = power_log_hfn(Fraction(1, 2), t, 40)
+    for n in range(41, 60):
+        h.value(n)
+    assert brackets == [(h.precision,)]
+    # a second gauge pays for its own bracket: nothing is shared process-wide
+    power_log_hfn(Fraction(1, 2), t, 40).value(50)
+    assert len(brackets) == 2
 
 
 def test_invariants_rejected():

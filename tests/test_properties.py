@@ -19,19 +19,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (block_level_trace, cover_walk_charge,
-                     covering_groups_by_words, min_cylinder_cover_cost)
+                     covering_groups_by_words, gauge_sample, gauge_table,
+                     gauge_table_error, min_cylinder_cover_cost)
 
 from cantordim.cli import main
 from cantordim.covers import Cover, _covered_groups, verify_lambda
 from cantordim.errors import SpecFormatError
-from cantordim.hfun import power_hfn, table_hfn
+from cantordim.hfun import DyadicHFn, power_hfn, power_log_hfn, table_hfn
 from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               ShelahMWitness, ShelahNWitness, TPrimeWitness,
                               _growth, nadd_box_check, shelahN_filtration,
                               tprime_lbox_check, tprime_level_sets)
 from cantordim.measures import extract_optimal_cover, hausdorff_measure_delta
-from cantordim.specio import (canonical_json, parse_cover, parse_set,
-                              parse_witness, set_to_dict, witness_to_dict)
+from cantordim.specio import (canonical_json, cover_to_obj, parse_cover,
+                              parse_set, parse_witness, set_to_dict,
+                              witness_to_dict)
 from cantordim.treeset import (Budget, CISet, CylinderUnionSet, ExplicitSet,
                                ProductSet)
 from cantordim.words import all_words, periodic_ispec
@@ -90,6 +92,33 @@ def test_lambda_tails_match_the_word_oracle(instance, horizon):
 
 GAUGES = (power_hfn(Fraction(1, 2)), power_hfn(1),
           table_hfn([Fraction(1, n + 1) for n in range(16)]))
+
+
+@given(st.integers(1, 40), st.integers(1, 12), st.integers(-2, 2),
+       st.integers(1, 160), st.integers(0, 200))
+def test_gauge_tables_match_the_per_sample_oracle(a, b, t, prec, n_max):
+    s = Fraction(a, b)
+    h = power_log_hfn(s, t, n_max, prec)
+    lo, hi = gauge_table(s, t, n_max, prec)
+    assert h.lo == tuple(lo) and h.hi == tuple(hi)
+    deep = range(n_max + 1, 2 * n_max + 1)
+    assert [h.value(n) for n in deep] == [gauge_sample(s, t, n, prec) for n in deep]
+
+
+samples = st.builds(Fraction, st.integers(-1, 6), st.just(4))
+
+
+@given(st.lists(st.tuples(samples, samples), max_size=5), st.booleans())
+def test_gauge_tables_are_refused_as_the_oracle_says(pairs, aligned):
+    lo, hi = [p[0] for p in pairs], [p[1] for p in pairs]
+    if not aligned:
+        hi = hi[1:]
+    try:
+        DyadicHFn(lo, hi)
+    except SpecFormatError as exc:
+        assert str(exc) == gauge_table_error(lo, hi)
+    else:
+        assert gauge_table_error(lo, hi) is None
 
 
 @st.composite
@@ -287,6 +316,37 @@ def test_cover_groups_are_runs_of_increasing_ids(ids):
         raise AssertionError("a decreasing group id was accepted")
     runs = tuple((ids.index(j), len(ids) - ids[::-1].index(j)) for j in sorted(set(ids)))
     assert parse_cover(items).groups == (runs or None)
+
+
+@st.composite
+def covers(draw):
+    """A cover with or without groups (some may be empty, and elements may
+    follow the last one), a group offset and eps tags."""
+    elements = tuple(draw(st.lists(bits, max_size=6)))
+    groups = None
+    if draw(st.booleans()):
+        ends = sorted(draw(st.lists(st.integers(0, len(elements)), max_size=4)))
+        groups = tuple(zip([0, *ends], ends))
+    eps = draw(st.none() | st.lists(st.sampled_from((Fraction(1), Fraction(1, 2))),
+                                     min_size=len(elements), max_size=len(elements) + 2))
+    return Cover(elements, groups, None if eps is None else tuple(eps),
+                 draw(st.integers(0, 2)))
+
+
+@given(covers())
+def test_covers_round_trip_or_are_refused(cover):
+    writable = cover.group_offset == 0 and (cover.groups is None or (
+        cover.groups and all(a < b for a, b in cover.groups)
+        and cover.groups[-1][1] == len(cover.elements)))
+    try:
+        text = canonical_json(cover_to_obj(cover))
+    except SpecFormatError:
+        assert not writable
+        return
+    assert writable
+    back = parse_cover(json.loads(text))
+    assert (back.elements, back.groups, back.group_offset) == \
+        (cover.elements, cover.groups, cover.group_offset)
 
 
 def json_values():

@@ -123,6 +123,12 @@ def test_cover_roundtrip():
     assert specio.parse_cover(specio.cover_to_obj(flat)).elements == flat.elements
     with pytest.raises(SpecFormatError):
         specio.parse_cover([{"cyl": "0", "group": 0}, {"cyl": "1"}])
+    # covers the format would read back as other covers are refused
+    for unwritable in (Cover(("0", "1"), ((0, 1), (1, 1), (1, 2))),  # empty group
+                       Cover(("0", "1", "00"), ((0, 2),)),  # element past the groups
+                       Cover(("0",), ((0, 1),), group_offset=2)):
+        with pytest.raises(SpecFormatError):
+            specio.cover_to_obj(unwritable)
 
 
 def test_witness_roundtrip():

@@ -85,7 +85,7 @@ def test_bad_specs():
 def test_check_words():
     assert check_word("") == "" and check_word("0110") == "0110"
     check_words(["", "0", "0110"])
-    for bad in ("012", "x", " 01", "10\n", 3, ("0", "1")):
+    for bad in ("012", "x", " 01", "10\n", "0\u00e9", 3, b"01", ("0", "1")):
         with pytest.raises(SpecFormatError):
             check_word(bad)
         with pytest.raises(SpecFormatError) as exc:
