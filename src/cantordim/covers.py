@@ -9,10 +9,9 @@ toolkit never claims an infinite-horizon verdict.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 
 from .errors import BuildError, SpecFormatError
 from .hfun import DyadicHFn, grid_index_floor
@@ -80,40 +79,56 @@ def _pool(table: dict, key, nodes: set) -> None:
         held |= nodes
 
 
-def _covering_groups(e: TreeSet, tags: dict, n: int,
-                     budget: Budget | None) -> int:
+def _covering_groups(e: TreeSet, runs, n: int, budget: Budget | None) -> int:
     """Bitmask of the groups that cover E at depth n, in one forward sweep.
 
-    ``tags`` maps each cover word to the bitmask of the groups listing it;
-    words longer than n are dropped, and the rest are validated.  The sweep
-    follows E's trace one depth at a time with the node words read as
-    integers.  The frontier maps (E state, mask) to the set of nodes that
-    reach that state with that OR of the tags of the words they extend, so
-    one ``children`` call serves a whole bucket, and set operations split
-    it.  A node stops where no longer word lies below it (every trace node
-    has a descendant, so its mask holds for all leaves below, and at depth n
-    nothing is longer) or where its mask cannot grow.  Bit j of the AND over
-    all stops is set iff every depth-n trace node lies under a word of group
-    j.  Each expanded node costs one budget node.
+    ``runs`` lists (tag, words) pairs: each word carries the bitmask
+    ``tag``, and a word listed by several runs carries the OR of their tags.
+    The tables are built once per call: each run is bucketed by length,
+    words longer than n are dropped before any parse, and the rest are
+    validated in one pass and read as integers.  A depth that one run lists
+    keeps that run's words as one tag class; where several runs list words
+    of one length, each run meets only the words already seen there, so
+    the build is linear in the words listed.
+
+    The sweep follows E's trace one depth at a time.  The frontier maps
+    (E state, mask) to the set of nodes that reach that state with that OR
+    of the tags of the words they extend, so one ``children`` call serves a
+    whole bucket, and set operations split it.  A node stops where no longer
+    word lies below it (every trace node has a descendant, so its mask holds
+    for all leaves below, and at depth n nothing is longer) or where its
+    mask cannot grow.  Bit j of the AND over all stops is set iff every
+    depth-n trace node lies under a word of group j.  Each expanded node
+    costs one budget node: when some group covers, that is every trace node
+    with a word strictly below it and a mask short of the OR of all tags.
     """
-    words = sorted(tags, key=len)
-    del words[bisect_right(words, n, key=len):]
-    check_words(words)
-    tag_of = tags.__getitem__
-    ends: dict = {}  # d -> {tag: the words of length d with that tag, as ints}
+    at: dict = {}  # d -> [(tag, the run's words of length d)]
     full = 0
-    for d, same_length in groupby(words, len):
-        ends[d] = {tag: set(map(int, ws, repeat(2))) if d else {0}
-                   for tag, ws in groupby(sorted(same_length, key=tag_of), tag_of)}
-        for tag in ends[d]:
+    for tag, words in runs:
+        for d, ws in groupby(sorted(words, key=len), len):
+            if d > n:
+                break
+            at.setdefault(d, []).append((tag, list(ws)))
             full |= tag
+    check_words(list(chain.from_iterable(ws for d in sorted(at) for _, ws in at[d])))
+    ends: dict = {}  # d -> {tag: the words of length d with that tag, as ints}
+    for d, runs_d in at.items():
+        if len(runs_d) > 1:  # a word listed by several runs gets the OR of their tags
+            tag_of: dict = {}
+            for tag, ws in runs_d:
+                mine = dict.fromkeys(ws, tag)
+                for w in mine.keys() & tag_of.keys():
+                    mine[w] |= tag_of[w]
+                tag_of.update(mine)
+            get = tag_of.__getitem__
+            runs_d = [(tag, list(ws)) for tag, ws in groupby(sorted(tag_of, key=get), get)]
+        ends[d] = {tag: set(map(int, ws, repeat(2))) if d else {0} for tag, ws in runs_d}
     if not full:
         return 0
     # live[d]: the depth-d nodes with a word strictly below them
     live = [set()] * (max(ends) + 1)
     for d in range(len(live) - 1, 0, -1):
-        below = live[d].union(*ends.get(d, {}).values())
-        live[d - 1] = {v >> 1 for v in below}
+        live[d - 1] = {v >> 1 for v in chain(live[d], *ends.get(d, {}).values())}
     covered = full
     children, spend = e.children, _budget(budget).spend
     frontier = {(e.root_state(), 0): {0}}
@@ -127,16 +142,17 @@ def _covering_groups(e: TreeSet, tags: dict, n: int,
                 if hit:
                     nodes -= hit
                     m = mask | tag
-                    go = hit & live_d if m != full else set()
-                    if len(go) < len(hit):
-                        covered &= m
-                    if go:
-                        _pool(grown, (state, m), go)
-            go = nodes & live_d
-            if len(go) < len(nodes):
+                    if m != full:
+                        if not hit <= live_d:  # some node stops here
+                            hit &= live_d
+                            covered &= m
+                        if hit:
+                            _pool(grown, (state, m), hit)
+            if not nodes <= live_d:
+                nodes &= live_d
                 covered &= mask
-            if go:
-                _pool(grown, (state, mask), go)
+            if nodes:
+                _pool(grown, (state, mask), nodes)
         if not covered or not grown:
             break
         frontier = {}
@@ -149,13 +165,7 @@ def _covering_groups(e: TreeSet, tags: dict, n: int,
 
 def _covered_groups(e: TreeSet, groups, n: int, budget: Budget | None) -> int:
     """Bit j set iff the words of groups[j] cover E at depth n."""
-    tags: dict = {}
-    for j, words in enumerate(groups):
-        group = dict.fromkeys(words, 1 << j)
-        for w in group.keys() & tags.keys():
-            group[w] |= tags[w]
-        tags.update(group)
-    return _covering_groups(e, tags, n, budget)
+    return _covering_groups(e, [(1 << j, g) for j, g in enumerate(groups)], n, budget)
 
 
 def is_cover_at_depth(e: TreeSet, elements, n: int,
@@ -180,12 +190,11 @@ def verify_lambda(e: TreeSet, cover: Cover, horizon: int, depth: int,
                   budget: Budget | None = None) -> LambdaVerdict:
     """Truncated lambda-cover criterion: for each j <= J the tail
     {U_n : n >= j} still covers E at the trace depth."""
-    # element i lies in every tail j <= i; these masks nest, so a word's
-    # last listing gives its OR, and past the horizon it is every tail's
+    # element i lies in every tail j <= i, and past the horizon in every tail
     cut = max(horizon, 0)
-    tags = {w: (2 << i) - 1 for i, w in enumerate(cover.elements[:cut])}
-    tags.update(dict.fromkeys(cover.elements[cut:], (1 << max(horizon + 1, 0)) - 1))
-    covered = _covering_groups(e, tags, depth, budget)
+    runs = [((2 << i) - 1, (w,)) for i, w in enumerate(cover.elements[:cut])]
+    runs.append(((1 << max(horizon + 1, 0)) - 1, cover.elements[cut:]))
+    covered = _covering_groups(e, runs, depth, budget)
     j = ((covered + 1) & ~covered).bit_length() - 1  # the lowest zero bit
     if j <= horizon:
         return LambdaVerdict("fails", horizon, depth, j)

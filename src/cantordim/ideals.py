@@ -168,10 +168,6 @@ class EincVerdict:
     failures: tuple         # failing (n, k) pairs within the horizon
     horizon: int
 
-    @property
-    def holds_everywhere(self) -> bool:
-        return self.n0 == 0
-
 
 def einc_inclusion(f: BlockPartition, g: BlockPartition, fam: BlockFamily,
                    gfam: BlockFamily, horizon: int) -> EincVerdict:
@@ -277,10 +273,6 @@ class ThresholdVerdict:
     outcomes: tuple           # (index, bool)
     n0: int | None
     horizon: int
-
-    @property
-    def holds_from(self) -> int | None:
-        return self.n0
 
 
 def _least_threshold(outcomes) -> int | None:

@@ -163,7 +163,7 @@ def set_to_dict(e: TreeSet) -> dict:
 
 
 def _table(d: dict, key: str, where: str) -> list:
-    return [rational(v, f"{where}.{key}[{i}]") for i, v in enumerate(_need(d, key, where))]
+    return [rational(v, f"{where}.{key}[{i}]") for i, v in enumerate(_need(d, key, where, list))]
 
 
 def parse_hfn(d: dict, where: str = "hfn",
@@ -173,6 +173,9 @@ def parse_hfn(d: dict, where: str = "hfn",
     if not isinstance(d, dict):
         raise SpecFormatError("gauge spec must be an object", where)
     precision = integer(d.get("precision_bits", precision), f"{where}.precision_bits")
+    if precision < 0:
+        raise SpecFormatError(f"field must be nonnegative, not {precision}",
+                              f"{where}.precision_bits")
     n_max = integer(d.get("n_max", DEFAULT_N_MAX), f"{where}.n_max")
     if "symbolic" in d:
         sym = _need(d, "symbolic", where, dict)

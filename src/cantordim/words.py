@@ -199,10 +199,6 @@ def odds() -> ISpec:
     return periodic_ispec("", "01")
 
 
-def all_indices() -> ISpec:
-    return periodic_ispec("", "1")
-
-
 def geometric_blocks(c: int, d: int, q: int) -> ISpec:
     return ISpec("", ("blocks", c, d, q))
 

@@ -498,6 +498,28 @@ def test_non_integer_field_is_input_error(tmp_path, capsys, command, spec, field
     assert "must be an integer" in err and f"(at {field})" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"table": 2}, "field 'table' must be a list (at hfn)"),
+    ({"table_lo": 2, "table_hi": ["1"]}, "field 'table_lo' must be a list (at hfn)"),
+    ({"table_lo": ["1"], "table_hi": "1"}, "field 'table_hi' must be a list (at hfn)"),
+    ({"symbolic": {"s": "1/2"}, "precision_bits": -3}, "(at hfn.precision_bits)"),
+    ({"symbolic": {"s": "1"}, "precision_bits": -3}, "(at hfn.precision_bits)"),
+])
+@pytest.mark.parametrize("command", ["dim", "measure"])
+def test_malformed_gauge_is_input_error(specs, tmp_path, capsys, command, spec, message):
+    path = tmp_path / "g.json"
+    path.write_text(canonical_json(spec))
+    argv = {"dim": ["dim", specs["ce"], "--range", "1:4", "--hfn", str(path)],
+            "measure": ["measure", specs["fc"], str(path)]}[command]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and err.startswith("input error:")
+    assert message in err
+    # precision 0 stays a gauge
+    path.write_text(canonical_json({"symbolic": {"s": "1/2"}, "precision_bits": 0}))
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == "" and json.loads(out)
+
+
 @pytest.mark.parametrize("spec", [
     # I names an index with no H entry
     {"kind": "tprime", "f": [0, 1, 2, 3], "I": [1, 2], "H": {"1": ["0"]}},

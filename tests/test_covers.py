@@ -461,6 +461,41 @@ def test_walk_budget_charge():
         verify_lambda(e, cover, 8, 9, Budget(3))
 
 
+def test_many_single_word_groups_and_a_long_horizon():
+    r = random.Random(300)
+    n = 9
+    e = ExplicitSet(["011010011", "011010110", "011011000", "011011111"])
+    trace = e.trace(n)
+    # 300 single-word groups at depth 6, repeats included: the trace splits
+    # at depth 6, so none covers, and the pair appended after them does
+    words = [r.choice(("011010", "011011", format(r.getrandbits(6), "06b")))
+             for _ in range(300)]
+    groups = [(w,) for w in words]
+    b = Budget()
+    got = _covered_groups(e, groups, n, b)
+    assert got == covering_groups_by_words(trace, groups, n) == 0
+    groups += [("011010", "011011")]
+    b = Budget()
+    got = _covered_groups(e, groups, n, b)
+    assert got == covering_groups_by_words(trace, groups, n) == 1 << 300
+    assert b.used == cover_walk_charge(trace, groups, n)
+    # a lambda check with horizon 300: one single-word tag per element; past
+    # element 150 nothing covers "011011111" any more
+    stray = lambda: format(r.getrandbits(n + 1), "010b")[:r.randint(1, n + 1)]
+    elements = tuple(r.choice(trace)[:r.randint(2, n)] if r.random() < 0.8 else stray()
+                     for _ in range(150))
+    elements += tuple(r.choice(trace[:3]) if r.random() < 0.8 else stray()
+                      for _ in range(170))
+    tails = [elements[j:] for j in range(301)]
+    want = covering_groups_by_words(trace, tails, n)
+    fail = next((j for j in range(301) if not want >> j & 1), None)
+    assert 0 < fail < 300
+    b = Budget()
+    lam = verify_lambda(e, Cover(elements), 300, n, b)
+    assert lam.failure_index == fail
+    assert b.used == cover_walk_charge(trace, tails, n)
+
+
 def test_deep_cover_check():
     r = random.Random(4000)
     words = [format(r.getrandbits(4000), "04000b") for _ in range(2)]

@@ -83,11 +83,14 @@ def test_covered_groups_match_the_word_oracle(instance):
 def test_lambda_tails_match_the_word_oracle(instance, horizon):
     e, n, trace, groups = instance
     elements = tuple(w for g in groups for w in g)
-    tails = covering_groups_by_words(
-        trace, [elements[j:] for j in range(horizon + 1)], n)
+    tail_groups = [elements[j:] for j in range(horizon + 1)]
+    tails = covering_groups_by_words(trace, tail_groups, n)
     fail = next((j for j in range(horizon + 1) if not tails >> j & 1), None)
-    v = verify_lambda(e, Cover(elements), horizon, n)
+    budget = Budget()
+    v = verify_lambda(e, Cover(elements), horizon, n, budget)
     assert v.failure_index == fail and v.holds == (fail is None)
+    charge = cover_walk_charge(trace, tail_groups, n)
+    assert budget.used == charge if tails else budget.used <= charge
 
 
 GAUGES = (power_hfn(Fraction(1, 2)), power_hfn(1),
