@@ -7,7 +7,7 @@ from oracles import (min_cover_count_arbitrary, min_cylinder_cover_cost,
                      separation_count)
 
 from cantordim.errors import BuildError, ResourceLimitError
-from cantordim.hfun import power_hfn, power_log_hfn, table_hfn
+from cantordim.hfun import multiply, power_hfn, power_log_hfn, table_hfn
 from cantordim.measures import (CIProductMass, Filtration, TableMass,
                                 UniformMass, _ci_mass_exact,
                                 box_content_sequence,
@@ -359,6 +359,42 @@ def test_product_inequality_checks():
     rep3 = product_inequality_check(ce, FullCube(), rh, power_hfn(1), 1, 10,
                                     m=1, depth=16)
     assert rep3.transport_ok and rep3.lower_product_ok
+
+
+def test_product_check_constants_are_pinned(rng):
+    half = power_hfn(Fraction(1, 2))
+    rep = product_inequality_check(CISet(evens()), CISet(odds()), half, half, 1, 12)
+    assert rep.empirical_c_upper == 1
+    assert rep.empirical_c_directed == Fraction(
+        7519249036500140985782305389925783029,
+        10633823966279326983230456482242756608)
+    # on random plain sets the constants are the ratios of the factors'
+    # directed box witnesses to the product's window statistics
+    for _ in range(12):
+        a, b = (rng.choice([FullCube(), CISet(periodic_ispec("", rng.choice(
+            ["10", "01", "100", "110"]))), ExplicitSet(
+            rng.sample(all_words(4), rng.randint(1, 8)), tail=rng.choice(
+                ["zeros", "free"]))]) for _ in range(2))
+        h, g = (rng.choice([half, power_hfn(1), power_hfn(Fraction(1, 3)),
+                            table_hfn([Fraction(1, n + 1) for n in range(97)])])
+                for _ in range(2))
+        lo = rng.randint(0, 3)
+        hi = lo + rng.randint(0, 6)
+        rep = product_inequality_check(a, b, h, g, lo, hi)
+        na, nb = a.trace_counts(hi), b.trace_counts(hi)
+        nprod = ProductSet(a, b).trace_counts(2 * hi)
+        assert rep.counting_exact == all(nprod[2 * n] == na[n] * nb[n]
+                                         for n in range(lo, hi + 1))
+        seq_a = box_content_sequence(a, h, lo, hi)
+        seq_p = box_content_sequence(ProductSet(a, b), multiply(h, g), lo, hi)
+        dbox_a = dbox_on_filtration(trivial_filtration(a), h, lo, hi).value
+        dbox_b = dbox_on_filtration(trivial_filtration(b), g, lo, hi).value
+        want_upper = (seq_a.tail_sup * dbox_b / seq_p.tail_sup
+                      if seq_p.tail_sup > 0 else None)
+        want_directed = (dbox_a * dbox_b / seq_p.tail_inf
+                         if seq_p.tail_inf > 0 else None)
+        assert (rep.empirical_c_upper, rep.empirical_c_directed) == \
+            (want_upper, want_directed)
 
 
 def test_product_xn_instance():
