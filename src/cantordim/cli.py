@@ -19,8 +19,8 @@ from fractions import Fraction
 from . import covers, ideals, measures, specio
 from .errors import (BuildError, CantorDimError, DepthExceededError,
                      ResourceLimitError, SpecFormatError)
-from .hfun import DyadicHFn, power_hfn
-from .treeset import Budget, CISet, FullCube
+from .hfun import DEFAULT_PRECISION_BITS, DyadicHFn, power_hfn
+from .treeset import DEFAULT_NODE_BUDGET, Budget, CISet, FullCube
 from .words import evens, odds
 
 EXIT_PASS = 0
@@ -31,8 +31,6 @@ EXIT_RESOURCE = 3
 DEFAULT_DEPTH = 32
 DEFAULT_GROUPS = 16
 DEFAULT_SCALE = 8
-DEFAULT_BUDGET = 1 << 22
-DEFAULT_PRECISION = 128
 
 
 @dataclass
@@ -352,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     common.add_argument("--groups", type=int, default=DEFAULT_GROUPS)
     common.add_argument("--scale", type=int, default=DEFAULT_SCALE)
-    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
     common.add_argument("--budget", type=int, default=None,
                         help="node budget (env CANTORDIM_BUDGET overrides "
                              "the default)")
@@ -415,7 +413,7 @@ COMMANDS = {
 def _default_budget() -> int:
     text = os.environ.get("CANTORDIM_BUDGET")
     if text is None:
-        return DEFAULT_BUDGET
+        return DEFAULT_NODE_BUDGET
     try:
         return int(text)
     except ValueError:

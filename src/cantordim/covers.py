@@ -377,11 +377,10 @@ def build_bounded_groups(filtration: Filtration, g: DyadicHFn, eps,
     cursor = 1
     for k, x in enumerate(levels):
         counts = x.trace_counts(x.depth_of_scale(max(scales[cursor:], default=0)), bud)
-        found = None  # the least n >= cursor with N * g < 1 at every n2 >= n
-        for n in reversed(range(cursor, len(deltas))):
-            if counts[x.depth_of_scale(scales[n])] * g.hi_at(scales[n]) >= 1:
-                break
-            found = n
+        # the least n >= cursor with N * g < 1 at every n2 >= n
+        found = _least_threshold(
+            [(n, counts[x.depth_of_scale(scales[n])] * g.hi_at(scales[n]) < 1)
+             for n in range(cursor, len(deltas))])
         if found is None:
             raise BuildError(f"no content witness for level {k} within the horizon")
         n_marks.append(found)

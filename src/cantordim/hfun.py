@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, log2
 
 from .errors import BuildError, DepthExceededError, SpecFormatError
 
@@ -26,7 +26,14 @@ def iroot_floor(x: int, k: int) -> int:
         raise ValueError("iroot_floor needs x >= 0, k >= 1")
     if x in (0, 1) or k == 1:
         return x
-    r = 1 << ((x.bit_length() + k - 1) // k)
+    # Newton's steps fall from above; start just over the root, from a
+    # float estimate of log2(x) / k, so a large k takes a few steps, not ~k
+    lg = log2(x) / k
+    whole = int(lg)
+    r = int(2 ** (lg - whole + 60) * (1 + 2 ** -30)) + 1
+    r = r << (whole - 60) if whole >= 60 else (r >> (60 - whole)) + 1
+    while r ** k < x:
+        r <<= 1
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
@@ -128,9 +135,6 @@ class Symbolic:
     s: Fraction
     t: int = 0
 
-    def grid_bounds(self, n: int, prec: int) -> tuple[Fraction, Fraction]:
-        return _Grid(self, prec).sample(n)
-
 
 class DyadicHFn:
     """A Hausdorff function as outward-rounded samples on the dyadic grid."""
@@ -174,12 +178,25 @@ class DyadicHFn:
         if n > self.n_max and self.symbolic is not None:
             # symbolic gauges extend past their stored table on demand
             hit = self._deep_cache.get(n)
-            if hit is None:
-                if self._grid is None:
-                    self._grid = _Grid(self.symbolic, self.precision)
-                hit = self._deep_cache[n] = self._grid.sample(n)
-            return hit
+            return hit if hit is not None else self._extend(n)
         raise DepthExceededError(f"gauge undefined at grid index {n} (table to {self.n_max})")
+
+    def _extend(self, n: int) -> tuple[Fraction, Fraction]:
+        """Sample n past the table.  A log gauge keeps its table's clamp to
+        nonincreasing, so its samples are filled in up to n, each one
+        clamped by the one before."""
+        if self._grid is None:
+            self._grid = _Grid(self.symbolic, self.precision)
+        if not self.symbolic.t:
+            hit = self._deep_cache[n] = self._grid.sample(n)
+            return hit
+        # a log gauge's cache runs without gaps from n_max + 1
+        top = self.n_max + len(self._deep_cache)
+        lo, hi = self.value(top)
+        for k in range(top + 1, n + 1):
+            klo, khi = self._grid.sample(k)
+            lo, hi = self._deep_cache[k] = min(klo, lo), min(khi, hi)
+        return lo, hi
 
     def lo_at(self, n: int) -> Fraction:
         return self.value(n)[0]
@@ -407,18 +424,16 @@ def grid_index_floor(r: Fraction) -> int:
     r = Fraction(r)
     if not 0 < r <= 1:
         raise ValueError("grid snapping needs r in (0, 1]")
-    n = 0
-    while Fraction(1, 1 << n) > r:
-        n += 1
-    return n
+    # for r = p/q, 2^-n <= r iff 2^n >= ceil(q/p)
+    return (-(-r.denominator // r.numerator) - 1).bit_length()
 
 
 def grid_index_ceil(r: Fraction) -> int:
     """floor(-log2 r): the grid index at or above r."""
     n = grid_index_floor(r)
-    if n > 0 and Fraction(1, 1 << (n - 1)) <= r:
-        return n - 1
-    return n if Fraction(1, 1 << n) >= r else max(0, n - 1)
+    # 2^-n <= r < 2^-(n-1), so only r == 2^-n stays at n
+    r = Fraction(r)
+    return n if r.numerator == 1 and r.denominator == 1 << n else n - 1
 
 
 def compose(h: DyadicHFn, g: DyadicHFn) -> DyadicHFn:

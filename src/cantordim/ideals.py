@@ -20,7 +20,7 @@ from .errors import BuildError, DepthExceededError, SpecFormatError
 from .hfun import DyadicHFn
 from .measures import Filtration
 from .treeset import BlockConstraintSet, Budget, FullCube, _budget
-from .words import ISpec, Word, all_words, check_word, xor_words
+from .words import Word, all_words, check_word, xor_words
 
 # ---------------------------------------------------------------------------
 # Partitions, families, points
@@ -145,10 +145,6 @@ class SMembershipReport:
     count: int
     hits: tuple
     blocks_checked: int
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.count, self.blocks_checked) if self.blocks_checked else Fraction(0)
 
 
 def s_membership_count(fam: BlockFamily, x: Word,
@@ -626,13 +622,3 @@ def tprime_from_dpnull_witness(eps, index_set, families,
             words.append(p[f(n):f(n + 1)])
         out[n] = tuple(dict.fromkeys(words))
     return TPrimeWitness(f, lambda n: n, tuple(sorted(index_set)), out)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form dimension data for the constraint sets
-
-
-def ci_density(ispec: ISpec) -> tuple[Fraction, Fraction]:
-    """Exact (lower, upper) density of the complement of I: the closed-form
-    box dimension predictions for C_I."""
-    return ispec.complement_density_limits()

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import lcm, log2
 
 from .errors import BuildError, DepthExceededError, SpecFormatError
-from .hfun import DyadicHFn, finite_order
+from .hfun import (DyadicHFn, compose, finite_order, multiply, pow2_bounds,
+                   power_hfn, precede)
 from .treeset import (Budget, CISet, FullCube, ProductSet, TreeSet, _budget,
                       is_trace_subset)
 from .words import ISpec, Word
@@ -41,12 +42,6 @@ class ContentSequence:
     tail_sup: Fraction        # certified upper bound for sup over the window
     tail_inf: Fraction        # certified upper bound for inf over the window
     tail_inf_lo: Fraction     # certified lower bound for inf over the window
-
-    def row(self, n: int):
-        for row in self.entries:
-            if row[0] == n:
-                return row
-        raise KeyError(n)
 
 
 def box_content_sequence(e: TreeSet, h: DyadicHFn, n_lo: int, n_hi: int,
@@ -81,8 +76,6 @@ class BoxDimensionReport:
 
 def box_dimensions(e: TreeSet, n_lo: int, n_hi: int,
                    budget: Budget | None = None) -> BoxDimensionReport:
-    import math
-
     if n_hi < max(1, n_lo):
         raise SpecFormatError(f"bad scale range {n_lo}:{n_hi}; "
                               "box dimensions need a scale n >= 1")
@@ -90,7 +83,7 @@ def box_dimensions(e: TreeSet, n_lo: int, n_hi: int,
     rows = []
     for n in range(max(1, n_lo), n_hi + 1):
         count = counts[e.depth_of_scale(n)]
-        rows.append((n, count, math.log2(count) / n if count > 1 else 0.0))
+        rows.append((n, count, log2(count) / n if count > 1 else 0.0))
     start = max(max(1, n_lo), (n_hi + 1) // 2)
     window = [r[2] for r in rows if r[0] >= start]
     closed = None
@@ -375,8 +368,6 @@ def sparse_I_builder(h: DyadicHFn, depth: int) -> ISpec:
     (valid at every depth); other gauges get a sparse geometric tail whose
     validity is certified only up to `depth`.
     """
-    from .hfun import power_hfn, precede
-
     verdict = precede(h, power_hfn(1, n_max=min(h.n_max, 96)),
                       depth=min(depth, h.n_max))
     if not verdict.holds:
@@ -540,22 +531,19 @@ def product_inequality_check(a: TreeSet, b: TreeSet, h: DyadicHFn, g: DyadicHFn,
                              budget: Budget | None = None) -> ProductCheckReport:
     """Finite-depth instances of the product inequalities for box contents
     and Hausdorff bounds on interleaved tree products."""
-    from .hfun import multiply
-
     bud = _budget(budget)
     m = n_lo if m is None else m
     depth = depth if depth is not None else n_hi
     p = ProductSet(a, b)
     hg = multiply(h, g)
 
-    na = a.trace_counts(n_hi, bud)
-    nb = b.trace_counts(max(n_hi, depth), bud)  # the transported cost reads it too
-    nprod = p.trace_counts(2 * n_hi, bud)
-    counting = all(nprod[2 * n] == na[n] * nb[n] for n in range(n_lo, n_hi + 1))
-
+    nb = b.trace_counts(max(n_hi, depth), bud)  # the transported cost reads it
     seq_a = box_content_sequence(a, h, n_lo, n_hi, bud)
     seq_b = box_content_sequence(b, g, n_lo, n_hi, bud)
     seq_p = box_content_sequence(p, hg, n_lo, n_hi, bud)
+    # row n holds N at scale n: depth n of a factor, depth 2n of the product
+    counting = all(rp[1] == ra[1] * rb[1] for ra, rb, rp
+                   in zip(seq_a.entries, seq_b.entries, seq_p.entries))
     window_ok = seq_p.tail_sup <= seq_a.tail_sup * seq_b.tail_sup
 
     bounds_a = hausdorff_measure_delta(a, h, m, depth, bud)
@@ -574,15 +562,12 @@ def product_inequality_check(a: TreeSet, b: TreeSet, h: DyadicHFn, g: DyadicHFn,
 
     fo = finite_order(h, min(64, h.n_max)).holds and finite_order(g, min(64, g.n_max)).holds
 
-    c_upper = None
-    c_directed = None
+    # a one-set filtration's dbox witness is that set's tail_inf
+    c_upper = c_directed = None
     if seq_p.tail_sup > 0:
-        dbox_b = dbox_on_filtration(trivial_filtration(b), g, n_lo, n_hi, bud)
-        c_upper = (seq_a.tail_sup * dbox_b.value) / seq_p.tail_sup
+        c_upper = (seq_a.tail_sup * seq_b.tail_inf) / seq_p.tail_sup
     if seq_p.tail_inf > 0:
-        dbox_a = dbox_on_filtration(trivial_filtration(a), h, n_lo, n_hi, bud)
-        dbox_b = dbox_on_filtration(trivial_filtration(b), g, n_lo, n_hi, bud)
-        c_directed = (dbox_a.value * dbox_b.value) / seq_p.tail_inf
+        c_directed = (seq_a.tail_inf * seq_b.tail_inf) / seq_p.tail_inf
 
     ok = counting and window_ok and transport_ok and lower_ok
     return ProductCheckReport(ok, counting, window_ok, transport_ok, lower_ok,
@@ -705,8 +690,6 @@ def lipschitz_image_check(e: TreeSet, code: BlockCode, h: DyadicHFn,
     """Check the image bound of a block code against the transported source
     bound: identity and shifts use the Lipschitz constant, the repeat code
     uses its modulus g(r) = r^2 through the composed gauge."""
-    from .hfun import compose, power_hfn
-
     bud = _budget(budget)
     if isinstance(code, IdentityCode):
         src = hausdorff_measure_delta(e, h, m, depth, bud)
@@ -720,7 +703,6 @@ def lipschitz_image_check(e: TreeSet, code: BlockCode, h: DyadicHFn,
         img = hausdorff_measure_delta(code.image(e), h, m - k, depth - k, bud)
         if h.symbolic is None or h.symbolic.t != 0:
             raise ValueError("shift check wants a symbolic power gauge")
-        from .hfun import pow2_bounds
         l_pow = pow2_bounds(h.symbolic.s * k, h.precision)[1]
         transported = l_pow * src.upper
         return LipschitzReport(img.upper <= transported, img, transported,
@@ -733,28 +715,6 @@ def lipschitz_image_check(e: TreeSet, code: BlockCode, h: DyadicHFn,
         return LipschitzReport(img.upper <= src.upper, img, src.upper,
                                "modulus r^2")
     raise ValueError(f"unsupported code {code.name}")
-
-
-def verify_code_modulus(e: TreeSet, code: BlockCode, depth: int,
-                        budget: Budget | None = None) -> bool:
-    """Exhaustively confirm the declared modulus on trace pairs to `depth`."""
-    bud = _budget(budget)
-    words = e.trace(depth, bud)
-    for i, wa in enumerate(words):
-        for wb in words[i + 1:]:
-            na = next((t for t in range(depth) if wa[t] != wb[t]), depth)
-            fa, fb = code.apply_word(wa), code.apply_word(wb)
-            nf = next((t for t in range(len(fa)) if fa[t] != fb[t]), len(fa))
-            if isinstance(code, ShiftCode):
-                if nf < na - code.k:
-                    return False
-            elif isinstance(code, RepeatCode):
-                if nf < 2 * na:
-                    return False
-            elif isinstance(code, IdentityCode):
-                if nf != na:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

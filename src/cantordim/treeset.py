@@ -491,11 +491,3 @@ def is_trace_subset(a: TreeSet, b: TreeSet, depth: int,
                     nxt[ca, cb] = w + str(bit)
         frontier = nxt
     return None
-
-
-def coherence_holds(e: TreeSet, p: Word, budget: Budget | None = None) -> bool:
-    """meets(p) iff meets(p0) or meets(p1); True for every kind by design."""
-    m = e.meets(p, budget)
-    m0 = e.meets(p + "0", budget)
-    m1 = e.meets(p + "1", budget)
-    return m == (m0 or m1)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from cantordim.hfun import pow2_bounds
+from cantordim.measures import IdentityCode, RepeatCode, ShiftCode
 from cantordim.words import all_words, xor_words
 
 
@@ -271,3 +272,34 @@ def gauge_table_error(lo, hi):
         if n and (lo[n] > lo[n - 1] or hi[n] > hi[n - 1]):
             return f"gauge values must be nonincreasing in n (index {n})"
     return None
+
+
+def coherence_holds(e, p, budget=None):
+    """meets(p) iff meets(p0) or meets(p1); True for every kind by design."""
+    m = e.meets(p, budget)
+    m0 = e.meets(p + "0", budget)
+    m1 = e.meets(p + "1", budget)
+    return m == (m0 or m1)
+
+
+def verify_code_modulus(e, code, depth, budget=None):
+    """Exhaustively confirm a block code's declared modulus on every pair of
+    depth-`depth` trace words: the images of two words whose common prefix
+    has n bits share at least n - k bits under a k-shift, at least 2n under
+    the repeat code and exactly n under the identity."""
+    words = e.trace(depth, budget)
+    for i, wa in enumerate(words):
+        for wb in words[i + 1:]:
+            na = next((t for t in range(depth) if wa[t] != wb[t]), depth)
+            fa, fb = code.apply_word(wa), code.apply_word(wb)
+            nf = next((t for t in range(len(fa)) if fa[t] != fb[t]), len(fa))
+            if isinstance(code, ShiftCode):
+                if nf < na - code.k:
+                    return False
+            elif isinstance(code, RepeatCode):
+                if nf < 2 * na:
+                    return False
+            elif isinstance(code, IdentityCode):
+                if nf != na:
+                    return False
+    return True

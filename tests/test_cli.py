@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cantordim
 from cantordim.cli import main
 from cantordim.hfun import power_hfn
 from cantordim.measures import hausdorff_measure_delta
@@ -35,6 +38,14 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+def cli_env(**extra):
+    """This process's environment with the package's ``src`` directory on
+    PYTHONPATH, for ``python -m cantordim.cli`` subprocesses."""
+    src = str(Path(cantordim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_measure_fullcube(specs, capsys):
     code, out, _ = run(["measure", specs["fc"], specs["r1"],
                         "--scale", "0", "--depth", "16"], capsys)
@@ -57,6 +68,21 @@ def test_measure_deep_depth(specs, capsys):
                         "--depth", "3000"], capsys)
     assert code == 0
     assert json.loads(out)["upper"] == f"1/{2 ** 1500}"  # 2^-|3000 cap evens|
+
+
+def test_log_gauge_content_stays_level_past_its_table(specs, capsys):
+    # N is 2^48 at n = 96 and 97; r^(1/10) log^2 is clamped to nonincreasing
+    # in its table (to 96), and its samples past the table keep that clamp
+    path = specs["dir"] / "g.json"
+    path.write_text(canonical_json({"symbolic": {"s": "1/10", "t": 2}}))
+    code, out, _ = run(["dim", specs["ce"], "--range", "95:98", "--hfn",
+                        str(path)], capsys)
+    assert code == 0
+    rows = {r["n"]: r for r in json.loads(out)["rows"]}
+    assert rows[96]["N"] == rows[97]["N"]
+    contents = [Fraction(rows[n]["N_times_h"]) / int(rows[n]["N"])
+                for n in range(95, 99)]
+    assert contents == sorted(contents, reverse=True)
 
 
 def test_measure_precision_reaches_the_gauge(specs, tmp_path, capsys):
@@ -156,7 +182,7 @@ def test_deeply_nested_spec_is_input_error(tmp_path, levels):
     path.write_text(nested_spec(levels))
     proc = subprocess.run(
         [sys.executable, "-m", "cantordim.cli", "dim", str(path), "--range", "1:3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("input error:")
     assert "Traceback" not in proc.stderr
@@ -209,7 +235,7 @@ def test_deepest_nested_sumset_evaluates(specs, tmp_path):
                   "--depth", "8"],
                  ["verify", str(inst_path), "--depth", "6"]):
         proc = subprocess.run([sys.executable, "-m", "cantordim.cli"] + argv,
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 0 and proc.stderr == "", argv
 
 
@@ -339,17 +365,16 @@ def test_entry_point_subprocess(specs):
     proc = subprocess.run(
         [sys.executable, "-m", "cantordim.cli", "measure", specs["fc"],
          specs["r1"], "--scale", "0", "--depth", "12"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["upper"] == "1"
 
 
 def test_byte_determinism_across_hash_seeds(specs, tmp_path):
     # set-state iteration order must never leak into outputs
-    import os
     outputs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = cli_env(PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [sys.executable, "-m", "cantordim.cli", "cover", "build",
              "--set", specs["ce"], "--hfn", specs["r1"], "--levels", "3",

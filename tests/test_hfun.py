@@ -6,11 +6,12 @@ import pytest
 
 from cantordim import hfun
 from cantordim.errors import BuildError, DepthExceededError, SpecFormatError
-from cantordim.hfun import (DyadicHFn, Symbolic, compose, diagonal_dominate,
-                            eval_at_rational, finite_order, grid_index_floor,
-                            grid_inverse, hfn_from_epsilons, iroot_floor,
-                            ln2_bounds, multiply, pow2_bounds, power_hfn,
-                            power_log_hfn, precede, table_hfn)
+from cantordim.hfun import (DyadicHFn, Symbolic, _Grid, compose,
+                            diagonal_dominate, eval_at_rational, finite_order,
+                            grid_index_ceil, grid_index_floor, grid_inverse,
+                            hfn_from_epsilons, iroot_floor, ln2_bounds,
+                            multiply, pow2_bounds, power_hfn, power_log_hfn,
+                            precede, table_hfn)
 
 POWERS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
           Fraction(1), Fraction(2)]
@@ -21,6 +22,13 @@ def test_iroot_floor():
         for k in (1, 2, 3, 5):
             r = iroot_floor(x, k)
             assert r ** k <= x < (r + 1) ** k
+    # roots past float range, perfect powers and their neighbours, and the
+    # root of 2^(b prec + j) that an s = 1/1000 gauge takes
+    cube = (2 ** 400 + 1) ** 3
+    for x, k in [(cube - 1, 3), (cube, 3), (cube + 1, 3), (3 ** 5000, 7),
+                 (1 << (1000 * 128 + 7), 1000)]:
+        r = iroot_floor(x, k)
+        assert r ** k <= x < (r + 1) ** k
 
 
 def test_pow2_bounds_sound():
@@ -74,6 +82,16 @@ def test_log_gauge_takes_one_ln2_bracket(monkeypatch, t):
     # a second gauge pays for its own bracket: nothing is shared process-wide
     power_log_hfn(Fraction(1, 2), t, 40).value(50)
     assert len(brackets) == 2
+
+
+@pytest.mark.parametrize("s,t", [("1/10", 2), ("1/20", 1), ("1/1000", 1),
+                                 ("1/2", 1), ("1", 1), ("1", -1), ("2/3", 2)])
+def test_log_gauges_stay_nonincreasing_past_their_table(s, t):
+    h = power_log_hfn(Fraction(s), t)
+    samples = [h.value(n) for n in range(h.n_max + 151)]
+    for n in range(1, len(samples)):
+        assert samples[n][0] <= samples[n - 1][0], (s, t, n)
+        assert samples[n][1] <= samples[n - 1][1], (s, t, n)
 
 
 def test_invariants_rejected():
@@ -201,11 +219,12 @@ def test_hfn_from_epsilons_examples():
 def test_outward_rounding_soundness_spot_check(rng):
     # higher-precision evaluation must stay inside the coarser interval
     for s, t in [(Fraction(1, 2), 0), (Fraction(1, 3), 0), (1, 1), (1, -1), (Fraction(2, 3), 2)]:
-        coarse = Symbolic(Fraction(s), t)
+        sym = Symbolic(Fraction(s), t)
+        coarse, fine = _Grid(sym, 96), _Grid(sym, 256)
         for _ in range(20):
             n = rng.randint(1, 80)
-            lo, hi = coarse.grid_bounds(n, 96)
-            lo2, hi2 = coarse.grid_bounds(n, 256)
+            lo, hi = coarse.sample(n)
+            lo2, hi2 = fine.sample(n)
             assert lo <= lo2 <= hi2 <= hi
 
 
@@ -215,6 +234,20 @@ def test_grid_index_floor():
     assert grid_index_floor(Fraction(3, 8)) == 2
     with pytest.raises(ValueError):
         grid_index_floor(Fraction(0))
+
+
+def test_grid_snaps_bracket_r(rng):
+    dyadic = [Fraction(1, 1 << k) for k in range(70)]
+    drawn = []
+    for _ in range(2000):
+        q = rng.randint(1, 1 << rng.randint(1, 90))
+        drawn.append(Fraction(rng.randint(1, q), q))
+    for r in dyadic + drawn:
+        n = grid_index_floor(r)
+        assert Fraction(1, 1 << n) <= r < Fraction(2, 1 << n), r
+        n = grid_index_ceil(r)
+        assert Fraction(1, 2 << n) < r <= Fraction(1, 1 << n), r
+    assert [grid_index_ceil(r) for r in dyadic] == list(range(70))
 
 
 def test_depth_exceeded():

@@ -9,7 +9,7 @@ from cantordim.errors import BuildError, DepthExceededError, SpecFormatError
 from cantordim.hfun import power_hfn, table_hfn
 from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               ShelahMWitness, ShelahNWitness, TPrimeWitness,
-                              ZERO_POINT, ank_test, ci_density,
+                              ZERO_POINT, ank_test,
                               einc_inclusion, me_cover, me_fbuilder, me_sums,
                               nadd_box_check, nadd_fbuilder,
                               s_membership_count, shelahM_check,
@@ -323,12 +323,13 @@ def test_tprime_from_dpnull_witness():
 
 
 def test_ci_density():
-    assert ci_density(evens()) == (Fraction(1, 2), Fraction(1, 2))
-    assert ci_density(periodic_ispec("", "1")) == (0, 0)
+    assert evens().complement_density_limits() == (Fraction(1, 2), Fraction(1, 2))
+    assert periodic_ispec("", "1").complement_density_limits() == (0, 0)
     from cantordim.words import geometric_blocks
-    assert ci_density(geometric_blocks(1, 2, 4)) == (Fraction(1, 3), Fraction(2, 3))
+    assert geometric_blocks(1, 2, 4).complement_density_limits() == \
+        (Fraction(1, 3), Fraction(2, 3))
     with pytest.raises(SpecFormatError):
-        ci_density(periodic_ispec("", "0"))
+        periodic_ispec("", "0").complement_density_limits()
 
 
 def test_point_prefix():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (min_cover_count_arbitrary, min_cylinder_cover_cost,
-                     separation_count)
+                     separation_count, verify_code_modulus)
 
 from cantordim.errors import BuildError, ResourceLimitError
 from cantordim.hfun import multiply, power_hfn, power_log_hfn, table_hfn
@@ -18,7 +18,7 @@ from cantordim.measures import (CIProductMass, Filtration, TableMass,
                                 mass_lower_certificate,
                                 product_inequality_check, sparse_I_builder,
                                 trivial_filtration, IdentityCode, RepeatCode,
-                                ShiftCode, verify_code_modulus)
+                                ShiftCode)
 from cantordim.specio import parse_hfn
 from cantordim.treeset import (Budget, CISet, CylinderUnionSet, ExplicitSet,
                                FullCube, ProductSet, UnionSet)
@@ -395,6 +395,17 @@ def test_product_check_constants_are_pinned(rng):
                          if seq_p.tail_inf > 0 else None)
         assert (rep.empirical_c_upper, rep.empirical_c_directed) == \
             (want_upper, want_directed)
+
+
+def test_product_check_charge_is_pinned():
+    # the `verify howroyd-i` instance: 60 nodes in four trace-count sweeps
+    # (B for the transported cost, then A, B and A x B for their content
+    # sequences) and 35 in the three DPs and the cover extraction
+    half = power_hfn(Fraction(1, 2))
+    bud = Budget()
+    product_inequality_check(CISet(evens()), CISet(odds()), half, half, 1, 12,
+                             budget=bud)
+    assert bud.used == 95
 
 
 def test_product_xn_instance():

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ci_trace, interleave_trace, xor_trace
+from oracles import ci_trace, coherence_holds, interleave_trace, xor_trace
 
 from cantordim.errors import ResourceLimitError, SpecFormatError
 from cantordim.treeset import (END, BlockConstraintSet, Budget, CISet,
                                CylinderUnionSet, ExplicitSet, FullCube,
-                               ProductSet, SumSet, UnionSet, coherence_holds,
-                               is_trace_subset, singleton_zero)
+                               ProductSet, SumSet, UnionSet, is_trace_subset,
+                               singleton_zero)
 from cantordim.words import all_words, evens, odds, periodic_ispec
 
 
