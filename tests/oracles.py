@@ -9,9 +9,10 @@ can disagree.
 from fractions import Fraction
 from functools import lru_cache
 
-from cantordim.hfun import pow2_bounds
-from cantordim.measures import IdentityCode, RepeatCode, ShiftCode
-from cantordim.words import all_words, xor_words
+from cantordim.errors import BuildError
+from cantordim.hfun import pow2_bounds, power_hfn, precede
+from cantordim.measures import IdentityCode, RepeatCode, ShiftCode, _gauge_covers
+from cantordim.words import ISpec, all_words, xor_words
 
 
 def ci_trace(contains, n):
@@ -303,3 +304,52 @@ def verify_code_modulus(e, code, depth, budget=None):
                 if nf != na:
                     return False
     return True
+
+
+def sparse_greedy(h, depth):
+    """The sparse index set of a gauge h strictly above r, by the plain
+    greedy: index j < depth is admitted when 2^|n cap I| <= h(2^-n) / 2^-n
+    still holds at every n in (j, depth] with j in I, checked against a
+    table of the counts |n cap I| kept for every n.  A symbolic power r^s
+    compares counts with n (1 - s) exactly and continues with the period of
+    density 1 - s; other gauges ask the gauge at each n and continue with a
+    sparse geometric tail."""
+    verdict = precede(h, power_hfn(1, n_max=min(h.n_max, 96)),
+                      depth=min(depth, h.n_max))
+    if not verdict.holds:
+        raise BuildError("sparse_I_builder needs h strictly above r (h < 1)")
+    frac = 1 - h.symbolic.s if (h.symbolic and h.symbolic.t == 0) else None
+
+    def admissible(j, cnt_after):
+        for n in range(j + 1, depth + 1):
+            c = cnt_after(n)
+            if frac is not None:
+                if c * frac.denominator > n * frac.numerator:
+                    return False
+            else:
+                if n > h.n_max:
+                    return False
+                if not _gauge_covers(Fraction(1, 1 << (n - c)), h, n):
+                    return False
+        return True
+
+    bits = []
+    counts = [0] * (depth + 2)
+    for j in range(depth):
+        cand = lambda n, j=j: counts[n] + (1 if n > j else 0)
+        if admissible(j, cand):
+            bits.append("1")
+            for n in range(j + 1, depth + 2):
+                counts[n] += 1
+        else:
+            bits.append("0")
+    prefix = "".join(bits)
+    if frac is not None:
+        b = frac.denominator
+        period = "".join(
+            "1" if (o + 1) * frac.numerator // b > o * frac.numerator // b else "0"
+            for o in range(b))
+        if "1" not in period:
+            raise BuildError("gauge too close to r; no admissible period")
+        return ISpec(prefix, ("periodic", period))
+    return ISpec(prefix, ("powers", depth + 1, 4))

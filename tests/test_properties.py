@@ -20,17 +20,18 @@ from hypothesis import strategies as st
 
 from oracles import (block_level_trace, cover_walk_charge,
                      covering_groups_by_words, gauge_table,
-                     gauge_table_error, min_cylinder_cover_cost)
+                     gauge_table_error, min_cylinder_cover_cost, sparse_greedy)
 
 from cantordim.cli import main
 from cantordim.covers import Cover, _covered_groups, verify_lambda
-from cantordim.errors import SpecFormatError
+from cantordim.errors import CantorDimError, SpecFormatError
 from cantordim.hfun import DyadicHFn, power_hfn, power_log_hfn, table_hfn
 from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               ShelahMWitness, ShelahNWitness, TPrimeWitness,
                               _growth, nadd_box_check, shelahN_filtration,
                               tprime_lbox_check, tprime_level_sets)
-from cantordim.measures import extract_optimal_cover, hausdorff_measure_delta
+from cantordim.measures import (extract_optimal_cover, hausdorff_measure_delta,
+                                sparse_I_builder)
 from cantordim.specio import (canonical_json, cover_to_obj, parse_cover,
                               parse_set, parse_witness, set_to_dict,
                               witness_to_dict)
@@ -107,6 +108,34 @@ def test_gauge_tables_match_the_per_sample_oracle(a, b, t, prec, n_max):
     # samples past the table are the oracle's, a log gauge's still clamped
     deep = range(n_max + 1, 2 * n_max + 1)
     assert [h.value(n) for n in deep] == [(lo[n], hi[n]) for n in deep]
+
+
+
+SPARSE_TABLES = (table_hfn([Fraction(1, n + 1) for n in range(97)]),
+                 table_hfn([Fraction(1, 1 << n // 2) for n in range(101)]))
+
+
+@st.composite
+def sparse_gauges(draw):
+    """A gauge strictly above r: a symbolic power r^(a/b), r^(a/b) log(1/r)^t
+    or a table."""
+    kind = draw(st.sampled_from(("power", "log", "table")))
+    if kind == "table":
+        return draw(st.sampled_from(SPARSE_TABLES))
+    b = draw(st.integers(2, 40))
+    s = Fraction(draw(st.integers(1, b - 1)), b)
+    return power_log_hfn(s, 0 if kind == "power" else draw(st.sampled_from((-1, 1, 2))))
+
+
+@given(sparse_gauges(), st.integers(0, 100))
+def test_sparse_index_sets_match_the_greedy_oracle(h, depth):
+    def outcome(build):
+        try:
+            return build(h, depth)
+        except CantorDimError as exc:  # a refusal must match too
+            return type(exc), str(exc)
+
+    assert outcome(sparse_I_builder) == outcome(sparse_greedy)
 
 
 samples = st.builds(Fraction, st.integers(-1, 6), st.just(4))
