@@ -296,8 +296,7 @@ def build_fine_lambda(e: TreeSet, eps, h: DyadicHFn, witness: Cover,
     return out
 
 
-def build_gamma_groupable(filtration: Filtration, h: DyadicHFn,
-                          level_covers=None, max_scale: int = 48,
+def build_gamma_groupable(filtration: Filtration, h: DyadicHFn, max_scale: int = 48,
                           depth: int = 24, budget: Budget | None = None) -> Cover:
     """Concatenate per-level covers of cost < 2^-n into a grouped cover.
 
@@ -310,23 +309,17 @@ def build_gamma_groupable(filtration: Filtration, h: DyadicHFn,
     groups = []
     for n, x in enumerate(filtration.sets):
         threshold = Fraction(1, 1 << n)
-        if level_covers is not None:
-            cyls = tuple(level_covers[n])
-            cost = sum(h.hi_at(len(w)) for w in cyls)
-            if cost >= threshold:
-                raise BuildError(f"level {n} cover cost {cost} >= 2^-{n}")
-        else:
-            cyls = None
-            for m in range(n + 1, max_scale + 1):
-                if m > h.n_max:
-                    break
-                cand, cost = extract_optimal_cover(x, h, m, min(m + 8, max_scale), bud)
-                if cost < threshold:
-                    cyls = tuple(cand)
-                    break
-            if cyls is None:
-                raise BuildError(f"no level-{n} cover of cost below 2^-{n} "
-                                 f"within scale {max_scale}")
+        cyls = None
+        for m in range(n + 1, max_scale + 1):
+            if m > h.n_max:
+                break
+            cand, cost = extract_optimal_cover(x, h, m, min(m + 8, max_scale), bud)
+            if cost < threshold:
+                cyls = tuple(cand)
+                break
+        if cyls is None:
+            raise BuildError(f"no level-{n} cover of cost below 2^-{n} "
+                             f"within scale {max_scale}")
         groups.append((len(elements), len(elements) + len(cyls)))
         elements.extend(cyls)
     cover = Cover(tuple(elements), tuple(groups))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm, log2
 
 from .errors import BuildError, DepthExceededError, SpecFormatError
@@ -281,18 +282,15 @@ def _symbolic_hfn(sym: Symbolic, n_max: int, precision: int) -> DyadicHFn:
     lo, hi = [p[0] for p in samples], [p[1] for p in samples]
     if sym.t:
         # r^s log(1/r)^t can wobble at the top of the grid; clamp to monotone
-        for n in range(1, len(lo)):
-            lo[n] = min(lo[n], lo[n - 1])
-            hi[n] = min(hi[n], hi[n - 1])
+        lo, hi = list(accumulate(lo, min)), list(accumulate(hi, min))
     h = DyadicHFn(lo, hi, sym, precision)
     h._grid = grid
     return h
 
 
-def table_hfn(values, precision: int = DEFAULT_PRECISION_BITS,
-              name: str | None = None) -> DyadicHFn:
+def table_hfn(values, precision: int = DEFAULT_PRECISION_BITS) -> DyadicHFn:
     vals = [Fraction(v) for v in values]
-    return DyadicHFn(vals, vals, None, precision, name)
+    return DyadicHFn(vals, vals, None, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +380,7 @@ def finite_order(h: DyadicHFn, depth: int = 64) -> FiniteOrderVerdict:
 # Constructions
 
 
-def diagonal_dominate(hs, n_max: int | None = None,
-                      precision: int = DEFAULT_PRECISION_BITS) -> DyadicHFn:
+def diagonal_dominate(hs) -> DyadicHFn:
     """A gauge preceded by every input: precede(h_i, out) holds for all i.
 
     Grid value at m is min over the inputs of h_i(2^-m), damped by 2^-w(m)
@@ -396,16 +393,15 @@ def diagonal_dominate(hs, n_max: int | None = None,
     for h in hs:
         if not h.is_vanishing:
             raise BuildError(f"gauge {h.name} is not vanishing")
+    n_max = min(h.n_max for h in hs)
     if all(h.symbolic is not None and h.symbolic.t == 0 for h in hs):
-        s = max(h.symbolic.s for h in hs) + Fraction(1, 4)
-        return power_hfn(s, n_max or min(h.n_max for h in hs), precision)
-    m_top = n_max if n_max is not None else min(h.n_max for h in hs)
+        return power_hfn(max(h.symbolic.s for h in hs) + Fraction(1, 4), n_max)
     lo, hi = [], []
-    for m in range(m_top + 1):
+    for m in range(n_max + 1):
         damp = Fraction(1, 1 << (m // 4))
         lo.append(min(h.lo_at(m) for h in hs) * damp)
         hi.append(min(h.hi_at(m) for h in hs) * damp)
-    return DyadicHFn(lo, hi, None, precision, name="diag")
+    return DyadicHFn(lo, hi, None, name="diag")
 
 
 def multiply(h: DyadicHFn, g: DyadicHFn) -> DyadicHFn:
@@ -459,11 +455,8 @@ def compose(h: DyadicHFn, g: DyadicHFn) -> DyadicHFn:
                 f"compose needs h at grid index {j_deep} (table to {h.n_max})")
         lo.append(h.lo_at(j_deep))
         hi.append(h.hi_at(min(j_shallow, h.n_max)))
-    for n in range(1, top + 1):
-        lo[n] = min(lo[n], lo[n - 1])
-        hi[n] = min(hi[n], hi[n - 1])
-    return DyadicHFn(lo, hi, None, max(h.precision, g.precision),
-                     name=f"({h.name})o({g.name})")
+    return DyadicHFn(list(accumulate(lo, min)), list(accumulate(hi, min)), None,
+                     max(h.precision, g.precision), name=f"({h.name})o({g.name})")
 
 
 def grid_inverse(g: DyadicHFn) -> DyadicHFn:
@@ -509,8 +502,7 @@ def hfn_from_epsilons(eps, n_max: int | None = None) -> DyadicHFn:
             vals.append(Fraction(1, count + 1 + max(0, m - deepest)))
         else:
             vals.append(Fraction(1, first))
-    for m in range(1, len(vals)):
-        vals[m] = min(vals[m], vals[m - 1])
+    vals = list(accumulate(vals, min))
     # force a strictly decreasing tail so the vanishing flag holds
     m = len(vals) - 1
     while m > 0 and vals[m] == vals[m - 1] == vals[-1]:

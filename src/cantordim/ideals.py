@@ -147,15 +147,13 @@ class SMembershipReport:
     blocks_checked: int
 
 
-def s_membership_count(fam: BlockFamily, x: Word,
-                       blocks: int | None = None) -> SMembershipReport:
+def s_membership_count(fam: BlockFamily, x: Word) -> SMembershipReport:
     """How often x's blocks land in the families (the 'frequently' count)."""
-    top = fam.count if blocks is None else min(blocks, fam.count)
     hits = []
-    for n in range(top):
+    for n in range(fam.count):
         if fam.partition.restrict(x, n) in set(fam.family(n)):
             hits.append(n)
-    return SMembershipReport(len(hits), tuple(hits), top)
+    return SMembershipReport(len(hits), tuple(hits), fam.count)
 
 
 @dataclass(frozen=True)
@@ -238,17 +236,8 @@ def xtilde_level_set(f: BlockPartition, g: BlockPartition, fam: BlockFamily,
 
 
 def xtilde_filtration(f, g, fam, gfam) -> Filtration:
-    return _natural_filtration(xtilde_level_set(f, g, fam, gfam, n0)
-                               for n0 in range(gfam.count))
-
-
-def _natural_filtration(levels) -> Filtration:
-    """The increasing levels as a filtration that each level carries as its
-    natural one."""
-    filt = Filtration(tuple(levels))
-    for lvl in filt.sets:
-        lvl.natural_filtration = filt
-    return filt
+    return Filtration(tuple(xtilde_level_set(f, g, fam, gfam, n0)
+                            for n0 in range(gfam.count)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +444,7 @@ def _block_levels(f: BlockPartition, families: dict) -> Filtration:
         levels.append(BlockConstraintSet(
             [f(j) for j in range(lo, top + 2)],
             [list(families[j]) if j in families else None for j in range(lo, top + 1)]))
-    return _natural_filtration(levels)
+    return Filtration(tuple(levels))
 
 
 def _box_rows(filtration: Filtration, targets, budget: Budget | None) -> BoxCheckReport:

@@ -373,45 +373,26 @@ def sparse_I_builder(h: DyadicHFn, depth: int) -> ISpec:
     if not verdict.holds:
         raise BuildError("sparse_I_builder needs h strictly above r (h < 1)")
 
-    # 1 - s for a symbolic power r^s, the density the symbolic branch keeps
-    frac = 1 - h.symbolic.s if (h.symbolic and h.symbolic.t == 0) else None
-    bits = []
-
-    def admissible(j: int, cnt_after) -> bool:
-        # cnt_after(n) = |n cap I| if we admit j; check every n in (j, depth]
-        for n in range(j + 1, depth + 1):
-            c = cnt_after(n)
-            if frac is not None:
-                if c * frac.denominator > n * frac.numerator:  # c > n * frac
-                    return False
-            else:
-                if n > h.n_max:
-                    return False
-                if not _gauge_covers(Fraction(1, 1 << (n - c)), h, n):
-                    return False
-        return True
-
-    counts = [0] * (depth + 2)  # counts[n] = |n cap I| so far
-    for j in range(depth):
-        cand = lambda n, j=j: counts[n] + (1 if n > j else 0)
-        if admissible(j, cand):
-            bits.append("1")
-            for n in range(j + 1, depth + 2):
-                counts[n] += 1
-        else:
-            bits.append("0")
-    prefix = "".join(bits)
-
-    if frac is not None:
-        b = frac.denominator
-        period = "".join(
-            "1" if (o + 1) * frac.numerator // b > o * frac.numerator // b else "0"
-            for o in range(b)
-        )
+    if h.symbolic and h.symbolic.t == 0:
+        # with a/b = 1 - s the greedy admits j exactly when |(j+1) cap I|
+        # may grow, i.e. floor((j+1)a/b) > floor(ja/b): the Beatty word of
+        # a/b, which is also the period
+        a, b = (1 - h.symbolic.s).as_integer_ratio()
+        period = "".join("1" if (o + 1) * a // b > o * a // b else "0"
+                         for o in range(b))
         if "1" not in period:
             raise BuildError("gauge too close to r; no admissible period")
-        return ISpec(prefix, ("periodic", period))
-    return ISpec(prefix, ("powers", depth + 1, 4))
+        return ISpec((period * (depth // b + 1))[:depth], ("periodic", period))
+
+    # every index admitted so far is below j, so |n cap I| = c at every
+    # n > j, and c + 1 once j is admitted
+    bits, c = [], 0
+    for j in range(depth):
+        ok = all(n <= h.n_max and _gauge_covers(Fraction(1, 1 << (n - c - 1)), h, n)
+                 for n in range(j + 1, depth + 1))
+        bits.append("1" if ok else "0")
+        c += ok
+    return ISpec("".join(bits), ("powers", depth + 1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -478,31 +459,28 @@ class ChainReport:
 
 
 def chain_check(e: TreeSet, h: DyadicHFn, m: int, depth: int,
-                filtration: Filtration | None = None,
                 budget: Budget | None = None) -> ChainReport:
     """Instance check of the measure chain H <= uH <= dbox <= ubox.
 
     uH is aliased to H (tree-coded sets are compact); the dbox value is the
-    filtration-relative witness; box contents are tail-window statistics.
+    witness of the one-set filtration, the tail inf of E's own content
+    sequence; box contents are tail-window statistics.
     """
     bud = _budget(budget)
     hb = hausdorff_measure_delta(e, h, m, depth, bud)
-    filt = filtration or trivial_filtration(e)
-    n_hi = e.scale_of_depth(depth)
-    dbox = dbox_on_filtration(filt, h, m, n_hi, bud)
-    seq = box_content_sequence(e, h, m, n_hi, bud)
+    seq = box_content_sequence(e, h, m, e.scale_of_depth(depth), bud)
+    dbox = seq.tail_inf
     failures = []
     if hb.lower > hb.upper:
         failures.append("lower > upper")
-    if hb.lower > dbox.value:
+    if hb.lower > dbox:
         failures.append("H lower exceeds dbox witness")
-    if dbox.value > seq.tail_sup:
+    if dbox > seq.tail_sup:
         failures.append("dbox witness exceeds ubox tail sup")
     best_single_scale = min(r[3] for r in seq.entries)
     if hb.upper > best_single_scale:
         failures.append("DP upper exceeds a single-scale trace cover")
-    return ChainReport(not failures, hb, hb, dbox.value, seq.tail_sup,
-                       tuple(failures))
+    return ChainReport(not failures, hb, hb, dbox, seq.tail_sup, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +528,12 @@ def product_inequality_check(a: TreeSet, b: TreeSet, h: DyadicHFn, g: DyadicHFn,
     bounds_b = hausdorff_measure_delta(b, g, m, depth, bud)
     bounds_p = hausdorff_measure_delta(p, hg, m, 2 * depth, bud)
 
+    # each cover word is its piece's chain bottom (the branch depth of a
+    # piece that splits, `depth` for a leaf), so on the plain factor A its
+    # length is the piece's diameter scale capped at `depth`
     cover_a, _ = extract_optimal_cover(a, h, m, depth, bud)
-    transported = Fraction(0)
-    for word in cover_a:
-        diam = a.local_diameter(word, depth + 64, bud)
-        scale = min(diam.scale if not diam.is_point_to_depth else depth, depth)
-        transported += h.hi_at(scale) * g.hi_at(scale) * nb[scale]
+    transported = sum((h.hi_at(k) * g.hi_at(k) * nb[k] for k in map(len, cover_a)),
+                      Fraction(0))
     transport_ok = bounds_p.upper <= transported
 
     lower_ok = bounds_a.lower * bounds_b.lower <= bounds_p.upper
@@ -726,15 +704,12 @@ def increasing_sets_split(e: TreeSet, h: DyadicHFn, s: Fraction, depth: int,
                           budget: Budget | None = None) -> Filtration:
     """A filtration of E whose per-level box contents stay below s.
 
-    Uses the supplied candidate, the set's natural filtration (attached by
-    the witness pipelines), or the trivial one; raises when no level
-    structure keeps the window content under s.
+    Uses the supplied candidate, or else the trivial one; raises when a
+    level's window content is not under s.
     """
     s = Fraction(s)
     bud = _budget(budget)
-    filt = candidate or e.natural_filtration or trivial_filtration(e)
-    if not isinstance(filt, Filtration):
-        filt = Filtration(tuple(filt))
+    filt = candidate or trivial_filtration(e)
     n_hi = e.scale_of_depth(depth)
     n_lo = max(0, n_hi // 2)
     for k, x in enumerate(filt.sets):

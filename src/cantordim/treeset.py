@@ -79,7 +79,6 @@ class TreeSet:
 
     def __init__(self):
         self._children_cache: dict = {}
-        self.natural_filtration = None  # optionally set by witness pipelines
 
     # -- automaton interface ------------------------------------------------
 
@@ -465,9 +464,9 @@ class CylinderUnionSet(ExplicitSet):
 # Set algebra helpers
 
 
-def singleton_zero(depth_hint: int = 0) -> ExplicitSet:
+def singleton_zero() -> ExplicitSet:
     """The constant-0 point, the group identity of the cube."""
-    return ExplicitSet([""] if depth_hint == 0 else ["0" * depth_hint], tail="zeros")
+    return ExplicitSet([""], tail="zeros")
 
 
 def is_trace_subset(a: TreeSet, b: TreeSet, depth: int,

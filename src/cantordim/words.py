@@ -203,5 +203,5 @@ def geometric_blocks(c: int, d: int, q: int) -> ISpec:
     return ISpec("", ("blocks", c, d, q))
 
 
-def geometric_powers(c: int, q: int, prefix: str = "") -> ISpec:
-    return ISpec(prefix, ("powers", c, q))
+def geometric_powers(c: int, q: int) -> ISpec:
+    return ISpec("", ("powers", c, q))

@@ -290,6 +290,27 @@ def test_chain_check_battery(battery, gauges):
             assert rep.ok, (name, gname, rep.failures)
 
 
+def test_chain_dbox_witness_is_the_one_set_filtration_witness(battery, gauges):
+    for e in battery.values():
+        for gname in ("r1", "r_half", "harmonic"):
+            for m, depth in ((0, 8), (2, 12)):
+                h = gauges[gname]
+                want = dbox_on_filtration(trivial_filtration(e), h, m,
+                                          e.scale_of_depth(depth)).value
+                assert chain_check(e, h, m, depth).dbox_witness == want
+
+
+def test_chain_check_charge_is_pinned():
+    # `verify chain-fullcube` and `verify chain-ci` at the default scale 8
+    # and depth 32: 65 and 49 nodes in the DP, and 32 in the one trace-count
+    # sweep of the content sequence, which also yields the dbox witness
+    for e, h, used in ((FullCube(), power_hfn(1), 97),
+                       (CISet(evens()), power_hfn(Fraction(1, 2)), 81)):
+        bud = Budget()
+        assert chain_check(e, h, 8, 32, budget=bud).ok
+        assert bud.used == used
+
+
 def test_chain_fullcube_all_ones():
     rep = chain_check(FullCube(), power_hfn(1), 0, 16)
     assert rep.ok
@@ -361,6 +382,19 @@ def test_product_inequality_checks():
     assert rep3.transport_ok and rep3.lower_product_ok
 
 
+def random_plain_pair(rng):
+    """Two plain factors, a gauge for each and a scale range lo..hi."""
+    a, b = (rng.choice([FullCube(), CISet(periodic_ispec("", rng.choice(
+        ["10", "01", "100", "110"]))), ExplicitSet(
+        rng.sample(all_words(4), rng.randint(1, 8)), tail=rng.choice(
+            ["zeros", "free"]))]) for _ in range(2))
+    h, g = (rng.choice([power_hfn(Fraction(1, 2)), power_hfn(1), power_hfn(Fraction(1, 3)),
+                        table_hfn([Fraction(1, n + 1) for n in range(97)])])
+            for _ in range(2))
+    lo = rng.randint(0, 3)
+    return a, b, h, g, lo, lo + rng.randint(0, 6)
+
+
 def test_product_check_constants_are_pinned(rng):
     half = power_hfn(Fraction(1, 2))
     rep = product_inequality_check(CISet(evens()), CISet(odds()), half, half, 1, 12)
@@ -371,15 +405,7 @@ def test_product_check_constants_are_pinned(rng):
     # on random plain sets the constants are the ratios of the factors'
     # directed box witnesses to the product's window statistics
     for _ in range(12):
-        a, b = (rng.choice([FullCube(), CISet(periodic_ispec("", rng.choice(
-            ["10", "01", "100", "110"]))), ExplicitSet(
-            rng.sample(all_words(4), rng.randint(1, 8)), tail=rng.choice(
-                ["zeros", "free"]))]) for _ in range(2))
-        h, g = (rng.choice([half, power_hfn(1), power_hfn(Fraction(1, 3)),
-                            table_hfn([Fraction(1, n + 1) for n in range(97)])])
-                for _ in range(2))
-        lo = rng.randint(0, 3)
-        hi = lo + rng.randint(0, 6)
+        a, b, h, g, lo, hi = random_plain_pair(rng)
         rep = product_inequality_check(a, b, h, g, lo, hi)
         na, nb = a.trace_counts(hi), b.trace_counts(hi)
         nprod = ProductSet(a, b).trace_counts(2 * hi)
@@ -400,12 +426,30 @@ def test_product_check_constants_are_pinned(rng):
 def test_product_check_charge_is_pinned():
     # the `verify howroyd-i` instance: 60 nodes in four trace-count sweeps
     # (B for the transported cost, then A, B and A x B for their content
-    # sequences) and 35 in the three DPs and the cover extraction
+    # sequences) and 34 in the three DPs and the cover extraction; the
+    # transported cost reads each cover word's scale off its length
     half = power_hfn(Fraction(1, 2))
     bud = Budget()
     product_inequality_check(CISet(evens()), CISet(odds()), half, half, 1, 12,
                              budget=bud)
-    assert bud.used == 95
+    assert bud.used == 94
+
+
+def test_transported_cost_reads_scales_off_the_cover_words():
+    # the cost the product check transports from A's optimal cover equals
+    # the sum priced at each word's local diameter, capped at the depth
+    rng = random.Random(13)
+    for _ in range(40):
+        a, b, h, g, lo, hi = random_plain_pair(rng)
+        depth = hi + rng.randint(0, 4)
+        rep = product_inequality_check(a, b, h, g, lo, hi, depth=depth)
+        nb = b.trace_counts(depth)
+        want = Fraction(0)
+        for word in extract_optimal_cover(a, h, lo, depth)[0]:
+            diam = a.local_diameter(word, depth + 64)
+            scale = min(diam.scale if not diam.is_point_to_depth else depth, depth)
+            want += h.hi_at(scale) * g.hi_at(scale) * nb[scale]
+        assert rep.details["transported"] == want
 
 
 def test_product_xn_instance():
@@ -446,7 +490,7 @@ def test_increasing_sets_split_shelahn():
     w = ShelahNWitness(f, fams)
     filt = shelahN_filtration(w)
     top = filt.sets[-1]
-    out = increasing_sets_split(top, power_hfn(1), Fraction(2), 10)
+    out = increasing_sets_split(top, power_hfn(1), Fraction(2), 10, candidate=filt)
     assert len(out) == len(filt)
 
 
