@@ -88,13 +88,13 @@ def cmd_dim(cfg: RunConfig, args) -> int:
         # gauge given: emit the box-content sequence n, N, N*h instead
         h = cfg.parse_hfn(specio.load_json(args.hfn))
         seq = measures.box_content_sequence(e, h, lo, hi, cfg.make_budget())
-        rows = [(n, count, specio.rational_str(v_hi))
+        rows = [(n, specio.rational_str(count), specio.rational_str(v_hi))
                 for n, count, _, v_hi in seq.entries]
         if cfg.fmt == "csv":
             _emit_csv(cfg, ["n", "N", "N_times_h"], rows)
         else:
             _emit_json(cfg, {
-                "rows": [{"n": n, "N": str(c), "N_times_h": v} for n, c, v in rows],
+                "rows": [{"n": n, "N": c, "N_times_h": v} for n, c, v in rows],
                 "tail_sup": specio.rational_str(seq.tail_sup),
                 "tail_inf": specio.rational_str(seq.tail_inf),
                 "window_start": seq.window_start,
@@ -102,12 +102,12 @@ def cmd_dim(cfg: RunConfig, args) -> int:
             })
         return EXIT_PASS
     report = measures.box_dimensions(e, lo, hi, cfg.make_budget())
-    rows = [(n, count, f"{ratio:.6f}") for n, count, ratio in report.rows]
+    rows = [(n, specio.rational_str(c), f"{r:.6f}") for n, c, r in report.rows]
     if cfg.fmt == "csv":
         _emit_csv(cfg, ["n", "N", "log2N_over_n"], rows)
         return EXIT_PASS
     payload = {
-        "rows": [{"n": n, "N": str(c), "log2N_over_n": r} for n, c, r in rows],
+        "rows": [{"n": n, "N": c, "log2N_over_n": r} for n, c, r in rows],
         "lower_estimate": f"{report.lower_estimate:.6f}",
         "upper_estimate": f"{report.upper_estimate:.6f}",
         "limits": cfg.limits(),

@@ -124,7 +124,7 @@ def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
     chain's bits as an int, and the child states (c0, c1) at b + 1, or None
     when one cylinder covers the piece optimally.  The DP walks an explicit
     post-order stack, c0's subtree before c1's, so every (state, d) is
-    charged once, as a recursive walk would.
+    expanded once, as a recursive walk would, at one node per lookup.
     """
     leaf_scale = e.scale_of_depth(depth)
     if leaf_scale < m:
@@ -142,7 +142,6 @@ def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
         if branch is None:  # expand (state, d) unless it is already priced
             if (state, d) in memo:
                 continue
-            bud.spend()
             b, bits, kids = e.chain(state, d, depth, bud)
             if kids is None:
                 memo[state, d] = (0, hi[leaf_scale], b, bits, None)
@@ -335,7 +334,6 @@ def mass_lower_certificate(e: TreeSet, h: DyadicHFn, mass: TreeMass, depth: int,
     root = ("", e.root_state(), mass.value_at(""))
     frontier = {key(root): root}
     for d in range(depth + 1):
-        bud.spend(len(frontier))
         nxt = {}
         for word, state, lam in frontier.values():
             if lam != 0:
@@ -368,9 +366,8 @@ def sparse_I_builder(h: DyadicHFn, depth: int) -> ISpec:
     (valid at every depth); other gauges get a sparse geometric tail whose
     validity is certified only up to `depth`.
     """
-    verdict = precede(h, power_hfn(1, n_max=min(h.n_max, 96)),
-                      depth=min(depth, h.n_max))
-    if not verdict.holds:
+    window = min(depth, h.n_max)
+    if not precede(h, power_hfn(1, n_max=window), depth=window).holds:
         raise BuildError("sparse_I_builder needs h strictly above r (h < 1)")
 
     if h.symbolic and h.symbolic.t == 0:

@@ -11,10 +11,11 @@ files.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .covers import Cover
-from .errors import SpecFormatError
+from .errors import ResourceLimitError, SpecFormatError
 from .hfun import (DEFAULT_N_MAX, DEFAULT_PRECISION_BITS, DyadicHFn,
                    power_hfn, power_log_hfn, table_hfn)
 from .ideals import (BlockFamily, BlockPartition, EventualPoint,
@@ -37,7 +38,11 @@ def rational(text, where: str) -> Fraction:
 
 
 def rational_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError:  # past Python's int-to-str digit limit
+        raise ResourceLimitError("number too long to print "
+                                 f"(over {sys.get_int_max_str_digits()} digits)") from None
 
 
 def _need(d: dict, key: str, where: str, kind: type = object):

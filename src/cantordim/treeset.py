@@ -89,11 +89,11 @@ class TreeSet:
         raise NotImplementedError
 
     def children(self, state, depth: int, budget: Budget | None = None):
+        if budget is not None:
+            budget.spend()  # one node per lookup, whether cached or not
         key = (state, depth)
         hit = self._children_cache.get(key)
         if hit is None:
-            if budget is not None:
-                budget.spend()
             hit = tuple(
                 (b, s) for b in (0, 1) if (s := self.step(state, depth, b)) is not None
             )
@@ -140,7 +140,6 @@ class TreeSet:
                 continue
             # push bit 1 first so the left branch is expanded first
             for bit, child in reversed(self.children(state, len(word), bud)):
-                bud.spend()
                 stack.append((word + str(bit), child))
         out.sort()
         return out
@@ -149,8 +148,7 @@ class TreeSet:
         """[|trace_0|, ..., |trace_n|] from one forward sweep.
 
         The frontier maps each state at depth d to the number of depth-d
-        trace words that reach it; every frontier state is expanded once,
-        at one budget node, whether or not its children are cached.
+        trace words that reach it; every frontier state is expanded once.
         """
         if n < 0:
             raise ValueError("depth must be nonnegative")
@@ -158,10 +156,9 @@ class TreeSet:
         frontier = {self.root_state(): 1}
         out = [1]
         for d in range(n):
-            bud.spend(len(frontier))
             nxt: dict = {}
             for state, mult in frontier.items():
-                for _, child in self.children(state, d):
+                for _, child in self.children(state, d, bud):
                     nxt[child] = nxt.get(child, 0) + mult
             frontier = nxt
             out.append(sum(nxt.values()))
@@ -486,7 +483,6 @@ def is_trace_subset(a: TreeSet, b: TreeSet, depth: int,
                 if cb is None:
                     return w + str(bit)
                 if (ca, cb) not in nxt:
-                    bud.spend()
                     nxt[ca, cb] = w + str(bit)
         frontier = nxt
     return None

@@ -314,8 +314,8 @@ def sparse_greedy(h, depth):
     compares counts with n (1 - s) exactly and continues with the period of
     density 1 - s; other gauges ask the gauge at each n and continue with a
     sparse geometric tail."""
-    verdict = precede(h, power_hfn(1, n_max=min(h.n_max, 96)),
-                      depth=min(depth, h.n_max))
+    window = min(depth, h.n_max)
+    verdict = precede(h, power_hfn(1, n_max=window), depth=window)
     if not verdict.holds:
         raise BuildError("sparse_I_builder needs h strictly above r (h < 1)")
     frac = 1 - h.symbolic.s if (h.symbolic and h.symbolic.t == 0) else None

@@ -239,6 +239,26 @@ def test_deepest_nested_sumset_evaluates(specs, tmp_path):
         assert proc.returncode == 0 and proc.stderr == "", argv
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name, gauge, rng", [
+    # N * h past the int-to-str digit limit: a huge power, a huge log power
+    ("ce", {"symbolic": {"s": 100000}}, "1:4"),
+    ("ce", {"symbolic": {"s": "1", "t": 100}}, "1:4"),
+    # the count N itself
+    ("fc", None, "14990:15000"),
+])
+def test_numbers_too_long_to_print_are_a_resource_limit(specs, capsys, fmt,
+                                                         name, gauge, rng):
+    argv = ["dim", specs[name], "--range", rng, "--format", fmt]
+    if gauge is not None:
+        path = specs["dir"] / "huge.json"
+        path.write_text(json.dumps(gauge))
+        argv += ["--hfn", str(path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: number too long to print")
+
+
 DEEP_MISS = [f"0{i:03b}" for i in range(8)] + ["10", "110", "1110"]
 
 

@@ -164,20 +164,21 @@ def test_sparse_builder_certificate():
         assert hausdorff_measure_delta(e, h, m, 64).upper >= cert.value
 
 
-def test_mass_sweep_charges_one_node_per_checked_state():
+def test_mass_sweep_charges_one_node_per_lookup():
     h = power_hfn(Fraction(1, 2))
     ispec = sparse_I_builder(h, 64)
     e, mass = CISet(ispec), CIProductMass(ispec)
     cold, warm = Budget(), Budget()
     assert mass_lower_certificate(e, h, mass, 64, cold).ok
-    misses = len(e._children_cache)
     assert mass_lower_certificate(e, h, mass, 64, warm).ok
-    # C_I keeps one state per depth: 65 (state, depth) pairs at one node
-    # each, cold or warm; a cold run adds one node per transition-cache miss
-    assert warm.used == 65
-    assert cold.used - misses == warm.used and cold.used == 130
-    # a table mass is checked word by word, one node per word
-    for depth, used in ((4, 36), (8, 520)):
+    # C_I keeps one state per depth: each of the 65 checked states looks up
+    # its chain to the first branch (one node, two when its depth is one of
+    # the 32 indices of I below 64), and each of the 64 above the horizon
+    # its children once more: 65 + 32 + 64, cold or warm
+    assert cold.used == warm.used == 161
+    # a table mass is checked word by word: one node for each word's
+    # branch and one for the children of each word above the horizon
+    for depth, used in ((4, 46), (8, 766)):
         table = {w: Fraction(1, 1 << n) for n in range(depth + 1) for w in all_words(n)}
         budget = Budget()
         assert mass_lower_certificate(FullCube(), power_hfn(1), TableMass(table),
@@ -206,6 +207,16 @@ def test_mass_sweep_is_bounded_by_the_budget():
 def test_sparse_builder_rejects_r1():
     with pytest.raises(BuildError):
         sparse_I_builder(power_hfn(1), 64)
+
+
+def test_sparse_builder_takes_a_table_deeper_than_96():
+    # the reference r is built as deep as the precede window, min(depth,
+    # n_max), so a 101-sample table at depth 100 is compared, not refused
+    h = table_hfn([Fraction(1, 1 << n // 2) for n in range(101)])
+    ispec = sparse_I_builder(h, 100)
+    assert ispec.prefix == "10" * 50
+    for n in range(101):
+        assert Fraction(1, 1 << ispec.complement_count(n)) <= h.lo_at(n), n
 
 
 def test_sparse_builder_log_gauge():
@@ -302,13 +313,14 @@ def test_chain_dbox_witness_is_the_one_set_filtration_witness(battery, gauges):
 
 def test_chain_check_charge_is_pinned():
     # `verify chain-fullcube` and `verify chain-ci` at the default scale 8
-    # and depth 32: 65 and 49 nodes in the DP, and 32 in the one trace-count
-    # sweep of the content sequence, which also yields the dbox witness
-    for e, h, used in ((FullCube(), power_hfn(1), 97),
-                       (CISet(evens()), power_hfn(Fraction(1, 2)), 81)):
+    # and depth 32: both sets keep one state per depth, so the DP looks up
+    # 32 transitions, and the one trace-count sweep of the content
+    # sequence, which also yields the dbox witness, 32 more
+    for e, h in ((FullCube(), power_hfn(1)),
+                 (CISet(evens()), power_hfn(Fraction(1, 2)))):
         bud = Budget()
         assert chain_check(e, h, 8, 32, budget=bud).ok
-        assert bud.used == used
+        assert bud.used == 64
 
 
 def test_chain_fullcube_all_ones():
@@ -424,15 +436,16 @@ def test_product_check_constants_are_pinned(rng):
 
 
 def test_product_check_charge_is_pinned():
-    # the `verify howroyd-i` instance: 60 nodes in four trace-count sweeps
-    # (B for the transported cost, then A, B and A x B for their content
-    # sequences) and 34 in the three DPs and the cover extraction; the
-    # transported cost reads each cover word's scale off its length
+    # the `verify howroyd-i` instance, one node per transition lookup: 60
+    # in four trace-count sweeps (B for the transported cost, then A, B
+    # and A x B for their content sequences) and 60 in the three DPs and
+    # the cover extraction (12, 12, 24 and 12); the transported cost reads
+    # each cover word's scale off its length
     half = power_hfn(Fraction(1, 2))
     bud = Budget()
     product_inequality_check(CISet(evens()), CISet(odds()), half, half, 1, 12,
                              budget=bud)
-    assert bud.used == 94
+    assert bud.used == 120
 
 
 def test_transported_cost_reads_scales_off_the_cover_words():
@@ -505,27 +518,27 @@ def test_dp_deep_without_recursion():
 
 
 def test_dp_budget_charges_are_pinned():
-    # one node per (state, depth) priced and per transition-cache miss,
-    # with one automaton state per distinct set of suffixes left to read;
-    # extraction reads the DP's table and adds one node per child piece
-    # it splits into, 2 * (len(cover) - 1)
+    # one node per transition lookup, cached or not, with one automaton
+    # state per distinct set of suffixes left to read; extraction reads the
+    # DP's table and adds one node per child piece it splits into,
+    # 2 * (len(cover) - 1)
     rng = random.Random(20)
     words = sorted(format(i, "012b") for i in rng.sample(range(1 << 12), 300))
     half = power_hfn(Fraction(1, 2))
     b = Budget()
     hausdorff_measure_delta(ExplicitSet(words), half, 3, 12, b)
-    assert b.used == 711
+    assert b.used == 566
     b = Budget()
     cover, _ = extract_optimal_cover(ExplicitSet(words), half, 3, 12, b)
-    assert b.used == 725 and len(cover) == 8
+    assert b.used == 580 and len(cover) == 8
     # "0" and "1" have the distinct suffix sets {"0", "01"} and {"0"}
     c = CylinderUnionSet(["00", "001", "10", "110"])
     b = Budget()
     hausdorff_measure_delta(c, half, 1, 9, b)
-    assert b.used == 23
+    assert b.used == 13
     b = Budget()
     assert extract_optimal_cover(c, half, 1, 9, b)[0] == ["00", "1"]
-    assert b.used == 14
+    assert b.used == 15
 
 
 def test_extraction_charges_the_cover_it_builds():

@@ -5,7 +5,11 @@ import pytest
 
 from oracles import ci_trace, coherence_holds, interleave_trace, xor_trace
 
+from cantordim.covers import is_cover_at_depth
 from cantordim.errors import ResourceLimitError, SpecFormatError
+from cantordim.hfun import power_hfn
+from cantordim.measures import (TableMass, extract_optimal_cover,
+                                hausdorff_measure_delta, mass_lower_certificate)
 from cantordim.treeset import (END, BlockConstraintSet, Budget, CISet,
                                CylinderUnionSet, ExplicitSet, FullCube,
                                ProductSet, SumSet, UnionSet, is_trace_subset,
@@ -140,12 +144,63 @@ def test_trace_counts_deep_without_recursion():
         FullCube().trace_counts(-1)
 
 
-def test_trace_count_charge_ignores_cache_warmth():
-    s = SumSet(CISet(evens()), SumSet(CISet(odds()), ExplicitSet(["0110", "1011"])))
-    cold, warm = Budget(), Budget()
-    first = s.trace_count(20, cold)
-    assert s.trace_count(20, warm) == first
-    assert cold.used == warm.used > 0
+WARMTH_DEPTH = 8
+
+WARMTH_SETS = {
+    "explicit": lambda: ExplicitSet(["0110", "1011", "1100"]),
+    "cylinder_union": lambda: CylinderUnionSet(["00", "001", "10", "110"]),
+    "ci": lambda: CISet(periodic_ispec("1", "100")),
+    "product": lambda: ProductSet(CISet(evens()), CylinderUnionSet(["01", "1"])),
+    "sumset": lambda: SumSet(CISet(evens()),
+                             SumSet(CISet(odds()), ExplicitSet(["0110", "1011"]))),
+}
+
+
+def trace_mass(e):
+    """An additive mass of total 2^-depth, split evenly over the depth-8
+    trace words of e."""
+    words = e.trace(WARMTH_DEPTH)
+    share = Fraction(1, len(words) << WARMTH_DEPTH)
+    table = {}
+    for w in words:
+        for k in range(WARMTH_DEPTH + 1):
+            table[w[:k]] = table.get(w[:k], 0) + share
+    return TableMass(table)
+
+
+# each walk gets the set e it charges and a fresh copy `aux` of e, from
+# which it reads its other inputs without touching e's cache
+WARMTH_WALKS = {
+    "trace": lambda e, aux, b: e.trace(WARMTH_DEPTH, b),
+    "trace_counts": lambda e, aux, b: e.trace_counts(WARMTH_DEPTH, b),
+    "local_diameter": lambda e, aux, b:
+        e.local_diameter(aux.trace(3)[-1], 2 * WARMTH_DEPTH, b),
+    "is_trace_subset": lambda e, aux, b: is_trace_subset(e, aux, WARMTH_DEPTH, b),
+    "hausdorff_measure_delta": lambda e, aux, b:
+        hausdorff_measure_delta(e, power_hfn(Fraction(1, 2)), 1, WARMTH_DEPTH, b),
+    "extract_optimal_cover": lambda e, aux, b:
+        extract_optimal_cover(e, power_hfn(Fraction(1, 2)), 1, WARMTH_DEPTH, b),
+    "mass_lower_certificate": lambda e, aux, b:
+        mass_lower_certificate(e, power_hfn(Fraction(1, 2)), trace_mass(aux),
+                               WARMTH_DEPTH, b),
+    "is_cover_at_depth": lambda e, aux, b:
+        is_cover_at_depth(e, aux.trace(4), WARMTH_DEPTH, b),
+}
+
+
+@pytest.mark.parametrize("kind", WARMTH_SETS)
+@pytest.mark.parametrize("walk", WARMTH_WALKS)
+def test_walk_charge_ignores_cache_warmth(walk, kind):
+    make = WARMTH_SETS[kind]
+    cold = Budget()
+    WARMTH_WALKS[walk](make(), make(), cold)
+    # the same walk on a set whose cache every other walk has filled
+    e, warm = make(), Budget()
+    for other, run in WARMTH_WALKS.items():
+        if other != walk:
+            run(e, make(), Budget())
+    WARMTH_WALKS[walk](e, make(), warm)
+    assert warm.used == cold.used > 0
 
 
 def test_trace_counts_budget_is_one_node_per_expanded_state():
