@@ -238,14 +238,11 @@ def gamma_grouped_sum(cover: Cover, h: DyadicHFn, interleaved: bool = False):
     Uses the certified upper samples of the gauge, so the returned values
     bound the true sums from above (and are exact for exact gauges).
     """
-    per_elem = [h.hi_at(len(w) // 2 if interleaved else len(w))
-                for w in cover.elements]
-    total = sum(per_elem, Fraction(0))
-    groups = []
-    if cover.groups:
-        for a, b in cover.groups:
-            groups.append(sum(per_elem[a:b], Fraction(0)))
-    return total, tuple(groups)
+    scales = [len(w) // 2 if interleaved else len(w) for w in cover.elements]
+    den, _, hi = h.numerators(max(scales, default=0))
+    per_elem = [hi[n] for n in scales]  # numerators over den
+    groups = tuple(Fraction(sum(per_elem[a:b]), den) for a, b in cover.groups or ())
+    return Fraction(sum(per_elem), den), groups
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,16 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm, log2
 
-from .errors import BuildError, DepthExceededError, SpecFormatError
+from .errors import (BuildError, DepthExceededError, ResourceLimitError,
+                     SpecFormatError)
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_N_MAX = 96
+# the widest power of two a gauge sample may be built from, 2^-c or a root
+# of 2^(b prec + j): past it the integer alone takes over 8 MiB, and an
+# exponent such as 2^70 cannot be shifted at all
+MAX_SAMPLE_BITS = 1 << 26
+TOO_LONG = "number too long to print (a gauge sample takes over 2^26 bits)"
 
 
 def iroot_floor(x: int, k: int) -> int:
@@ -90,6 +96,8 @@ class _Grid:
         self.a, self.b = sym.s.numerator, sym.s.denominator
         self.t = sym.t
         self.prec = prec
+        if self.b * prec > MAX_SAMPLE_BITS:
+            raise ResourceLimitError(TOO_LONG)
         self._roots: dict[int, int] = {}
         self._log_powers = None  # (ln2_lo^|t|, ln2_hi^|t|)
 
@@ -102,6 +110,8 @@ class _Grid:
         an = self.a * n
         c = -(-an // b)
         j = c * b - an
+        if c > MAX_SAMPLE_BITS:
+            raise ResourceLimitError(TOO_LONG)
         if not j:
             lo = hi = Fraction(1, 1 << c)
         else:
@@ -149,6 +159,7 @@ class DyadicHFn:
         self.name = name or (self._symbolic_name() if symbolic else "table")
         self._grid: _Grid | None = None  # samples past n_max, made on first use
         self._deep_cache: dict = {}
+        self._view: tuple = (1, (), ())  # see numerators; grown on demand
         self._validate()
 
     def _symbolic_name(self) -> str:
@@ -198,6 +209,25 @@ class DyadicHFn:
             klo, khi = self._grid.sample(k)
             lo, hi = self._deep_cache[k] = min(klo, lo), min(khi, hi)
         return lo, hi
+
+    def numerators(self, n: int) -> tuple[int, tuple, tuple]:
+        """(den, lo, hi): the samples at 0..n, at least, as integer
+        numerators over one common denominator, so that lo[k] / den and
+        hi[k] / den are value(k).  Built on first use only as far as n and
+        grown on demand; each gauge keeps its own, never process-wide."""
+        den, lo, hi = self._view
+        if n >= len(lo):
+            self.value(n)  # raises DepthExceededError past a table
+            new = [self.value(k) for k in range(len(lo), n + 1)]
+            top = lcm(den, *(v.denominator for pair in new for v in pair))
+            if top != den:
+                up = top // den
+                lo, hi = [x * up for x in lo], [x * up for x in hi]
+            lo = (*lo, *(v.numerator * (top // v.denominator) for v, _ in new))
+            hi = (*hi, *(v.numerator * (top // v.denominator) for _, v in new))
+            den = top
+            self._view = den, lo, hi
+        return den, lo, hi
 
     def lo_at(self, n: int) -> Fraction:
         return self.value(n)[0]

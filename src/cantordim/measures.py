@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm, log2
+from math import log2
 
 from .errors import BuildError, DepthExceededError, SpecFormatError
-from .hfun import (DyadicHFn, compose, finite_order, multiply, pow2_bounds,
-                   power_hfn, precede)
+from .hfun import (DyadicHFn, compose, finite_order, grid_index_floor, multiply,
+                   pow2_bounds, power_hfn, precede)
 from .treeset import (Budget, CISet, FullCube, ProductSet, TreeSet, _budget,
                       is_trace_subset)
 from .words import ISpec, Word
@@ -50,19 +50,21 @@ def box_content_sequence(e: TreeSet, h: DyadicHFn, n_lo: int, n_hi: int,
     if n_lo < 0 or n_hi < n_lo:
         raise SpecFormatError(f"bad scale range {n_lo}:{n_hi}")
     counts = e.trace_counts(e.depth_of_scale(n_hi), budget)
-    entries = []
-    for n in range(n_lo, n_hi + 1):
-        count = counts[e.depth_of_scale(n)]
-        lo, hi = h.value(n)
-        entries.append((n, count, count * lo, count * hi))
+    den, lo, hi = h.numerators(n_hi)
+    scales = range(n_lo, n_hi + 1)
+    ns = [counts[e.depth_of_scale(n)] for n in scales]
+    # contents as numerators over den; the window stats compare integers
+    los = [c * lo[n] for n, c in zip(scales, ns)]
+    his = [c * hi[n] for n, c in zip(scales, ns)]
     start = max(n_lo, n_hi - (n_hi - n_lo) // 2, (n_hi + 1) // 2)
-    window = [row for row in entries if row[0] >= start]
+    w = start - n_lo
     return ContentSequence(
-        entries=tuple(entries),
+        entries=tuple((n, c, Fraction(a, den), Fraction(b, den))
+                      for n, c, a, b in zip(scales, ns, los, his)),
         window_start=start,
-        tail_sup=max(r[3] for r in window),
-        tail_inf=min(r[3] for r in window),
-        tail_inf_lo=min(r[2] for r in window),
+        tail_sup=Fraction(max(his[w:]), den),
+        tail_inf=Fraction(min(his[w:]), den),
+        tail_inf_lo=Fraction(min(los[w:]), den),
     )
 
 
@@ -116,53 +118,68 @@ class MeasureBound:
 def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
     """Min-cost cover DP over (state, depth), on integer numerators.
 
-    Every gauge sample the DP can read, at scales max(m, 0)..scale(depth),
-    is put over one common denominator `den`; costs are then added and
-    compared as integers.  Returns (memo, den): memo maps (state, d) to
-    (lower, upper, b, bits, kids), the numerators, the depth b that ends the
+    Costs are added and compared as integer numerators over the gauge's
+    common denominator `den` (``DyadicHFn.numerators``).  Returns (memo,
+    den): memo maps every reachable (state, d) with d <= depth to (lower,
+    upper, b, bits, kids), the numerators, the depth b that ends the
     single-child chain from d (the first branch, or `depth` at a leaf), the
     chain's bits as an int, and the child states (c0, c1) at b + 1, or None
-    when one cylinder covers the piece optimally.  The DP walks an explicit
-    post-order stack, c0's subtree before c1's, so every (state, d) is
-    expanded once, as a recursive walk would, at one node per lookup.
+    when one cylinder covers the piece optimally.  Each (state, d) with
+    d < depth is looked up once, so the DP costs what ``trace_counts(depth)``
+    does.  A single-child node takes its child's entry with one more chain
+    bit; the walk follows such chains in a loop and keeps the branch nodes
+    still to be priced on an explicit stack, c0's subtree before c1's.
     """
     leaf_scale = e.scale_of_depth(depth)
     if leaf_scale < m:
         raise DepthExceededError(f"truncation depth {depth} does not reach "
                                  f"the cover scale {m}")
-    h.value(leaf_scale)  # raises DepthExceededError when the gauge is short
-    samples = {n: h.value(n) for n in range(max(m, 0), leaf_scale + 1)}
-    den = lcm(*(v.denominator for pair in samples.values() for v in pair))
-    lo = {n: v.numerator * (den // v.denominator) for n, (v, _) in samples.items()}
-    hi = {n: v.numerator * (den // v.denominator) for n, (_, v) in samples.items()}
+    den, lo, hi = h.numerators(leaf_scale)
+    # covering a piece that branches at d by one set is admissible once
+    # scale(d) reaches m: the (lo, hi) numerators of that set, else None
+    whole = [(lo[n], hi[n]) if (n := e.scale_of_depth(d)) >= m else None
+             for d in range(depth)]
+    leaf = (0, hi[leaf_scale], depth, 0, None)
     memo: dict = {}
     stack = [(e.root_state(), 0, None)]
+    children, get, push = e.children, memo.get, stack.append
     while stack:
-        state, d, branch = stack.pop()
-        if branch is None:  # expand (state, d) unless it is already priced
-            if (state, d) in memo:
+        state, d, pending = stack.pop()
+        if pending is None:  # walk down from (state, d) unless it is priced
+            path = []  # the single-child nodes above the chain's bottom
+            while True:
+                entry = get((state, d))
+                if entry is not None:
+                    break
+                if d == depth:
+                    entry = memo[state, d] = leaf
+                    break
+                kids = children(state, d, bud)
+                if len(kids) == 2:
+                    (_, c0), (_, c1) = kids
+                    push((state, d, (c0, c1, path)))
+                    if c1 != c0 and (c1, d + 1) not in memo:
+                        push((c1, d + 1, None))
+                    push((c0, d + 1, None))
+                    break
+                path.append((state, d, kids[0][0]))
+                state, d = kids[0][1], d + 1
+            if entry is None or not path:
                 continue
-            b, bits, kids = e.chain(state, d, depth, bud)
-            if kids is None:
-                memo[state, d] = (0, hi[leaf_scale], b, bits, None)
-                continue
-            (_, c0), (_, c1) = kids
-            stack.append((state, d, (b, bits, c0, c1)))
-            stack.append((c1, b + 1, None))
-            stack.append((c0, b + 1, None))
-            continue
-        b, bits, c0, c1 = branch  # combine: both children are priced
-        l0, u0 = memo[c0, b + 1][:2]
-        l1, u1 = memo[c1, b + 1][:2]
-        lower, upper, kids = l0 + l1, u0 + u1, (c0, c1)
-        scale = e.scale_of_depth(b)
-        if scale >= m:
-            # covering the whole piece by one set is admissible here;
-            # ties prefer the parent cylinder
-            lower = min(lo[scale], lower)
-            if hi[scale] <= upper:
-                upper, kids = hi[scale], None
-        memo[state, d] = (lower, upper, b, bits, kids)
+        else:  # combine: both children are priced
+            c0, c1, path = pending
+            e0, e1 = memo[c0, d + 1], memo[c1, d + 1]
+            lower, upper, kids = e0[0] + e1[0], e0[1] + e1[1], (c0, c1)
+            if whole[d] is not None:
+                one_lo, one_hi = whole[d]
+                lower = min(one_lo, lower)
+                if one_hi <= upper:  # ties prefer the parent cylinder
+                    upper, kids = one_hi, None
+            entry = memo[state, d] = (lower, upper, d, 0, kids)
+        lower, upper, b, bits, kids = entry
+        for state, d, bit in reversed(path):
+            bits |= bit << (b - d - 1)
+            memo[state, d] = (lower, upper, b, bits, kids)
     return memo, den
 
 
@@ -305,7 +322,14 @@ def _ci_mass_exact(e: CISet, h: DyadicHFn) -> bool:
 
 
 def _structural_mass_lower(e: TreeSet, h: DyadicHFn) -> Fraction | None:
-    """Mass lower bound valid at every depth, for the kinds that support it."""
+    """Mass lower bound valid at every depth, for the kinds that support it;
+    worked out once per (set, gauge) and kept on the set."""
+    if h not in e._mass_lower_cache:
+        e._mass_lower_cache[h] = _structural_mass(e, h)
+    return e._mass_lower_cache[h]
+
+
+def _structural_mass(e: TreeSet, h: DyadicHFn) -> Fraction | None:
     if h.symbolic is None or h.symbolic.t != 0:
         return None
     if isinstance(e, FullCube):
@@ -325,7 +349,24 @@ def mass_lower_certificate(e: TreeSet, h: DyadicHFn, mass: TreeMass, depth: int,
     (valid for H^h itself) when the periodic/symbolic tail argument closes.
     """
     bud = _budget(budget)
-    slack = 64  # look past the horizon so chain pieces resolve their diameter
+    horizon = depth + 64  # look past `depth` so chain pieces resolve their diameter
+    branch: dict = {}  # (state, d) -> first branch at or below d, or None
+
+    def first_branch(state, d):
+        # nodes of one chain share its branch: each is looked up once
+        path = []
+        while (state, d) not in branch and d < horizon:
+            kids = e.children(state, d, bud)
+            if len(kids) == 2:
+                branch[state, d] = d
+                break
+            path.append((state, d))
+            state, d = kids[0][1], d + 1
+        b = branch.get((state, d))
+        for key in path:
+            branch[key] = b
+        return b
+
     # one level-synchronous sweep over (word, state, mass) nodes; a
     # depth-uniform mass only sees the state, so its frontier is keyed by
     # state, a table mass's by word; each key keeps the first (leftmost)
@@ -337,7 +378,7 @@ def mass_lower_certificate(e: TreeSet, h: DyadicHFn, mass: TreeMass, depth: int,
         nxt = {}
         for word, state, lam in frontier.values():
             if lam != 0:
-                b = e.first_branch(state, d, depth + slack, bud)
+                b = first_branch(state, d)
                 scale_idx = min(e.scale_of_depth(b if b is not None else depth), h.n_max)
                 if not _gauge_covers(lam, h, scale_idx):
                     return MassCertificate(False, Fraction(0), False, depth, word,
@@ -382,11 +423,20 @@ def sparse_I_builder(h: DyadicHFn, depth: int) -> ISpec:
         return ISpec((period * (depth // b + 1))[:depth], ("periodic", period))
 
     # every index admitted so far is below j, so |n cap I| = c at every
-    # n > j, and c + 1 once j is admitted
+    # n > j, and c + 1 once j is admitted.  The test at n only gets harder
+    # as the count grows, so each n is asked once for the largest count it
+    # passes, and j is admitted against their minimum over n in (j, depth]
+    def largest_count(n):
+        # off a symbolic power, _gauge_covers(2^-e, h, n) is 2^-e <= lo(n)
+        if n > h.n_max:
+            return -1
+        lo = h.lo_at(n)
+        return n if lo >= 1 else n - grid_index_floor(lo)
+
+    caps = list(accumulate(map(largest_count, range(depth, 0, -1)), min))[::-1]
     bits, c = [], 0
     for j in range(depth):
-        ok = all(n <= h.n_max and _gauge_covers(Fraction(1, 1 << (n - c - 1)), h, n)
-                 for n in range(j + 1, depth + 1))
+        ok = c + 1 <= caps[j]  # caps[j]: the minimum over n in (j, depth]
         bits.append("1" if ok else "0")
         c += ok
     return ISpec("".join(bits), ("powers", depth + 1, 4))

@@ -79,6 +79,7 @@ class TreeSet:
 
     def __init__(self):
         self._children_cache: dict = {}
+        self._mass_lower_cache: dict = {}  # gauge -> measures' structural bound
 
     # -- automaton interface ------------------------------------------------
 
@@ -168,26 +169,16 @@ class TreeSet:
         """|trace_n|, the last entry of ``trace_counts(n)``."""
         return self.trace_counts(n, budget)[n]
 
-    def chain(self, state, depth: int, horizon: int, bud: Budget):
-        """Follow the single-child chain from (state, depth) up to horizon.
-
-        Returns (b, bits, kids): b the first branch or `horizon`, bits the
-        chain's bits as an int, kids the two children at b or None."""
-        b, bits = depth, 0
-        while b < horizon:
-            kids = self.children(state, b, bud)
-            if len(kids) == 2:
-                return b, bits, kids
-            bits = bits << 1 | kids[0][0]
-            state = kids[0][1]
-            b += 1
-        return b, bits, None
-
     def first_branch(self, state, depth: int, horizon: int,
                      budget: Budget | None = None) -> int | None:
         """Least depth >= `depth` where the subtree splits, up to horizon."""
-        b, _, kids = self.chain(state, depth, horizon, _budget(budget))
-        return None if kids is None else b
+        bud = _budget(budget)
+        for b in range(depth, horizon):
+            kids = self.children(state, b, bud)
+            if len(kids) == 2:
+                return b
+            state = kids[0][1]
+        return None
 
     def local_diameter(self, p: Word, maxdepth: int,
                        budget: Budget | None = None) -> Diameter:

@@ -244,6 +244,10 @@ def test_deepest_nested_sumset_evaluates(specs, tmp_path):
     # N * h past the int-to-str digit limit: a huge power, a huge log power
     ("ce", {"symbolic": {"s": 100000}}, "1:4"),
     ("ce", {"symbolic": {"s": "1", "t": 100}}, "1:4"),
+    # a sample past 2^26 bits is refused while the gauge is built: an
+    # exponent or a root of order 2^70 cannot even be shifted
+    ("ce", {"symbolic": {"s": 1180591620717411303424}}, "1:4"),
+    ("ce", {"symbolic": {"s": "1/1180591620717411303424"}}, "1:4"),
     # the count N itself
     ("fc", None, "14990:15000"),
 ])

@@ -171,19 +171,38 @@ def test_mass_sweep_charges_one_node_per_lookup():
     cold, warm = Budget(), Budget()
     assert mass_lower_certificate(e, h, mass, 64, cold).ok
     assert mass_lower_certificate(e, h, mass, 64, warm).ok
-    # C_I keeps one state per depth: each of the 65 checked states looks up
-    # its chain to the first branch (one node, two when its depth is one of
-    # the 32 indices of I below 64), and each of the 64 above the horizon
-    # its children once more: 65 + 32 + 64, cold or warm
-    assert cold.used == warm.used == 161
-    # a table mass is checked word by word: one node for each word's
-    # branch and one for the children of each word above the horizon
-    for depth, used in ((4, 46), (8, 766)):
+    # C_I keeps one state per depth, and the sweep looks up each (state, d)
+    # on the way to a first branch once: the 65 checked states, each
+    # branching at its own depth or, at one of the 32 indices of I below
+    # 64, one depth further, where the next checked state is; then each of
+    # the 64 above the horizon its children once more: 65 + 64, cold or warm
+    assert cold.used == warm.used == 129
+    # a table mass is checked word by word: one node for each depth's
+    # branch, which FullCube shares across the depth, and one for the
+    # children of each word above the horizon
+    for depth, used in ((4, 20), (8, 264)):
         table = {w: Fraction(1, 1 << n) for n in range(depth + 1) for w in all_words(n)}
         budget = Budget()
         assert mass_lower_certificate(FullCube(), power_hfn(1), TableMass(table),
                                       depth, budget).ok
         assert budget.used == used
+
+
+def test_mass_sweep_looks_up_each_chain_once():
+    # each word is a point whose zeros tail never branches; the sweep used
+    # to walk that tail out to depth + 64 from every checked word (1,501
+    # lookups for 24 words), and now looks up each (state, d) on the way to
+    # a first branch once: 8 above depth 4, where the points meet their one
+    # shared zeros tail, and 68 on it, from 4 to 71; plus the children of
+    # each of the 21 words above the horizon
+    words = ["0110", "1011", "1100"]
+    e = ExplicitSet(words)
+    table = {w: Fraction(sum(x.ljust(8, "0").startswith(w) for x in words), 3)
+             for d in range(9) for w in e.trace(d)}
+    budget = Budget()
+    assert mass_lower_certificate(e, power_hfn(Fraction(1, 8)), TableMass(table),
+                                  8, budget).ok
+    assert budget.used == 8 + 68 + 21
 
 
 def test_mass_sweep_reports_the_shallowest_leftmost_failure():
@@ -217,6 +236,17 @@ def test_sparse_builder_takes_a_table_deeper_than_96():
     assert ispec.prefix == "10" * 50
     for n in range(101):
         assert Fraction(1, 1 << ispec.complement_count(n)) <= h.lo_at(n), n
+
+
+def test_sparse_builder_asks_the_gauge_once_per_scale():
+    # each n's test only gets harder as the count grows, so a log gauge is
+    # read once per n <= depth, not once per (j, n) pair (about depth^2 / 2)
+    h = power_log_hfn(Fraction(1, 2), 1)
+    reads = []
+    value = h.value
+    h.value = lambda n: reads.append(n) or value(n)
+    sparse_I_builder(h, 96)
+    assert reads == list(range(96, 0, -1))
 
 
 def test_sparse_builder_log_gauge():
@@ -519,26 +549,27 @@ def test_dp_deep_without_recursion():
 
 def test_dp_budget_charges_are_pinned():
     # one node per transition lookup, cached or not, with one automaton
-    # state per distinct set of suffixes left to read; extraction reads the
-    # DP's table and adds one node per child piece it splits into,
-    # 2 * (len(cover) - 1)
+    # state per distinct set of suffixes left to read; the DP looks up each
+    # reachable (state, d) with d < depth once, as trace_counts(depth) does,
+    # and extraction reads the DP's table and adds one node per child piece
+    # it splits into, 2 * (len(cover) - 1)
     rng = random.Random(20)
     words = sorted(format(i, "012b") for i in rng.sample(range(1 << 12), 300))
     half = power_hfn(Fraction(1, 2))
     b = Budget()
     hausdorff_measure_delta(ExplicitSet(words), half, 3, 12, b)
-    assert b.used == 566
+    assert b.used == 379
     b = Budget()
     cover, _ = extract_optimal_cover(ExplicitSet(words), half, 3, 12, b)
-    assert b.used == 580 and len(cover) == 8
+    assert b.used == 393 and len(cover) == 8
     # "0" and "1" have the distinct suffix sets {"0", "01"} and {"0"}
     c = CylinderUnionSet(["00", "001", "10", "110"])
     b = Budget()
     hausdorff_measure_delta(c, half, 1, 9, b)
-    assert b.used == 13
+    assert b.used == 11
     b = Budget()
     assert extract_optimal_cover(c, half, 1, 9, b)[0] == ["00", "1"]
-    assert b.used == 15
+    assert b.used == 13
 
 
 def test_extraction_charges_the_cover_it_builds():

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from oracles import (block_level_trace, cover_walk_charge,
 
 from cantordim.cli import main
 from cantordim.covers import Cover, _covered_groups, verify_lambda
-from cantordim.errors import CantorDimError, SpecFormatError
+from cantordim.errors import CantorDimError, DepthExceededError, SpecFormatError
 from cantordim.hfun import DyadicHFn, power_hfn, power_log_hfn, table_hfn
 from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               ShelahMWitness, ShelahNWitness, TPrimeWitness,
@@ -108,6 +109,38 @@ def test_gauge_tables_match_the_per_sample_oracle(a, b, t, prec, n_max):
     # samples past the table are the oracle's, a log gauge's still clamped
     deep = range(n_max + 1, 2 * n_max + 1)
     assert [h.value(n) for n in deep] == [(lo[n], hi[n]) for n in deep]
+
+
+
+
+@st.composite
+def gauges(draw):
+    """A symbolic power or power-log gauge with a short or long table, or a
+    table gauge: the fixed battery or a drawn nonincreasing table."""
+    kind = draw(st.sampled_from(("symbolic", "battery", "table")))
+    if kind == "symbolic":
+        s = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+        return power_log_hfn(s, draw(st.integers(-2, 2)), draw(st.integers(0, 24)),
+                             draw(st.integers(1, 160)))
+    if kind == "battery":
+        return draw(st.sampled_from(GAUGES + SPARSE_TABLES))
+    steps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=24))
+    return table_hfn(Fraction(1, d) for d in accumulate(steps))
+
+
+@given(gauges(), st.lists(st.integers(0, 48), min_size=1, max_size=3))
+def test_numerators_are_the_gauge_samples(h, ns):
+    # the view grows on demand: each request reads samples 0..n off one
+    # common denominator, whatever was asked before
+    for n in ns:
+        if n > h.n_max and h.symbolic is None:
+            with pytest.raises(DepthExceededError):
+                h.numerators(n)
+            continue
+        den, lo, hi = h.numerators(n)
+        assert len(lo) == len(hi) > n
+        assert all((Fraction(lo[k], den), Fraction(hi[k], den)) == h.value(k)
+                   for k in range(n + 1))
 
 
 
@@ -285,6 +318,21 @@ plain_specs = st.recursive(leaf_specs, combined, max_leaves=4)
 product_specs = st.builds(lambda a, b: {"kind": "product", "a": a, "b": b},
                           plain_specs, plain_specs)
 set_specs = st.one_of(plain_specs, st.recursive(product_specs, combined, max_leaves=3))
+
+
+@given(set_specs, st.integers(0, 8), st.sampled_from(GAUGES), st.data())
+def test_dp_charges_what_trace_counts_charges(spec, depth, h, data):
+    # the DP looks up each reachable (state, d) with d < depth once, the
+    # distinct states per depth that trace_counts(depth) expands; extraction
+    # adds one node per child piece it splits into
+    counted, dp, extracted = Budget(), Budget(), Budget()
+    parse_set(spec).trace_counts(depth, counted)
+    e = parse_set(spec)
+    m = data.draw(st.integers(0, e.scale_of_depth(depth)))
+    hausdorff_measure_delta(e, h, m, depth, dp)
+    words, _ = extract_optimal_cover(parse_set(spec), h, m, depth, extracted)
+    assert dp.used == counted.used
+    assert extracted.used == dp.used + 2 * (len(words) - 1)
 
 
 @given(set_specs)
