@@ -148,19 +148,29 @@ class Symbolic:
 
 
 class DyadicHFn:
-    """A Hausdorff function as outward-rounded samples on the dyadic grid."""
+    """A Hausdorff function as outward-rounded samples on the dyadic grid,
+    kept in one integer store (den, lo, hi): sample k is lo[k]/den, hi[k]/den.
+    A table gauge fills it when made; a symbolic gauge from its grid on first
+    read, in order, only as far as asked, up to its declared n_max and past it.
+    """
 
-    def __init__(self, lo, hi, symbolic: Symbolic | None = None,
-                 precision: int = DEFAULT_PRECISION_BITS, name: str | None = None):
-        self.lo = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in lo)
-        self.hi = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in hi)
+    def __init__(self, lo=(), hi=(), symbolic: Symbolic | None = None,
+                 precision: int = DEFAULT_PRECISION_BITS, name: str | None = None,
+                 n_max: int | None = None):
         self.symbolic = symbolic
         self.precision = precision
         self.name = name or (self._symbolic_name() if symbolic else "table")
-        self._grid: _Grid | None = None  # samples past n_max, made on first use
-        self._deep_cache: dict = {}
-        self._view: tuple = (1, (), ())  # see numerators; grown on demand
-        self._validate()
+        self._store: tuple = (1, [], [])
+        # made now, so that an oversized root is refused when the gauge is made
+        self._grid = _Grid(symbolic, precision) if symbolic else None
+        if symbolic is None:
+            lo, hi = list(lo), list(hi)
+            n_max = len(lo) - 1 if len(lo) == len(hi) else -1
+        if n_max < 0:
+            raise SpecFormatError("gauge table bounds must be nonempty and aligned")
+        self.n_max = n_max
+        if symbolic is None:
+            self._fill(list(zip(map(Fraction, lo), map(Fraction, hi))))
 
     def _symbolic_name(self) -> str:
         s = self.symbolic
@@ -168,66 +178,59 @@ class DyadicHFn:
             return f"r^{s.s}"
         return f"r^{s.s}*log^{s.t}"
 
-    def _validate(self):
-        if len(self.lo) != len(self.hi) or not self.lo:
-            raise SpecFormatError("gauge table bounds must be nonempty and aligned")
+    def _fill(self, samples):
+        """Append samples, as (lo, hi) Fractions, to the store: the only way
+        into it, so each one is validated here."""
+        den, lo, hi = self._store
+        n = len(lo)
+        pln, pld, phn, phd = (lo[-1], den, hi[-1], den) if n else (0, 1, 0, 1)
         # p/q <= r/s iff p s <= r q, as denominators are positive
-        for n, (l, h) in enumerate(zip(self.lo, self.hi)):
+        for l, h in samples:
             ln, ld, hn, hd = l.numerator, l.denominator, h.numerator, h.denominator
             if not (0 < ln and ln * hd <= hn * ld):
                 raise SpecFormatError(f"gauge values must be positive (index {n})")
             if n and (ln * pld > pln * ld or hn * phd > phn * hd):
                 raise SpecFormatError(f"gauge values must be nonincreasing in n (index {n})")
             pln, pld, phn, phd = ln, ld, hn, hd
+            n += 1
+        top = lcm(den, *(v.denominator for pair in samples for v in pair))
+        if top != den:
+            up = top // den
+            lo, hi = [x * up for x in lo], [x * up for x in hi]
+        lo.extend(v.numerator * (top // v.denominator) for v, _ in samples)
+        hi.extend(v.numerator * (top // v.denominator) for _, v in samples)
+        self._store = top, lo, hi
 
-    @property
-    def n_max(self) -> int:
-        return len(self.lo) - 1
+    def _grow(self, n: int):
+        """Fill the store from the grid through sample n: within n_max to at
+        least twice its length, so one-at-a-time reads rescale it rarely;
+        past n_max exactly to n."""
+        have = len(self._store[1])
+        sample = self._grid.sample
+        new = [sample(k) for k in range(have, max(n, min(2 * have, self.n_max)) + 1)]
+        if self.symbolic.t:
+            # r^s log(1/r)^t can wobble upward; clamp to nonincreasing
+            lo, hi = self.value(have - 1) if have else new[0]
+            for k, (klo, khi) in enumerate(new):
+                lo, hi = new[k] = min(klo, lo), min(khi, hi)
+        self._fill(new)
+
+    def numerators(self, n: int) -> tuple[int, list, list]:
+        """(den, lo, hi): the store, holding the samples at 0..n at least,
+        so that lo[k] / den and hi[k] / den are value(k).  Read only."""
+        if not 0 <= n < len(self._store[1]):
+            if n < 0 or self._grid is None:
+                raise DepthExceededError(
+                    f"gauge undefined at grid index {n} (table to {self.n_max})")
+            self._grow(n)
+        return self._store
 
     def value(self, n: int) -> tuple[Fraction, Fraction]:
-        if 0 <= n <= self.n_max:
-            return self.lo[n], self.hi[n]
-        if n > self.n_max and self.symbolic is not None:
-            # symbolic gauges extend past their stored table on demand
-            hit = self._deep_cache.get(n)
-            return hit if hit is not None else self._extend(n)
-        raise DepthExceededError(f"gauge undefined at grid index {n} (table to {self.n_max})")
-
-    def _extend(self, n: int) -> tuple[Fraction, Fraction]:
-        """Sample n past the table.  A log gauge keeps its table's clamp to
-        nonincreasing, so its samples are filled in up to n, each one
-        clamped by the one before."""
-        if self._grid is None:
-            self._grid = _Grid(self.symbolic, self.precision)
-        if not self.symbolic.t:
-            hit = self._deep_cache[n] = self._grid.sample(n)
-            return hit
-        # a log gauge's cache runs without gaps from n_max + 1
-        top = self.n_max + len(self._deep_cache)
-        lo, hi = self.value(top)
-        for k in range(top + 1, n + 1):
-            klo, khi = self._grid.sample(k)
-            lo, hi = self._deep_cache[k] = min(klo, lo), min(khi, hi)
-        return lo, hi
-
-    def numerators(self, n: int) -> tuple[int, tuple, tuple]:
-        """(den, lo, hi): the samples at 0..n, at least, as integer
-        numerators over one common denominator, so that lo[k] / den and
-        hi[k] / den are value(k).  Built on first use only as far as n and
-        grown on demand; each gauge keeps its own, never process-wide."""
-        den, lo, hi = self._view
-        if n >= len(lo):
-            self.value(n)  # raises DepthExceededError past a table
-            new = [self.value(k) for k in range(len(lo), n + 1)]
-            top = lcm(den, *(v.denominator for pair in new for v in pair))
-            if top != den:
-                up = top // den
-                lo, hi = [x * up for x in lo], [x * up for x in hi]
-            lo = (*lo, *(v.numerator * (top // v.denominator) for v, _ in new))
-            hi = (*hi, *(v.numerator * (top // v.denominator) for _, v in new))
-            den = top
-            self._view = den, lo, hi
-        return den, lo, hi
+        if n >= len(self._store[1]) and self._grid is not None and not self.symbolic.t:
+            # a power needs no clamp: past the store, read it off the grid
+            return self._grid.sample(n)
+        den, lo, hi = self.numerators(n)
+        return Fraction(lo[n], den), Fraction(hi[n], den)
 
     def lo_at(self, n: int) -> Fraction:
         return self.value(n)[0]
@@ -235,8 +238,12 @@ class DyadicHFn:
     def hi_at(self, n: int) -> Fraction:
         return self.value(n)[1]
 
-    def is_exact_at(self, n: int) -> bool:
-        return self.lo[n] == self.hi[n]
+    lo = property(lambda self: self._fractions(1), doc="Lower bounds at 0..n_max.")
+    hi = property(lambda self: self._fractions(2), doc="Upper bounds at 0..n_max.")
+
+    def _fractions(self, side: int) -> tuple:
+        store = self.numerators(self.n_max)
+        return tuple(Fraction(x, store[0]) for x in store[side][:self.n_max + 1])
 
     @property
     def is_vanishing(self) -> bool:
@@ -246,7 +253,7 @@ class DyadicHFn:
         out before their threshold)."""
         if self.symbolic is not None:
             return self.symbolic.s > 0
-        tail = self.hi[max(0, self.n_max - 4):]
+        tail = self._store[2][max(0, self.n_max - 4):]  # numerators over one den
         return all(b < a for a, b in zip(tail, tail[1:]))
 
     def dominates_dyadic(self, exponent: int, n: int) -> bool | None:
@@ -290,7 +297,7 @@ def power_hfn(s, n_max: int = DEFAULT_N_MAX,
     s = Fraction(s)
     if s <= 0:
         raise SpecFormatError("power gauge needs s > 0")
-    return _symbolic_hfn(Symbolic(s), n_max, precision)
+    return DyadicHFn(symbolic=Symbolic(s), precision=precision, n_max=n_max)
 
 
 def power_log_hfn(s, t: int, n_max: int = DEFAULT_N_MAX,
@@ -302,20 +309,7 @@ def power_log_hfn(s, t: int, n_max: int = DEFAULT_N_MAX,
         raise SpecFormatError("power-log exponent t must be an integer")
     if t == 0:
         return power_hfn(s, n_max, precision)
-    return _symbolic_hfn(Symbolic(s, t), n_max, precision)
-
-
-def _symbolic_hfn(sym: Symbolic, n_max: int, precision: int) -> DyadicHFn:
-    """The gauge's table from one grid, which then serves its deep samples."""
-    grid = _Grid(sym, precision)
-    samples = [grid.sample(n) for n in range(n_max + 1)]
-    lo, hi = [p[0] for p in samples], [p[1] for p in samples]
-    if sym.t:
-        # r^s log(1/r)^t can wobble at the top of the grid; clamp to monotone
-        lo, hi = list(accumulate(lo, min)), list(accumulate(hi, min))
-    h = DyadicHFn(lo, hi, sym, precision)
-    h._grid = grid
-    return h
+    return DyadicHFn(symbolic=Symbolic(s, t), precision=precision, n_max=n_max)
 
 
 def table_hfn(values, precision: int = DEFAULT_PRECISION_BITS) -> DyadicHFn:

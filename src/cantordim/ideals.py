@@ -514,8 +514,10 @@ def nadd_box_check(w: ShelahNWitness, growth, h: DyadicHFn, i_max: int,
 
     Pre: growth(i) <= 1 / h(2^(1-i)) on the checked range.
     """
+    samples = []  # samples[i - 1] = h(2^(1-i)), each read once
     for i in range(1, i_max + 1):
-        if _growth(growth, i) * h.hi_at(i - 1) > 1:
+        samples.append(h.hi_at(i - 1))
+        if _growth(growth, i) * samples[-1] > 1:
             raise BuildError(f"growth({i}) exceeds 1/h(2^(1-{i}))")
     f, sizes = w.f, [len(fam) for fam in w.families]
     targets = []
@@ -527,7 +529,7 @@ def nadd_box_check(w: ShelahNWitness, growth, h: DyadicHFn, i_max: int,
             bound = 1 << f(n)
             for size in sizes[n:k + 1]:
                 bound *= size
-            triples.append((i, bound, h.hi_at(i - 1)))
+            triples.append((i, bound, samples[i - 1]))
         targets.append(triples)
     return _box_rows(shelahN_filtration(w), targets, budget)
 
@@ -579,11 +581,13 @@ def tprime_lbox_check(w: TPrimeWitness, growth, h: DyadicHFn,
     against 2^f(n) * g(n) <= growth(f(n+1)) and content <= 1, so the
     liminf window along I stays at most 1."""
     idx = sorted(w._by_block())
+    samples = []  # h(eps_n) for n in idx, each read once
     for n in idx:
-        if _growth(growth, w.f(n + 1)) * h.hi_at(w.f(n + 1)) > 1:
+        samples.append(h.hi_at(w.f(n + 1)))
+        if _growth(growth, w.f(n + 1)) * samples[-1] > 1:
             raise BuildError(f"growth(f({n}+1)) exceeds 1/h(eps_{n})")
-    triples = [(w.f(n + 1), (1 << w.f(n)) * _growth(w.g, n), h.hi_at(w.f(n + 1)))
-               for n in idx]
+    triples = [(w.f(n + 1), (1 << w.f(n)) * _growth(w.g, n), sample)
+               for n, sample in zip(idx, samples)]
     targets = [[t for n, t in zip(idx, triples) if n >= k] for k in range(idx[-1] + 1)]
     return _box_rows(tprime_level_sets(w), targets, budget)
 

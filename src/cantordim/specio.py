@@ -206,7 +206,7 @@ def hfn_to_dict(h: DyadicHFn) -> dict:
         if h.n_max != DEFAULT_N_MAX:
             out["n_max"] = h.n_max
         return out
-    if all(h.is_exact_at(n) for n in range(h.n_max + 1)):
+    if h.lo == h.hi:
         out = {"table": [rational_str(v) for v in h.lo]}
     else:
         out = {"table_lo": [rational_str(v) for v in h.lo],

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cantordim
+from cantordim import hfun
 from cantordim.cli import main
 from cantordim.hfun import power_hfn
 from cantordim.measures import hausdorff_measure_delta
@@ -244,8 +245,8 @@ def test_deepest_nested_sumset_evaluates(specs, tmp_path):
     # N * h past the int-to-str digit limit: a huge power, a huge log power
     ("ce", {"symbolic": {"s": 100000}}, "1:4"),
     ("ce", {"symbolic": {"s": "1", "t": 100}}, "1:4"),
-    # a sample past 2^26 bits is refused while the gauge is built: an
-    # exponent or a root of order 2^70 cannot even be shifted
+    # a sample past 2^26 bits is refused when it is first read, a root of
+    # order 2^70 when the gauge is made: neither can even be shifted
     ("ce", {"symbolic": {"s": 1180591620717411303424}}, "1:4"),
     ("ce", {"symbolic": {"s": "1/1180591620717411303424"}}, "1:4"),
     # the count N itself
@@ -261,6 +262,18 @@ def test_numbers_too_long_to_print_are_a_resource_limit(specs, capsys, fmt,
     code, out, err = run(argv, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("resource limit: number too long to print")
+
+
+def test_dim_builds_only_the_gauge_samples_it_reads(specs, capsys, monkeypatch):
+    # a gauge is sampled on demand, so its declared n_max costs nothing
+    built = []
+    sample = hfun._Grid.sample
+    monkeypatch.setattr(hfun._Grid, "sample",
+                        lambda grid, n: built.append(n) or sample(grid, n))
+    path = specs["dir"] / "deep.json"
+    path.write_text(json.dumps({"symbolic": {"s": "1/2", "t": 1}, "n_max": 10 ** 6}))
+    code, _, _ = run(["dim", specs["ce"], "--range", "1:4", "--hfn", str(path)], capsys)
+    assert code == 0 and 0 < len(built) <= 10
 
 
 DEEP_MISS = [f"0{i:03b}" for i in range(8)] + ["10", "110", "1110"]

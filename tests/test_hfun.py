@@ -47,15 +47,33 @@ def test_ln2_bounds():
     assert Fraction(693147, 1000000) < lo and hi < Fraction(693148, 1000000)
 
 
-def _counted(monkeypatch, name):
+def _counted(monkeypatch, name, owner=hfun):
     calls = []
-    real = getattr(hfun, name)
+    real = getattr(owner, name)
 
     def counting(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(hfun, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def test_a_fresh_gauge_builds_no_sample_until_it_is_read(monkeypatch):
+    built = _counted(monkeypatch, "sample", _Grid)
+    h = power_log_hfn(Fraction(1, 2), 1, 10 ** 6)
+    power_hfn(Fraction(2, 3), 1 << 70)
+    assert built == []
+    h.value(3)
+    assert [n for _, n in built] == [0, 1, 2, 3]
+
+
+def test_a_power_past_its_store_is_read_off_its_grid(monkeypatch):
+    h = power_hfn(Fraction(1, 2))
+    stored = len(h.numerators(4)[1])
+    built = _counted(monkeypatch, "sample", _Grid)
+    assert h.value(200_000) == pow2_bounds(Fraction(-100_000), h.precision)
+    assert [n for _, n in built] == [200_000]
+    assert len(h.numerators(0)[1]) == stored
 
 
 @pytest.mark.parametrize("s", ["1/2", "2/3", "7/10", "13/7", "9/4", "3"])
@@ -66,6 +84,7 @@ def test_power_table_takes_one_root_per_residue_class(monkeypatch, s, precision)
     s = Fraction(s)
     roots = _counted(monkeypatch, "iroot_floor")
     h = power_hfn(s, 96, precision)
+    h.numerators(96)  # samples are built on first read, not when h is made
     residues = {-s.numerator * n % s.denominator for n in range(97)} - {0}
     assert len(roots) == len(residues) <= s.denominator - 1
     h.value(150)
