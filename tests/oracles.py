@@ -9,7 +9,7 @@ can disagree.
 from fractions import Fraction
 from functools import lru_cache
 
-from cantordim.errors import BuildError
+from cantordim.errors import BuildError, DepthExceededError
 from cantordim.hfun import pow2_bounds, power_hfn, precede
 from cantordim.measures import IdentityCode, RepeatCode, ShiftCode, _gauge_covers
 from cantordim.words import ISpec, all_words, xor_words
@@ -353,3 +353,72 @@ def sparse_greedy(h, depth):
             raise BuildError("gauge too close to r; no admissible period")
         return ISpec(prefix, ("periodic", period))
     return ISpec(prefix, ("powers", depth + 1, 4))
+
+
+def dp_walk(e, h, m, depth, bud):
+    """Min-cost cover DP over (state, depth), on integer numerators, as the
+    per-node post-order walk that ``measures._dp_bounds`` replaced.
+
+    Costs are added and compared as integer numerators over the gauge's
+    common denominator `den` (``DyadicHFn.numerators``).  Returns (memo,
+    den): memo maps every reachable (state, d) with d <= depth to (lower,
+    upper, b, bits, kids), the numerators, the depth b that ends the
+    single-child chain from d (the first branch, or `depth` at a leaf), the
+    chain's bits as an int, and the child states (c0, c1) at b + 1, or None
+    when one cylinder covers the piece optimally.  Each (state, d) with
+    d < depth is looked up once, so the DP costs what ``trace_counts(depth)``
+    does.  A single-child node takes its child's entry with one more chain
+    bit; the walk follows such chains in a loop and keeps the branch nodes
+    still to be priced on an explicit stack, c0's subtree before c1's.
+    """
+    leaf_scale = e.scale_of_depth(depth)
+    if leaf_scale < m:
+        raise DepthExceededError(f"truncation depth {depth} does not reach "
+                                 f"the cover scale {m}")
+    den, lo, hi = h.numerators(leaf_scale)
+    # covering a piece that branches at d by one set is admissible once
+    # scale(d) reaches m: the (lo, hi) numerators of that set, else None
+    whole = [(lo[n], hi[n]) if (n := e.scale_of_depth(d)) >= m else None
+             for d in range(depth)]
+    leaf = (0, hi[leaf_scale], depth, 0, None)
+    memo: dict = {}
+    stack = [(e.root_state(), 0, None)]
+    children, get, push = e.children, memo.get, stack.append
+    while stack:
+        state, d, pending = stack.pop()
+        if pending is None:  # walk down from (state, d) unless it is priced
+            path = []  # the single-child nodes above the chain's bottom
+            while True:
+                entry = get((state, d))
+                if entry is not None:
+                    break
+                if d == depth:
+                    entry = memo[state, d] = leaf
+                    break
+                kids = children(state, d, bud)
+                if len(kids) == 2:
+                    (_, c0), (_, c1) = kids
+                    push((state, d, (c0, c1, path)))
+                    if c1 != c0 and (c1, d + 1) not in memo:
+                        push((c1, d + 1, None))
+                    push((c0, d + 1, None))
+                    break
+                path.append((state, d, kids[0][0]))
+                state, d = kids[0][1], d + 1
+            if entry is None or not path:
+                continue
+        else:  # combine: both children are priced
+            c0, c1, path = pending
+            e0, e1 = memo[c0, d + 1], memo[c1, d + 1]
+            lower, upper, kids = e0[0] + e1[0], e0[1] + e1[1], (c0, c1)
+            if whole[d] is not None:
+                one_lo, one_hi = whole[d]
+                lower = min(one_lo, lower)
+                if one_hi <= upper:  # ties prefer the parent cylinder
+                    upper, kids = one_hi, None
+            entry = memo[state, d] = (lower, upper, d, 0, kids)
+        lower, upper, b, bits, kids = entry
+        for state, d, bit in reversed(path):
+            bits |= bit << (b - d - 1)
+            memo[state, d] = (lower, upper, b, bits, kids)
+    return memo, den

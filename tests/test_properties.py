@@ -20,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (block_level_trace, cover_walk_charge,
-                     covering_groups_by_words, gauge_table,
+                     covering_groups_by_words, dp_walk, gauge_table,
                      gauge_table_error, min_cylinder_cover_cost, sparse_greedy)
 
 from cantordim.cli import main
@@ -31,8 +31,8 @@ from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               ShelahMWitness, ShelahNWitness, TPrimeWitness,
                               _growth, nadd_box_check, shelahN_filtration,
                               tprime_lbox_check, tprime_level_sets)
-from cantordim.measures import (extract_optimal_cover, hausdorff_measure_delta,
-                                sparse_I_builder)
+from cantordim.measures import (_dp_bounds, extract_optimal_cover,
+                                hausdorff_measure_delta, sparse_I_builder)
 from cantordim.specio import (canonical_json, cover_to_obj, parse_cover,
                               parse_set, parse_witness, set_to_dict,
                               witness_to_dict)
@@ -333,6 +333,18 @@ def test_dp_charges_what_trace_counts_charges(spec, depth, h, data):
     words, _ = extract_optimal_cover(parse_set(spec), h, m, depth, extracted)
     assert dp.used == counted.used
     assert extracted.used == dp.used + 2 * (len(words) - 1)
+
+
+@given(set_specs, st.integers(0, 8), st.sampled_from(GAUGES), st.data())
+def test_dp_sweeps_equal_the_walk_oracle(spec, depth, h, data):
+    # every memo entry (bounds, chain end, chain bits, kids) and the charge
+    # equal those of the post-order walk, each on a fresh set
+    e = parse_set(spec)
+    m = data.draw(st.integers(0, e.scale_of_depth(depth)))
+    swept, walked = Budget(), Budget()
+    assert _dp_bounds(e, h, m, depth, swept) == \
+        dp_walk(parse_set(spec), h, m, depth, walked)
+    assert swept.used == walked.used
 
 
 @given(set_specs)
