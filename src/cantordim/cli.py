@@ -264,7 +264,7 @@ def cmd_cover(cfg: RunConfig, args) -> int:
         if args.cover_out:
             with open(args.cover_out, "w", encoding="utf-8") as fh:
                 fh.write(specio.canonical_json(payload))
-        total, _ = covers.gamma_grouped_sum(cover, h)
+        total, _ = covers.gamma_grouped_sum(cover, h, e.interleaved)
         _emit_json(cfg, {"status": "pass" if v.holds else "fail",
                          "groups": cover.group_count,
                          "elements": len(cover.elements),

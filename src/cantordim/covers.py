@@ -15,7 +15,6 @@ from itertools import chain, groupby, repeat
 
 from .errors import BuildError, SpecFormatError
 from .hfun import DyadicHFn, grid_index_floor
-from .ideals import _growth, _least_threshold
 from .measures import Filtration, extract_optimal_cover
 from .treeset import Budget, TreeSet, _budget
 from .words import Word, check_words, interleave
@@ -70,6 +69,23 @@ class Cover:
             if d > self.eps[i]:
                 return i
         return None
+
+
+def _growth(fn, n: int) -> Fraction:
+    """fn(n) for a callable bound, fn[n] for a table."""
+    return Fraction(fn(n) if callable(fn) else fn[n])
+
+
+def _least_threshold(outcomes) -> int | None:
+    """The least index from which every (index, ok) outcome holds; None when
+    the last one fails or there are none."""
+    n0 = None
+    for idx, ok in reversed(outcomes):
+        if ok:
+            n0 = idx
+        else:
+            break
+    return n0
 
 
 def _pool(table: dict, key, nodes: set) -> None:
@@ -280,16 +296,16 @@ def build_fine_lambda(e: TreeSet, eps, h: DyadicHFn, witness: Cover,
     if not lam.holds:
         raise BuildError(f"witness is not a lambda-cover (tail {lam.failure_index})")
     elems = sorted(witness.elements, key=len)  # nonincreasing diameter
-    total = sum(h.hi_at(len(w)) for w in elems)
+    total = sum(h.hi_at(e.scale_of_depth(len(w))) for w in elems)
     if total >= 1:
         raise BuildError(f"witness Hausdorff sum {total} is not below 1")
     if len(eps) < len(elems):
         raise BuildError("eps sequence shorter than the witness")
     out = Cover(tuple(elems), None, eps)
-    bad = out.check_fineness()
+    bad = out.check_fineness(e.interleaved)
     if bad is not None:
         raise BuildError(f"fineness failed at index {bad} "
-                         f"(diameter {Fraction(1, 1 << len(elems[bad]))} > eps)")
+                         f"(diameter {out.diameters(e.interleaved)[bad]} > eps)")
     return out
 
 
@@ -310,7 +326,8 @@ def build_gamma_groupable(filtration: Filtration, h: DyadicHFn, max_scale: int =
         for m in range(n + 1, max_scale + 1):
             if m > h.n_max:
                 break
-            cand, cost = extract_optimal_cover(x, h, m, min(m + 8, max_scale), bud)
+            depth_m = x.depth_of_scale(min(m + 8, max_scale))
+            cand, cost = extract_optimal_cover(x, h, m, depth_m, bud)
             if cost < threshold:
                 cyls = tuple(cand)
                 break
@@ -320,7 +337,7 @@ def build_gamma_groupable(filtration: Filtration, h: DyadicHFn, max_scale: int =
         groups.append((len(elements), len(elements) + len(cyls)))
         elements.extend(cyls)
     cover = Cover(tuple(elements), tuple(groups))
-    total, _ = gamma_grouped_sum(cover, h)
+    total, _ = gamma_grouped_sum(cover, h, filtration.sets[-1].interleaved)
     if not total < 2:
         raise BuildError(f"total Hausdorff sum {total} is not below 2")
     check_depth = max(depth, max(len(w) for w in elements))
@@ -443,7 +460,7 @@ def verify_combDnull_witness(e: TreeSet, eps, index_set, families, f_bound,
     fine_bad, size_bad = [], []
     for n in idx:
         fam = families[n]
-        if any(Fraction(1, 1 << len(w)) > eps[n] for w in fam):
+        if any(Fraction(1, 1 << e.scale_of_depth(len(w))) > eps[n] for w in fam):
             fine_bad.append(n)
         if len(fam) > _growth(f_bound, n):
             size_bad.append(n)

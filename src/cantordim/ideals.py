@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .covers import Cover, _growth, _least_threshold
 from .errors import BuildError, DepthExceededError, SpecFormatError
 from .hfun import DyadicHFn
 from .measures import Filtration
@@ -260,18 +261,6 @@ class ThresholdVerdict:
     horizon: int
 
 
-def _least_threshold(outcomes) -> int | None:
-    """The least index from which every (index, ok) outcome holds; None when
-    the last one fails or there are none."""
-    n0 = None
-    for idx, ok in reversed(outcomes):
-        if ok:
-            n0 = idx
-        else:
-            break
-    return n0
-
-
 def shelahM_check(w: ShelahMWitness, x: Word, n_lo: int, n_hi: int) -> ThresholdVerdict:
     """For each n: is there a full f-block inside [g(n), g(n+1)) on which x
     agrees with y?"""
@@ -343,8 +332,6 @@ def me_cover(w: ShelahMWitness, h: DyadicHFn, k_max: int,
     materialization is capped by element_limit (sums stay closed-form via
     me_sums regardless).
     """
-    from .covers import Cover
-
     f = w.f
     k_top = min(k_max, f.block_count)
     total_elems = sum(1 << f(k) for k in range(k_top))
@@ -396,11 +383,6 @@ class BoxCheckReport:
 
     def __bool__(self):
         return self.ok
-
-
-def _growth(fn, n: int) -> Fraction:
-    """fn(n) for a callable bound, fn[n] for a table."""
-    return Fraction(fn(n) if callable(fn) else fn[n])
 
 
 def _check_families(f: BlockPartition, families: dict, bound) -> None:

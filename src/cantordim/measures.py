@@ -124,62 +124,44 @@ def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
     upper, b, bits, kids), the numerators, the depth b that ends the
     single-child chain from d (the first branch, or `depth` at a leaf), the
     chain's bits as an int, and the child states (c0, c1) at b + 1, or None
-    when one cylinder covers the piece optimally.  Each (state, d) with
-    d < depth is looked up once, so the DP costs what ``trace_counts(depth)``
-    does.  A single-child node takes its child's entry with one more chain
-    bit; the walk follows such chains in a loop and keeps the branch nodes
-    still to be priced on an explicit stack, c0's subtree before c1's.
+    when one cylinder covers the piece optimally.  A forward sweep looks up
+    the children of each (state, d) with d < depth once, so the DP costs
+    what ``trace_counts(depth)`` does; a backward sweep prices each level
+    from the one below and frees it.
     """
     leaf_scale = e.scale_of_depth(depth)
     if leaf_scale < m:
         raise DepthExceededError(f"truncation depth {depth} does not reach "
                                  f"the cover scale {m}")
     den, lo, hi = h.numerators(leaf_scale)
-    # covering a piece that branches at d by one set is admissible once
-    # scale(d) reaches m: the (lo, hi) numerators of that set, else None
-    whole = [(lo[n], hi[n]) if (n := e.scale_of_depth(d)) >= m else None
-             for d in range(depth)]
+    children = e.children
+    levels = []  # levels[d] maps each state at depth d to its children
+    frontier = {e.root_state(): None}
+    for d in range(depth):
+        levels.append(frontier)
+        level, frontier = frontier, {}
+        for state in level:
+            level[state] = kids = children(state, d, bud)
+            for _, child in kids:
+                frontier[child] = None
     leaf = (0, hi[leaf_scale], depth, 0, None)
-    memo: dict = {}
-    stack = [(e.root_state(), 0, None)]
-    children, get, push = e.children, memo.get, stack.append
-    while stack:
-        state, d, pending = stack.pop()
-        if pending is None:  # walk down from (state, d) unless it is priced
-            path = []  # the single-child nodes above the chain's bottom
-            while True:
-                entry = get((state, d))
-                if entry is not None:
-                    break
-                if d == depth:
-                    entry = memo[state, d] = leaf
-                    break
-                kids = children(state, d, bud)
-                if len(kids) == 2:
-                    (_, c0), (_, c1) = kids
-                    push((state, d, (c0, c1, path)))
-                    if c1 != c0 and (c1, d + 1) not in memo:
-                        push((c1, d + 1, None))
-                    push((c0, d + 1, None))
-                    break
-                path.append((state, d, kids[0][0]))
-                state, d = kids[0][1], d + 1
-            if entry is None or not path:
-                continue
-        else:  # combine: both children are priced
-            c0, c1, path = pending
-            e0, e1 = memo[c0, d + 1], memo[c1, d + 1]
-            lower, upper, kids = e0[0] + e1[0], e0[1] + e1[1], (c0, c1)
-            if whole[d] is not None:
-                one_lo, one_hi = whole[d]
-                lower = min(one_lo, lower)
-                if one_hi <= upper:  # ties prefer the parent cylinder
-                    upper, kids = one_hi, None
-            entry = memo[state, d] = (lower, upper, d, 0, kids)
-        lower, upper, b, bits, kids = entry
-        for state, d, bit in reversed(path):
-            bits |= bit << (b - d - 1)
-            memo[state, d] = (lower, upper, b, bits, kids)
+    memo = {(state, depth): leaf for state in frontier}
+    for d in reversed(range(depth)):
+        n = e.scale_of_depth(d)
+        for state, kids in levels.pop().items():
+            if len(kids) == 2:
+                (_, c0), (_, c1) = kids
+                e0, e1 = memo[c0, d + 1], memo[c1, d + 1]
+                lower, upper, kids = e0[0] + e1[0], e0[1] + e1[1], (c0, c1)
+                if n >= m:  # one cylinder may cover the piece
+                    lower = min(lo[n], lower)
+                    if hi[n] <= upper:  # ties prefer the parent cylinder
+                        upper, kids = hi[n], None
+                memo[state, d] = (lower, upper, d, 0, kids)
+            else:
+                (bit, child), = kids
+                lower, upper, b, bits, kids = memo[child, d + 1]
+                memo[state, d] = (lower, upper, b, bits | bit << (b - d - 1), kids)
     return memo, den
 
 
@@ -308,10 +290,9 @@ def _ci_mass_exact(e: CISet, h: DyadicHFn) -> bool:
     period of slack beyond the preperiod (periodic I, symbolic power h)."""
     if h.symbolic is None or h.symbolic.t != 0:
         return False
-    ps = e.ispec.period_structure()
-    if ps is None:
+    if e.ispec.tail[0] != "periodic":
         return False
-    _, period = ps
+    period = e.ispec.tail[1]
     s = h.symbolic.s
     zeros = period.count("0")
     if Fraction(zeros, len(period)) < s:
@@ -613,18 +594,12 @@ class BlockCode:
     def image(self, e: TreeSet) -> TreeSet:
         raise NotImplementedError
 
-    def apply_word(self, w: Word) -> Word:
-        raise NotImplementedError
-
 
 class IdentityCode(BlockCode):
     name = "identity"
 
     def image(self, e):
         return e
-
-    def apply_word(self, w):
-        return w
 
 
 class _ShiftImage(TreeSet):
@@ -660,9 +635,6 @@ class ShiftCode(BlockCode):
     def image(self, e):
         return _ShiftImage(e, self.k)
 
-    def apply_word(self, w):
-        return w[self.k:]
-
 
 class _RepeatImage(TreeSet):
     kind = "repeat_image"
@@ -693,9 +665,6 @@ class RepeatCode(BlockCode):
 
     def image(self, e):
         return _RepeatImage(e)
-
-    def apply_word(self, w):
-        return "".join(c * 2 for c in w)
 
 
 @dataclass(frozen=True)

@@ -180,12 +180,6 @@ class ISpec:
         high_i = Fraction((d - c) * q, d * (q - 1))
         return 1 - high_i, 1 - low_i
 
-    def period_structure(self) -> tuple[int, str] | None:
-        """(preperiod length, period word) when the tail is periodic."""
-        if self.tail[0] != "periodic":
-            return None
-        return len(self.prefix), self.tail[1]
-
 
 def periodic_ispec(preperiod: str, period: str) -> ISpec:
     return ISpec(preperiod, ("periodic", period))

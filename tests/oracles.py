@@ -288,21 +288,21 @@ def verify_code_modulus(e, code, depth, budget=None):
     depth-`depth` trace words: the images of two words whose common prefix
     has n bits share at least n - k bits under a k-shift, at least 2n under
     the repeat code and exactly n under the identity."""
+    if isinstance(code, ShiftCode):
+        apply, holds = (lambda w: w[code.k:]), (lambda nf, na: nf >= na - code.k)
+    elif isinstance(code, RepeatCode):
+        apply, holds = (lambda w: "".join(c * 2 for c in w)), (lambda nf, na: nf >= 2 * na)
+    else:
+        assert isinstance(code, IdentityCode)
+        apply, holds = (lambda w: w), (lambda nf, na: nf == na)
     words = e.trace(depth, budget)
     for i, wa in enumerate(words):
         for wb in words[i + 1:]:
             na = next((t for t in range(depth) if wa[t] != wb[t]), depth)
-            fa, fb = code.apply_word(wa), code.apply_word(wb)
+            fa, fb = apply(wa), apply(wb)
             nf = next((t for t in range(len(fa)) if fa[t] != fb[t]), len(fa))
-            if isinstance(code, ShiftCode):
-                if nf < na - code.k:
-                    return False
-            elif isinstance(code, RepeatCode):
-                if nf < 2 * na:
-                    return False
-            elif isinstance(code, IdentityCode):
-                if nf != na:
-                    return False
+            if not holds(nf, na):
+                return False
     return True
 
 

@@ -351,6 +351,37 @@ def test_cover_build_and_verify(specs, tmp_path, capsys):
     assert code == 0
 
 
+EVENS_X_ODDS = {"kind": "product", "a": {"kind": "ci", "I": {"period": "10"}},
+                "b": {"kind": "ci", "I": {"period": "01"}}}
+
+
+def test_product_cover_build_prices_words_at_the_product_scale(tmp_path, capsys):
+    # a word of length k on the interleaved coding has diameter 2^-(k // 2)
+    spec, hfn, out_file = (tmp_path / n for n in ("set.json", "h.json", "c.json"))
+    spec.write_text(json.dumps(EVENS_X_ODDS))
+    hfn.write_text(json.dumps({"symbolic": {"s": "3/2"}}))
+    code, out, _ = run(["cover", "build", "--set", str(spec), "--hfn", str(hfn),
+                        "--levels", "3", "--depth", "24",
+                        "--cover-out", str(out_file)], capsys)
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    words = [e["cyl"] for e in json.loads(out_file.read_text())]
+    h = power_hfn(Fraction(3, 2))
+    total = Fraction(json.loads(out)["hausdorff_sum"])
+    assert total == sum(h.hi_at(len(w) // 2) for w in words) < 2
+
+
+def test_product_cover_build_truncates_at_the_product_scale(tmp_path, capsys):
+    # scale 9 needs truncation depth 18 on the interleaved coding; the
+    # search reaches it and runs on until the budget ends
+    spec, hfn = tmp_path / "set.json", tmp_path / "h.json"
+    spec.write_text(json.dumps(EVENS_X_ODDS))
+    hfn.write_text(json.dumps({"symbolic": {"s": 1}}))
+    code, _, err = run(["cover", "build", "--set", str(spec), "--hfn", str(hfn),
+                        "--levels", "3", "--depth", "24", "--budget", "100000"],
+                       capsys)
+    assert code == 3 and err.startswith("resource limit:")
+
+
 def test_witness_compile_me(specs, tmp_path, capsys):
     f_file = tmp_path / "f.json"
     code, out, _ = run(["witness", "compile-me", "--hfn", specs["r1"],

@@ -121,6 +121,20 @@ def test_build_fine_lambda_null_ci():
     assert out.check_fineness() is None
 
 
+def test_build_fine_lambda_prices_product_words_at_the_product_scale():
+    # a word of length k on the interleaved coding has diameter 2^-(k // 2):
+    # the lengths 8..13 sum to 37/30 there, and to less than 1 at 2^-k
+    s = ProductSet(ExplicitSet(["0" * 8]), ExplicitSet(["0" * 8]))
+    eps = [Fraction(1, 1 << n) for n in range(1, 20)]
+    h = hfn_from_epsilons(eps)
+    with pytest.raises(BuildError, match="37/30 is not below 1"):
+        build_fine_lambda(s, eps, h, Cover(tuple("0" * k for k in range(8, 14))),
+                          horizon=4, depth=16)
+    out = build_fine_lambda(s, eps, h, Cover(tuple("0" * k for k in range(16, 22))),
+                            horizon=4, depth=22)
+    assert out.check_fineness(interleaved=True) is None
+
+
 def test_build_fine_lambda_rejects_bad_witness():
     s = ExplicitSet(["0" * 8])
     eps = [Fraction(1, 1 << n) for n in range(1, 20)]
@@ -259,6 +273,16 @@ def test_combDnull_witness_verifier_failures():
     eps = tuple(Fraction(1, 1 << n) for n in range(10))
     v = verify_combDnull_witness(s, eps, (3,), {3: ("1111",)}, lambda n: n, 9, 4)
     assert not v.holds and v.coverage_failures == (3,)
+
+
+def test_combDnull_fineness_reads_the_product_scale():
+    # the words of length 2 on the interleaved coding have diameter 1/2
+    fc2 = ProductSet(FullCube(), FullCube())
+    families = {1: tuple(all_words(2))}
+    for eps, fine_bad in ((Fraction(1, 4), (1,)), (Fraction(1, 2), ())):
+        v = verify_combDnull_witness(fc2, [1, eps], (1,), families,
+                                     lambda n: 4, 1, 2)
+        assert v.fineness_failures == fine_bad and v.coverage_failures == ()
 
 
 def test_product_cover():
