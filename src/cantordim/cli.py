@@ -258,8 +258,10 @@ def cmd_cover(cfg: RunConfig, args) -> int:
         cover = covers.build_gamma_groupable(filt, h, max_scale=cfg.depth,
                                              depth=cfg.depth,
                                              budget=cfg.make_budget())
+        # the depth the build checked at: a product's words reach 2 * --depth
+        depth = max(cfg.depth, max(map(len, cover.elements)))
         v = covers.verify_gamma_groupable(e, cover, cover.group_count - 1,
-                                          cfg.depth, cfg.make_budget())
+                                          depth, cfg.make_budget())
         payload = specio.cover_to_obj(cover)
         if args.cover_out:
             with open(args.cover_out, "w", encoding="utf-8") as fh:

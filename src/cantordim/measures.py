@@ -135,17 +135,16 @@ def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
                                  f"the cover scale {m}")
     den, lo, hi = h.numerators(leaf_scale)
     children = e.children
-    levels = []  # levels[d] maps each state at depth d to its children
-    frontier = {e.root_state(): None}
+    levels = [{e.root_state(): None}]  # levels[d] maps each state at d to its children
     for d in range(depth):
-        levels.append(frontier)
-        level, frontier = frontier, {}
+        level, below = levels[d], {}
         for state in level:
             level[state] = kids = children(state, d, bud)
             for _, child in kids:
-                frontier[child] = None
+                below[child] = None
+        levels.append(below)
     leaf = (0, hi[leaf_scale], depth, 0, None)
-    memo = {(state, depth): leaf for state in frontier}
+    memo = {(state, depth): leaf for state in levels.pop()}
     for d in reversed(range(depth)):
         n = e.scale_of_depth(d)
         for state, kids in levels.pop().items():

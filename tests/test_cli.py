@@ -355,15 +355,20 @@ EVENS_X_ODDS = {"kind": "product", "a": {"kind": "ci", "I": {"period": "10"}},
                 "b": {"kind": "ci", "I": {"period": "01"}}}
 
 
-def test_product_cover_build_prices_words_at_the_product_scale(tmp_path, capsys):
-    # a word of length k on the interleaved coding has diameter 2^-(k // 2)
+@pytest.mark.parametrize("levels", [3, 5])
+def test_product_cover_build_prices_words_at_the_product_scale(tmp_path, capsys,
+                                                               levels):
+    # a word of length k on the interleaved coding has diameter 2^-(k // 2);
+    # at 5 levels some words are longer than --depth, and the cover is
+    # checked as deep as its longest word
     spec, hfn, out_file = (tmp_path / n for n in ("set.json", "h.json", "c.json"))
     spec.write_text(json.dumps(EVENS_X_ODDS))
     hfn.write_text(json.dumps({"symbolic": {"s": "3/2"}}))
     code, out, _ = run(["cover", "build", "--set", str(spec), "--hfn", str(hfn),
-                        "--levels", "3", "--depth", "24",
+                        "--levels", str(levels), "--depth", "24",
                         "--cover-out", str(out_file)], capsys)
-    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert code == 0
+    assert json.loads(out)["status"] == "pass" and json.loads(out)["j0"] == 0
     words = [e["cyl"] for e in json.loads(out_file.read_text())]
     h = power_hfn(Fraction(3, 2))
     total = Fraction(json.loads(out)["hausdorff_sum"])
