@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -346,7 +347,13 @@ def _parse_range(text, default):
         raise SpecFormatError(f"bad range {text!r}; want LO:HI") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after.
+
+    ``parse_args`` leaves a parser as it found it, so callers that run
+    ``main`` many times in one process pay for argparse's tree once.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     common.add_argument("--groups", type=int, default=DEFAULT_GROUPS)
@@ -422,8 +429,7 @@ def _default_budget() -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         budget = args.budget if args.budget is not None else _default_budget()
         cfg = RunConfig(args.command, args.depth, args.groups, args.scale,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cantordim
-from cantordim import hfun
+from cantordim import cli, hfun
 from cantordim.cli import main
 from cantordim.hfun import power_hfn
 from cantordim.measures import hausdorff_measure_delta
@@ -441,6 +442,52 @@ def test_entry_point_subprocess(specs):
         capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["upper"] == "1"
+
+
+def test_main_builds_one_parser_tree(specs, capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    sizes = []
+    for _ in range(5):
+        assert run(["dim", specs["ce"], "--range", "1:4"], capsys)[0] == 0
+        sizes.append(len(built))
+    # the common options, the root and five subcommand parsers, once
+    assert built.count("cantordim") == 1 and sizes == [7] * 5
+
+
+def _run_caught(argv, capsys):
+    """(exit code, stdout, stderr) of main, argparse's own exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parser_answers_as_a_fresh_process(specs, capsys, monkeypatch):
+    # argparse errors and help between two runs leave the shared parser as a
+    # fresh one: every call prints what a new process prints
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+    argvs = [["dim", specs["ce"], "--range", "1:4"],
+             ["nonsense"],
+             ["dim", "--help"],
+             ["measure", specs["ce"], specs["r1"], "--scale", "2", "--depth", "6"],
+             ["dim", specs["ce"], "--range", "1:4"]]
+    seen = [_run_caught(argv, capsys) for argv in argvs]
+    assert [code for code, _, _ in seen] == [0, 2, 0, 0, 0]
+    for argv, got in zip(argvs, seen):
+        proc = subprocess.run([sys.executable, "-m", "cantordim.cli"] + argv,
+                              capture_output=True, text=True,
+                              env=cli_env(COLUMNS="80"))
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 def test_byte_determinism_across_hash_seeds(specs, tmp_path):
