@@ -15,7 +15,7 @@ from itertools import chain, groupby, repeat
 
 from .errors import BuildError, SpecFormatError
 from .hfun import DyadicHFn, grid_index_floor
-from .measures import Filtration, extract_optimal_cover
+from .measures import Filtration, _argmin_words, _dp_bounds
 from .treeset import Budget, TreeSet, _budget
 from .words import Word, check_words, interleave
 
@@ -314,22 +314,24 @@ def build_gamma_groupable(filtration: Filtration, h: DyadicHFn, max_scale: int =
     """Concatenate per-level covers of cost < 2^-n into a grouped cover.
 
     Level covers are taken from the DP argmin at the shallowest scale whose
-    cost clears the threshold; the total Hausdorff sum stays below 2 and the
-    gamma-groupable verdict is re-checked against the filtration's top set.
+    cost clears the threshold; a scale is priced from its DP's root, and
+    words are read only at the accepted one.  The total Hausdorff sum stays
+    below 2 and the gamma-groupable verdict is re-checked against the
+    filtration's top set.
     """
     bud = _budget(budget)
     elements: list[Word] = []
     groups = []
     for n, x in enumerate(filtration.sets):
-        threshold = Fraction(1, 1 << n)
         cyls = None
         for m in range(n + 1, max_scale + 1):
             if m > h.n_max:
                 break
             depth_m = x.depth_of_scale(min(m + 8, max_scale))
-            cand, cost = extract_optimal_cover(x, h, m, depth_m, bud)
-            if cost < threshold:
-                cyls = tuple(cand)
+            memo, den = _dp_bounds(x, h, m, depth_m, bud)
+            root = memo[x.root_state(), 0]
+            if root[1] << n < den:  # cost below 2^-n: read the words
+                cyls = tuple(_argmin_words(memo, root, bud))
                 break
         if cyls is None:
             raise BuildError(f"no level-{n} cover of cost below 2^-{n} "

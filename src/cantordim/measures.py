@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import log2
 
@@ -37,11 +38,22 @@ def covering_number(e: TreeSet, n: int, budget: Budget | None = None) -> int:
 class ContentSequence:
     """Samples (n, N, N*h(2^-n)) of a box-content sequence with window stats."""
 
-    entries: tuple            # (n, N, lo, hi)
+    scales: range
+    counts: list              # N at each scale
+    los: list                 # N*h numerators over den, lower and upper
+    his: list
+    den: int
     window_start: int
     tail_sup: Fraction        # certified upper bound for sup over the window
     tail_inf: Fraction        # certified upper bound for inf over the window
     tail_inf_lo: Fraction     # certified lower bound for inf over the window
+
+    @cached_property
+    def entries(self) -> tuple:
+        """(n, N, lo, hi) per scale, made on first read."""
+        den = self.den
+        return tuple((n, c, Fraction(a, den), Fraction(b, den)) for n, c, a, b
+                     in zip(self.scales, self.counts, self.los, self.his))
 
 
 def box_content_sequence(e: TreeSet, h: DyadicHFn, n_lo: int, n_hi: int,
@@ -59,8 +71,7 @@ def box_content_sequence(e: TreeSet, h: DyadicHFn, n_lo: int, n_hi: int,
     start = max(n_lo, n_hi - (n_hi - n_lo) // 2, (n_hi + 1) // 2)
     w = start - n_lo
     return ContentSequence(
-        entries=tuple((n, c, Fraction(a, den), Fraction(b, den))
-                      for n, c, a, b in zip(scales, ns, los, his)),
+        scales=scales, counts=ns, los=los, his=his, den=den,
         window_start=start,
         tail_sup=Fraction(max(his[w:]), den),
         tail_inf=Fraction(min(his[w:]), den),
@@ -199,6 +210,12 @@ def extract_optimal_cover(e: TreeSet, h: DyadicHFn, m: int, depth: int,
     bud = _budget(budget)
     memo, den = _dp_bounds(e, h, m, depth, bud)
     root = memo[e.root_state(), 0]
+    return _argmin_words(memo, root, bud), Fraction(root[1], den)
+
+
+def _argmin_words(memo: dict, root: tuple, bud: Budget) -> list[Word]:
+    """The sorted cover words of a ``_dp_bounds`` memo below its `root`
+    entry, charging one node per child piece the walk splits into."""
     out: list[Word] = []
     # words are ints under a leading 1, which keeps their leading zeros
     stack = [(1, 0, root)]
@@ -212,7 +229,7 @@ def extract_optimal_cover(e: TreeSet, h: DyadicHFn, m: int, depth: int,
         stack.append((word << 1, b + 1, memo[kids[0], b + 1]))
         stack.append((word << 1 | 1, b + 1, memo[kids[1], b + 1]))
     out.sort()
-    return out, Fraction(root[1], den)
+    return out
 
 
 # ---------------------------------------------------------------------------

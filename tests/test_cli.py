@@ -378,14 +378,17 @@ def test_product_cover_build_prices_words_at_the_product_scale(tmp_path, capsys,
 
 def test_product_cover_build_truncates_at_the_product_scale(tmp_path, capsys):
     # scale 9 needs truncation depth 18 on the interleaved coding; the
-    # search reaches it and runs on until the budget ends
+    # search reaches it and prices every scale up to --depth within the
+    # budget, since a rejected scale costs only its DP: H^1 of evens x odds
+    # is never below 2^0, so no level-0 cover exists
     spec, hfn = tmp_path / "set.json", tmp_path / "h.json"
     spec.write_text(json.dumps(EVENS_X_ODDS))
     hfn.write_text(json.dumps({"symbolic": {"s": 1}}))
     code, _, err = run(["cover", "build", "--set", str(spec), "--hfn", str(hfn),
                         "--levels", "3", "--depth", "24", "--budget", "100000"],
                        capsys)
-    assert code == 3 and err.startswith("resource limit:")
+    assert code == 1 and err == ("verification failed: no level-0 cover of "
+                                 "cost below 2^-0 within scale 24\n")
 
 
 def test_witness_compile_me(specs, tmp_path, capsys):

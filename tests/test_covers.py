@@ -16,8 +16,8 @@ from cantordim.covers import (Cover, DpNullWitness, _covered_groups,
                               verify_lambda)
 from cantordim.errors import BuildError, ResourceLimitError, SpecFormatError
 from cantordim.hfun import hfn_from_epsilons, power_hfn, table_hfn
-from cantordim.measures import (Filtration, hausdorff_measure_delta,
-                                trivial_filtration)
+from cantordim.measures import (Filtration, extract_optimal_cover,
+                                hausdorff_measure_delta, trivial_filtration)
 from cantordim.treeset import (BlockConstraintSet, Budget, CISet, ExplicitSet,
                                FullCube, ProductSet, UnionSet)
 from cantordim.words import ISpec, all_words, evens, odds, periodic_ispec
@@ -164,6 +164,33 @@ def test_build_gamma_groupable_pipeline():
         cost = sum(r1.hi_at(len(w)) for w in out2.group_elements(j))
         m = min(len(w) for w in out2.group_elements(j))
         assert hausdorff_measure_delta(ce, r1, m, m + 8).upper <= cost
+
+
+def test_build_gamma_groupable_charges_a_rejected_scale_its_dp_only():
+    # each scale is priced by its DP; cover words are read (two nodes per
+    # split) only at the scale whose cost clears 2^-n
+    r1, ce = power_hfn(1), CISet(periodic_ispec("", "10000"))
+    levels, max_scale, depth = 4, 24, 16
+    expected, rejected = 0, 0
+    for n in range(levels):
+        for m in range(n + 1, max_scale + 1):
+            depth_m = min(m + 8, max_scale)
+            dp = Budget()
+            if hausdorff_measure_delta(ce, r1, m, depth_m, dp).upper < Fraction(1, 1 << n):
+                accepted = Budget()
+                extract_optimal_cover(ce, r1, m, depth_m, accepted)
+                expected += accepted.used
+                break
+            expected += dp.used
+            rejected += 1
+    b = Budget()
+    cover = build_gamma_groupable(Filtration((ce,) * levels), r1,
+                                  max_scale=max_scale, depth=depth, budget=b)
+    check = Budget()
+    verify_gamma_groupable(ce, cover, levels - 1,
+                           max(depth, max(map(len, cover.elements))), check)
+    assert rejected == 4
+    assert b.used == expected + check.used == 17324
 
 
 def test_build_gamma_groupable_failure():
