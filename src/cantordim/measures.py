@@ -39,9 +39,9 @@ class ContentSequence:
     """Samples (n, N, N*h(2^-n)) of a box-content sequence with window stats."""
 
     scales: range
-    counts: list              # N at each scale
-    los: list                 # N*h numerators over den, lower and upper
-    his: list
+    counts: tuple             # N at each scale
+    los: tuple                # N*h numerators over den, lower and upper
+    his: tuple
     den: int
     window_start: int
     tail_sup: Fraction        # certified upper bound for sup over the window
@@ -64,10 +64,10 @@ def box_content_sequence(e: TreeSet, h: DyadicHFn, n_lo: int, n_hi: int,
     counts = e.trace_counts(e.depth_of_scale(n_hi), budget)
     den, lo, hi = h.numerators(n_hi)
     scales = range(n_lo, n_hi + 1)
-    ns = [counts[e.depth_of_scale(n)] for n in scales]
+    ns = tuple(counts[e.depth_of_scale(n)] for n in scales)
     # contents as numerators over den; the window stats compare integers
-    los = [c * lo[n] for n, c in zip(scales, ns)]
-    his = [c * hi[n] for n, c in zip(scales, ns)]
+    los = tuple(c * lo[n] for n, c in zip(scales, ns))
+    his = tuple(c * hi[n] for n, c in zip(scales, ns))
     start = max(n_lo, n_hi - (n_hi - n_lo) // 2, (n_hi + 1) // 2)
     w = start - n_lo
     return ContentSequence(
