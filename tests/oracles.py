@@ -8,11 +8,13 @@ can disagree.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, groupby, repeat
 
 from cantordim.errors import BuildError, DepthExceededError
 from cantordim.hfun import pow2_bounds, power_hfn, precede
 from cantordim.measures import IdentityCode, RepeatCode, ShiftCode, _gauge_covers
-from cantordim.words import ISpec, all_words, xor_words
+from cantordim.treeset import _budget
+from cantordim.words import ISpec, all_words, check_words, xor_words
 
 
 def ci_trace(contains, n):
@@ -212,6 +214,100 @@ def cover_walk_charge(trace, groups, n):
         if below and mask != full:
             count += 1
     return count
+
+
+def _pool(table: dict, key, nodes: set) -> None:
+    """Add the set ``nodes`` to the set held at ``table[key]``."""
+    held = table.setdefault(key, nodes)
+    if held is not nodes:
+        held |= nodes
+
+
+def covering_groups_sets(e, runs, n, budget):
+    """Bitmask of the groups that cover E at depth n, in one forward sweep,
+    with every trace node its own int in a set: the sweep that
+    ``covers._covering_groups`` replaced.  Verdict masks and charges must
+    stay equal to it.
+
+    ``runs`` lists (tag, words) pairs: each word carries the bitmask
+    ``tag``, and a word listed by several runs carries the OR of their tags.
+    The tables are built once per call: each run is bucketed by length,
+    words longer than n are dropped before any parse, and the rest are
+    validated in one pass and read as integers.  A depth that one run lists
+    keeps that run's words as one tag class; where several runs list words
+    of one length, each run meets only the words already seen there, so
+    the build is linear in the words listed.
+
+    The sweep follows E's trace one depth at a time.  The frontier maps
+    (E state, mask) to the set of nodes that reach that state with that OR
+    of the tags of the words they extend, so one ``children`` call serves a
+    whole bucket, and set operations split it.  A node stops where no longer
+    word lies below it (every trace node has a descendant, so its mask holds
+    for all leaves below, and at depth n nothing is longer) or where its
+    mask cannot grow.  Bit j of the AND over all stops is set iff every
+    depth-n trace node lies under a word of group j.  Each expanded node
+    costs one budget node: when some group covers, that is every trace node
+    with a word strictly below it and a mask short of the OR of all tags.
+    """
+    at: dict = {}  # d -> [(tag, the run's words of length d)]
+    full = 0
+    for tag, words in runs:
+        for d, ws in groupby(sorted(words, key=len), len):
+            if d > n:
+                break
+            at.setdefault(d, []).append((tag, list(ws)))
+            full |= tag
+    check_words(list(chain.from_iterable(ws for d in sorted(at) for _, ws in at[d])))
+    ends: dict = {}  # d -> {tag: the words of length d with that tag, as ints}
+    for d, runs_d in at.items():
+        if len(runs_d) > 1:  # a word listed by several runs gets the OR of their tags
+            tag_of: dict = {}
+            for tag, ws in runs_d:
+                mine = dict.fromkeys(ws, tag)
+                for w in mine.keys() & tag_of.keys():
+                    mine[w] |= tag_of[w]
+                tag_of.update(mine)
+            get = tag_of.__getitem__
+            runs_d = [(tag, list(ws)) for tag, ws in groupby(sorted(tag_of, key=get), get)]
+        ends[d] = {tag: set(map(int, ws, repeat(2))) if d else {0} for tag, ws in runs_d}
+    if not full:
+        return 0
+    # live[d]: the depth-d nodes with a word strictly below them
+    live = [set()] * (max(ends) + 1)
+    for d in range(len(live) - 1, 0, -1):
+        live[d - 1] = {v >> 1 for v in chain(live[d], *ends.get(d, {}).values())}
+    covered = full
+    children, spend = e.children, _budget(budget).spend
+    frontier = {(e.root_state(), 0): {0}}
+    for d, live_d in enumerate(live):
+        ends_d = ends.pop(d, {})
+        live[d] = None  # a depth's tables go once the sweep has passed it
+        grown: dict = {}  # (state, mask) -> the depth-d nodes to expand
+        for (state, mask), nodes in frontier.items():
+            for tag, tagged in ends_d.items():
+                hit = nodes & tagged
+                if hit:
+                    nodes -= hit
+                    m = mask | tag
+                    if m != full:
+                        if not hit <= live_d:  # some node stops here
+                            hit &= live_d
+                            covered &= m
+                        if hit:
+                            _pool(grown, (state, m), hit)
+            if not nodes <= live_d:
+                nodes &= live_d
+                covered &= mask
+            if nodes:
+                _pool(grown, (state, mask), nodes)
+        if not covered or not grown:
+            break
+        frontier = {}
+        for (state, mask), nodes in grown.items():
+            spend(len(nodes))
+            for bit, child in children(state, d):
+                _pool(frontier, (child, mask), {v << 1 | bit for v in nodes})
+    return covered
 
 
 def block_level_trace(f_table, families, k, n):

@@ -20,8 +20,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (block_level_trace, cover_walk_charge,
-                     covering_groups_by_words, dp_walk, gauge_table,
-                     gauge_table_error, min_cylinder_cover_cost, sparse_greedy)
+                     covering_groups_by_words, covering_groups_sets, dp_walk,
+                     gauge_table, gauge_table_error, min_cylinder_cover_cost,
+                     sparse_greedy)
 
 from cantordim.cli import main
 from cantordim.covers import Cover, _covered_groups, verify_lambda
@@ -56,17 +57,38 @@ ci_sets = st.builds(lambda pre, period: CISet(periodic_ispec(pre, period)),
 plain_sets = st.one_of(explicit_sets(), ci_sets)
 tree_sets = st.one_of(plain_sets, st.builds(ProductSet, plain_sets, plain_sets))
 
+# past the cover sweep's chunk width of 10 bits, so that its levels below,
+# at and above that width are all checked
+DEEP = 16
+
+
+@st.composite
+def thin_sets(draw):
+    """An explicit set with the zeros tail, of width up to DEEP: its trace
+    holds at most six words at every depth."""
+    width = draw(st.integers(1, DEEP))
+    words = draw(st.lists(st.text("01", min_size=width, max_size=width),
+                          min_size=1, max_size=6))
+    return ExplicitSet(words, tail="zeros")
+
+
+deep_sets = st.one_of(thin_sets(), st.builds(ProductSet, thin_sets(), thin_sets()))
+
 
 @st.composite
 def cover_instances(draw):
     """A set, a depth n and groups of words: trace prefixes at any depth,
-    with duplicates, the empty word, stray words and words longer than n."""
-    e = draw(tree_sets)
-    n = draw(st.integers(0, 6))
+    with duplicates, the empty word, stray words and words longer than n.
+    Sets with small traces at every depth go as deep as DEEP; CI sets and
+    free tails, whose traces grow with n, stay at n <= 6."""
+    if draw(st.booleans()):
+        e, n = draw(deep_sets), draw(st.sampled_from(range(DEEP // 2, DEEP + 1)))
+    else:
+        e, n = draw(tree_sets), draw(st.integers(0, 6))
     trace = e.trace(n)
-    prefixes = sorted({t[:d] for t in trace for d in range(n + 1)})
-    word = st.one_of(st.sampled_from(prefixes), st.just(""),
-                     st.text("01", max_size=n + 2))
+    prefix = st.builds(lambda t, d: t[:d], st.sampled_from(trace),
+                       st.sampled_from(range(n, -1, -1)))
+    word = st.one_of(prefix, st.just(""), st.text("01", max_size=n + 2))
     groups = draw(st.lists(st.lists(word, max_size=8), max_size=5))
     return e, n, trace, groups
 
@@ -93,6 +115,28 @@ def test_lambda_tails_match_the_word_oracle(instance, horizon):
     assert v.failure_index == fail and v.holds == (fail is None)
     charge = cover_walk_charge(trace, tail_groups, n)
     assert budget.used == charge if tails else budget.used <= charge
+
+
+@given(cover_instances(), st.integers(-1, 6))
+def test_cover_sweep_equals_the_set_sweep(instance, horizon):
+    # masks and charges equal the set sweep's, also where no group covers,
+    # where the word oracles above only bound the charge
+    e, n, _, groups = instance
+    got, want = Budget(), Budget()
+    assert _covered_groups(e, groups, n, got) == \
+        covering_groups_sets(e, [(1 << j, g) for j, g in enumerate(groups)], n, want)
+    assert got.used == want.used
+    # verify_lambda's tags: element i lies in every tail j <= i, and past
+    # the horizon in every tail
+    elements = tuple(w for g in groups for w in g)
+    cut = max(horizon, 0)
+    runs = [((2 << i) - 1, (w,)) for i, w in enumerate(elements[:cut])]
+    runs.append(((1 << max(horizon + 1, 0)) - 1, elements[cut:]))
+    got, want = Budget(), Budget()
+    tails = covering_groups_sets(e, runs, n, want)
+    fail = next((j for j in range(horizon + 1) if not tails >> j & 1), None)
+    assert verify_lambda(e, Cover(elements), horizon, n, got).failure_index == fail
+    assert got.used == want.used
 
 
 GAUGES = (power_hfn(Fraction(1, 2)), power_hfn(1),
