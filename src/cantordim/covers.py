@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, repeat
+from operator import lshift
 
 from .errors import BuildError, SpecFormatError
 from .hfun import DyadicHFn, grid_index_floor
@@ -88,100 +89,185 @@ def _least_threshold(outcomes) -> int | None:
     return n0
 
 
-def _pool(table: dict, key, nodes: set) -> None:
-    """Add the set ``nodes`` to the set held at ``table[key]``."""
-    held = table.setdefault(key, nodes)
-    if held is not nodes:
-        held |= nodes
+# A chunk int holds 2^CHUNK_BITS nodes: those of one depth that differ only
+# in their first CHUNK_BITS bits.
+CHUNK_BITS = 10
+# _FOLD[j]: the chunk bits at multiples of 2^j, where the nodes of depth
+# CHUNK_BITS - j sit (a repunit in base 2^(2^j))
+_FOLD = tuple(((1 << (1 << CHUNK_BITS)) - 1) // ((1 << (1 << j)) - 1)
+              for j in range(CHUNK_BITS + 1))
 
 
-def _covering_groups(e: TreeSet, runs, n: int, budget: Budget | None) -> int:
-    """Bitmask of the groups that cover E at depth n, in one forward sweep.
+def _by_length(words, n: int) -> dict:
+    """{d: the words of length d} for the lengths d <= n, in increasing d."""
+    out: dict = {}
+    for d, ws in groupby(sorted(words, key=len), len):
+        if d > n:
+            break
+        out[d] = list(ws)
+    return out
 
-    ``runs`` lists (tag, words) pairs: each word carries the bitmask
-    ``tag``, and a word listed by several runs carries the OR of their tags.
-    The tables are built once per call: each run is bucketed by length,
-    words longer than n are dropped before any parse, and the rest are
-    validated in one pass and read as integers.  A depth that one run lists
-    keeps that run's words as one tag class; where several runs list words
-    of one length, each run meets only the words already seen there, so
-    the build is linear in the words listed.
+
+def _tag_classes(words, tag) -> dict:
+    """{t: the words w with tag(w) == t}, in increasing t."""
+    return {t: list(ws) for t, ws in groupby(sorted(words, key=tag), tag)}
+
+
+def _covering_groups(e: TreeSet, ends: dict, budget: Budget | None) -> int:
+    """Bitmask of the groups that cover E at the depth the words reach, in
+    one forward sweep.
+
+    ``ends`` maps each depth d to {tag: the cover words of length d with
+    that tag}, where a word's tag is the bitmask of the groups that list it
+    and each word sits in one class.  The words are read as integers once.
 
     The sweep follows E's trace one depth at a time.  The frontier maps
-    (E state, mask) to the set of nodes that reach that state with that OR
-    of the tags of the words they extend, so one ``children`` call serves a
-    whole bucket, and set operations split it.  A node stops where no longer
-    word lies below it (every trace node has a descendant, so its mask holds
-    for all leaves below, and at depth n nothing is longer) or where its
-    mask cannot grow.  Bit j of the AND over all stops is set iff every
-    depth-n trace node lies under a word of group j.  Each expanded node
-    costs one budget node: when some group covers, that is every trace node
-    with a word strictly below it and a mask short of the OR of all tags.
+    (E state, mask) to the nodes that reach that state with that OR of the
+    tags of the words they extend, so one ``children`` call serves a whole
+    bucket.  A node stops where no longer word lies below it (every trace
+    node has a descendant, so its mask holds for all leaves below, and at
+    the callers' depth n nothing is longer) or where its mask cannot grow.
+    Bit j of the AND over all stops is set iff every depth-n trace node
+    lies under a word of group j.  Each expanded node costs one budget
+    node: when some group covers, that is every trace node with a word
+    strictly below it and a mask short of the OR of all tags.
+
+    Each set of depth-d nodes is a chunked bitset, a dict from a chunk key
+    to an int whose set bits are the nodes.  With C = CHUNK_BITS, a node v
+    of depth d >= C sits in chunk ``v & (2^(d-C) - 1)`` at bit
+    ``v >> (d-C)``: nodes that differ only in their first C bits share one
+    int.  Below C every node sits in chunk 0 at bit ``v << (C-d)``.  A
+    child appends a bit at the low end, so it keeps its parent's first C
+    bits: the children of chunk k through bit b are chunk ``k << 1 | b``
+    with the same int, and below C chunk 0 shifted by ``b << (C-d-1)``.
+    A parent drops the low bit, so chunks k and k ^ 1 OR into chunk
+    ``k >> 1``, and below C the int folds onto the bits of depth d - 1.
+    Splits, subsets and counts are per-chunk ANDs and bit counts.
     """
-    at: dict = {}  # d -> [(tag, the run's words of length d)]
     full = 0
-    for tag, words in runs:
-        for d, ws in groupby(sorted(words, key=len), len):
-            if d > n:
-                break
-            at.setdefault(d, []).append((tag, list(ws)))
+    for by_tag in ends.values():
+        for tag in by_tag:
             full |= tag
-    check_words(list(chain.from_iterable(ws for d in sorted(at) for _, ws in at[d])))
-    ends: dict = {}  # d -> {tag: the words of length d with that tag, as ints}
-    for d, runs_d in at.items():
-        if len(runs_d) > 1:  # a word listed by several runs gets the OR of their tags
-            tag_of: dict = {}
-            for tag, ws in runs_d:
-                mine = dict.fromkeys(ws, tag)
-                for w in mine.keys() & tag_of.keys():
-                    mine[w] |= tag_of[w]
-                tag_of.update(mine)
-            get = tag_of.__getitem__
-            runs_d = [(tag, list(ws)) for tag, ws in groupby(sorted(tag_of, key=get), get)]
-        ends[d] = {tag: set(map(int, ws, repeat(2))) if d else {0} for tag, ws in runs_d}
     if not full:
         return 0
-    # live[d]: the depth-d nodes with a word strictly below them
-    live = [set()] * (max(ends) + 1)
-    for d in range(len(live) - 1, 0, -1):
-        live[d - 1] = {v >> 1 for v in chain(live[d], *ends.get(d, {}).values())}
+    # live[d]: the depth-d nodes with a word strictly below them, built
+    # bottom-up as the words of each length are read into chunks
+    live = [{}] * (max(ends) + 1)
+    for d in range(len(live) - 1, -1, -1):
+        by_tag = ends.get(d, {})
+        s = d - CHUNK_BITS
+        for tag, ws in by_tag.items():
+            vs = map(int, ws, repeat(2)) if d else (0,)
+            if s <= 0:
+                by_tag[tag] = {0: sum(map(lshift, repeat(1), map(lshift, set(vs), repeat(-s))))}
+            else:
+                low, chunks = (1 << s) - 1, {}
+                for v in vs:
+                    k = v & low
+                    chunks[k] = chunks.get(k, 0) | 1 << (v >> s)
+                by_tag[tag] = chunks
+        if not d:
+            break
+        up: dict = {}
+        if s > 0:
+            for below in (live[d], *by_tag.values()):
+                for k, x in below.items():
+                    up[k >> 1] = up.get(k >> 1, 0) | x
+        else:
+            x = live[d].get(0, 0)
+            for below in by_tag.values():
+                x |= below[0]
+            # odd nodes fold onto their even siblings' bits, the parents'
+            if x := (x | x >> (1 << -s)) & _FOLD[1 - s]:
+                up[0] = x
+        live[d - 1] = up
     covered = full
     children, spend = e.children, _budget(budget).spend
-    frontier = {(e.root_state(), 0): {0}}
+    frontier = {(e.root_state(), 0): {0: 1}}
     for d, live_d in enumerate(live):
         ends_d = ends.pop(d, {})
         live[d] = None  # a depth's tables go once the sweep has passed it
+        lget = live_d.get
         grown: dict = {}  # (state, mask) -> the depth-d nodes to expand
         for (state, mask), nodes in frontier.items():
+            parts = []  # (mask, nodes) in the order they are pooled
             for tag, tagged in ends_d.items():
-                hit = nodes & tagged
+                small, big = (nodes, tagged) if len(nodes) <= len(tagged) else (tagged, nodes)
+                hit = {}
+                for k, x in small.items():
+                    if y := x & big.get(k, 0):
+                        hit[k] = y
                 if hit:
-                    nodes -= hit
-                    m = mask | tag
-                    if m != full:
-                        if not hit <= live_d:  # some node stops here
-                            hit &= live_d
-                            covered &= m
-                        if hit:
-                            _pool(grown, (state, m), hit)
-            if not nodes <= live_d:
-                nodes &= live_d
-                covered &= mask
+                    for k, x in hit.items():  # nodes -= hit, in place
+                        if y := nodes[k] ^ x:
+                            nodes[k] = y
+                        else:
+                            del nodes[k]
+                    if mask | tag != full:
+                        parts.append((mask | tag, hit))
+                    if not nodes:
+                        break
             if nodes:
-                _pool(grown, (state, mask), nodes)
+                parts.append((mask, nodes))
+            for m, part in parts:
+                kept = {}
+                for k, x in part.items():
+                    if y := x & lget(k, 0):
+                        kept[k] = y
+                    if y != x:  # some node stops here
+                        covered &= m
+                if kept:
+                    held = grown.setdefault((state, m), kept)
+                    if held is not kept:
+                        for k, x in kept.items():
+                            held[k] = held.get(k, 0) | x
         if not covered or not grown:
             break
         frontier = {}
+        shift = 1 << (CHUNK_BITS - d - 1) if d < CHUNK_BITS else 0
         for (state, mask), nodes in grown.items():
-            spend(len(nodes))
+            spend(sum(map(int.bit_count, nodes.values())))
             for bit, child in children(state, d):
-                _pool(frontier, (child, mask), {v << 1 | bit for v in nodes})
+                if shift:
+                    kids = {0: nodes[0] << shift if bit else nodes[0]}
+                else:
+                    kids = {}
+                    for k, x in nodes.items():
+                        kids[k << 1 | bit] = x
+                held = frontier.setdefault((child, mask), kids)
+                if held is not kids:
+                    for k, x in kids.items():
+                        held[k] = held.get(k, 0) | x
     return covered
 
 
 def _covered_groups(e: TreeSet, groups, n: int, budget: Budget | None) -> int:
-    """Bit j set iff the words of groups[j] cover E at depth n."""
-    return _covering_groups(e, [(1 << j, g) for j, g in enumerate(groups)], n, budget)
+    """Bit j set iff the words of groups[j] cover E at depth n.
+
+    Each group is bucketed by length once, and words longer than n are
+    dropped before any parse.  A depth that one group lists keeps that
+    group's words as one tag class; where several groups list words of one
+    length, each meets only the words already seen there, so the build is
+    linear in the words listed.
+    """
+    at: dict = {}  # d -> [(tag, the group's words of length d)]
+    for j, g in enumerate(groups):
+        for d, ws in _by_length(g, n).items():
+            at.setdefault(d, []).append((1 << j, ws))
+    check_words(list(chain.from_iterable(ws for d in sorted(at) for _, ws in at[d])))
+    ends: dict = {}
+    for d in sorted(at):
+        if len(at[d]) == 1:
+            ends[d] = dict(at[d])
+            continue
+        tag_of: dict = {}  # a word listed by several groups gets the OR of their tags
+        for tag, ws in at[d]:
+            mine = dict.fromkeys(ws, tag)
+            for w in mine.keys() & tag_of.keys():
+                mine[w] |= tag_of[w]
+            tag_of.update(mine)
+        ends[d] = _tag_classes(tag_of, tag_of.__getitem__)
+    return _covering_groups(e, ends, budget)
 
 
 def is_cover_at_depth(e: TreeSet, elements, n: int,
@@ -206,11 +292,15 @@ def verify_lambda(e: TreeSet, cover: Cover, horizon: int, depth: int,
                   budget: Budget | None = None) -> LambdaVerdict:
     """Truncated lambda-cover criterion: for each j <= J the tail
     {U_n : n >= j} still covers E at the trace depth."""
-    # element i lies in every tail j <= i, and past the horizon in every tail
+    # element i lies in every tail j <= i, and past the horizon in every
+    # tail; the tags nest, so a word listed twice keeps its later tag
     cut = max(horizon, 0)
-    runs = [((2 << i) - 1, (w,)) for i, w in enumerate(cover.elements[:cut])]
-    runs.append(((1 << max(horizon + 1, 0)) - 1, cover.elements[cut:]))
-    covered = _covering_groups(e, runs, depth, budget)
+    tag_of = {w: (2 << i) - 1 for i, w in enumerate(cover.elements[:cut])}
+    tag_of.update(dict.fromkeys(cover.elements[cut:], (1 << max(horizon + 1, 0)) - 1))
+    short = _by_length(tag_of, depth)
+    check_words(list(chain.from_iterable(short.values())))
+    covered = _covering_groups(
+        e, {d: _tag_classes(ws, tag_of.__getitem__) for d, ws in short.items()}, budget)
     j = ((covered + 1) & ~covered).bit_length() - 1  # the lowest zero bit
     if j <= horizon:
         return LambdaVerdict("fails", horizon, depth, j)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cover_walk_charge, covering_groups_by_words
+from oracles import cover_walk_charge, covering_groups_by_words, covering_groups_sets
 
-from cantordim.covers import (Cover, DpNullWitness, _covered_groups,
-                              build_bounded_groups,
+from cantordim.covers import (_FOLD, CHUNK_BITS, Cover, DpNullWitness,
+                              _covered_groups, build_bounded_groups,
                               build_dpnull_witness, build_fine_lambda,
                               build_gamma_groupable, epsilons_for_gauge,
                               gamma_grouped_sum, is_cover_at_depth,
@@ -556,3 +556,36 @@ def test_deep_cover_check():
     assert verify_lambda(e, Cover(tuple(words * 2)), 2, 4000).holds
     lam = verify_lambda(e, Cover(tuple(words + words[:1])), 2, 4000)
     assert lam.failure_index == 2
+
+
+def test_dense_chunks_match_closed_forms_and_the_set_sweep():
+    # the fold masks: _FOLD[j] marks the chunk bits at multiples of 2^j
+    assert _FOLD == tuple(sum(1 << i for i in range(0, 1 << CHUNK_BITS, 1 << j))
+                          for j in range(CHUNK_BITS + 1))
+    # many nodes per chunk: the whole depth-(C + 2) trace of the cube as one
+    # group expands every node above it, and one word short it fails
+    n = CHUNK_BITS + 2
+    words = all_words(n)
+    b = Budget()
+    assert is_cover_at_depth(FullCube(), words, n, b)
+    assert b.used == (1 << n) - 1
+    r = random.Random(19)
+    del words[r.randrange(len(words))]
+    assert not is_cover_at_depth(FullCube(), words, n)
+    # a gamma cover C + 8 deep over a block-constraint set: the traces at
+    # depths 3, 9 and 13, the last a word short, then the whole trace there
+    depth = CHUNK_BITS + 8
+    blocks = [sorted(r.sample(all_words(6), 24)) for _ in range(3)]
+    e = BlockConstraintSet([0, 6, 12, 18], blocks)
+    assert depth == 18 and len(e.trace(depth)) == 24 ** 3
+    groups = [e.trace(3), e.trace(9), e.trace(13), e.trace(depth)]
+    del groups[2][r.randrange(len(groups[2]))]
+    spans = [(sum(map(len, groups[:j])), sum(map(len, groups[:j + 1]))) for j in range(4)]
+    cover = Cover(tuple(w for g in groups for w in g), tuple(spans))
+    got, want = Budget(), Budget()
+    v = verify_gamma_groupable(e, cover, 3, depth, got)
+    mask = covering_groups_sets(e, [(1 << j, g) for j, g in enumerate(groups)], depth, want)
+    assert mask == 0b1011
+    assert (v.holds, v.j0, v.group_failures) == (True, 3, (2,))
+    assert got.used == want.used
+

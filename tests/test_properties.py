@@ -25,7 +25,7 @@ from oracles import (block_level_trace, cover_walk_charge,
                      sparse_greedy)
 
 from cantordim.cli import main
-from cantordim.covers import Cover, _covered_groups, verify_lambda
+from cantordim.covers import CHUNK_BITS, Cover, _covered_groups, verify_lambda
 from cantordim.errors import CantorDimError, DepthExceededError, SpecFormatError
 from cantordim.hfun import DyadicHFn, power_hfn, power_log_hfn, table_hfn
 from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
@@ -57,9 +57,9 @@ ci_sets = st.builds(lambda pre, period: CISet(periodic_ispec(pre, period)),
 plain_sets = st.one_of(explicit_sets(), ci_sets)
 tree_sets = st.one_of(plain_sets, st.builds(ProductSet, plain_sets, plain_sets))
 
-# past the cover sweep's chunk width of 10 bits, so that its levels below,
-# at and above that width are all checked
-DEEP = 16
+# past the cover sweep's chunk width, so that its levels below, at and
+# above that width are all checked
+DEEP = CHUNK_BITS + 6
 
 
 @st.composite
