@@ -119,7 +119,8 @@ def _covering_groups(e: TreeSet, ends: dict, budget: Budget | None) -> int:
 
     ``ends`` maps each depth d to {tag: the cover words of length d with
     that tag}, where a word's tag is the bitmask of the groups that list it
-    and each word sits in one class.  The words are read as integers once.
+    and each word sits in one class.  The words are read as integers once;
+    the call consumes ``ends``.
 
     The sweep follows E's trace one depth at a time.  The frontier maps
     (E state, mask) to the nodes that reach that state with that OR of the

@@ -588,4 +588,3 @@ def test_dense_chunks_match_closed_forms_and_the_set_sweep():
     assert mask == 0b1011
     assert (v.holds, v.j0, v.group_failures) == (True, 3, (2,))
     assert got.used == want.used
-
