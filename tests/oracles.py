@@ -175,6 +175,61 @@ def einc_failures_by_words(f_table, g_table, F, G, horizon):
     return failures
 
 
+def ank_by_filter(x, n, k, f, g, fam, gfam):
+    """The clopen block test, restricting G_n to block k afresh: every z in
+    F_k, moved by x's k-block y, is the k-block restriction of some word of
+    G_n."""
+    if not g(n) <= k < g(n + 1):
+        raise ValueError(f"k={k} is not in [g({n}), g({n}+1))")
+    y = f.restrict(x, k)
+    a, b = f.block(k)
+    big_lo = f(g(n))
+    shadows = {t[a - big_lo:b - big_lo] for t in gfam.family(n)}
+    return all(xor_words(z, y) in shadows for z in fam.family(k))
+
+
+def xtilde_blocks_by_filter(f, g, fam, gfam, n0):
+    """(boundaries, blocks) of the X-tilde level set at n0, each block's
+    admissible words found by filtering all 2^width words of its width;
+    None for the full cube.  Raises BuildError on a block with no
+    admissible word."""
+    boundaries, blocks = [], []
+    for n in range(n0, gfam.count):
+        big_lo = f(g(n))
+        for k in range(g(n), min(g(n + 1), fam.count)):
+            a, b = f.block(k)
+            shadows = {t[a - big_lo:b - big_lo] for t in gfam.family(n)}
+            allowed = [y for y in all_words(b - a)
+                       if all(xor_words(z, y) in shadows for z in fam.family(k))]
+            if not allowed:
+                raise BuildError(f"no admissible block words at (n={n}, k={k})")
+            if not boundaries:
+                boundaries.append(a)
+            boundaries.append(b)
+            blocks.append(frozenset(allowed))
+    return (tuple(boundaries), tuple(blocks)) if blocks else None
+
+
+def ispec_members(prefix, tail, n):
+    """The members of I below n, from the definition of each tail rule."""
+    start = len(prefix)
+    members = {i for i in range(min(n, start)) if prefix[i] == "1"}
+    kind = tail[0]
+    if kind == "periodic":
+        word = tail[1]
+        members |= {i for i in range(start, n) if word[(i - start) % len(word)] == "1"}
+        return members
+    tail_members = set()
+    for k in range(n.bit_length() + 1):  # c * q^k >= 2^k: later runs start past n
+        if kind == "powers":
+            _, c, q = tail
+            tail_members.add(c * q ** k)
+        else:
+            _, c, d, q = tail
+            tail_members.update(range(c * q ** k, min(d * q ** k, n)))
+    return members | {i for i in tail_members if start <= i < n}
+
+
 def covering_groups_by_words(trace, groups, n):
     """Bitmask of the groups covering a depth-n trace, word by word.
 

@@ -94,6 +94,9 @@ def test_einc_against_word_oracle(rng):
                                       [set(x) for x in F.families],
                                       [set(x) for x in G.families], horizon)
         assert set(verdict.failures) == want
+        # n0: the least n from which no failure remains
+        assert verdict.n0 == next((n for n in range(horizon)
+                                   if all(m < n for m, _ in want)), None)
         agreements += 1
     assert agreements >= 50
 

@@ -19,27 +19,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (block_level_trace, cover_walk_charge,
+from oracles import (ank_by_filter, block_level_trace, cover_walk_charge,
                      covering_groups_by_words, covering_groups_sets, dp_walk,
-                     gauge_table, gauge_table_error, min_cylinder_cover_cost,
-                     sparse_greedy)
+                     gauge_table, gauge_table_error, ispec_members,
+                     min_cylinder_cover_cost, sparse_greedy,
+                     xtilde_blocks_by_filter)
 
 from cantordim.cli import main
 from cantordim.covers import CHUNK_BITS, Cover, _covered_groups, verify_lambda
-from cantordim.errors import CantorDimError, DepthExceededError, SpecFormatError
+from cantordim.errors import (BuildError, CantorDimError, DepthExceededError,
+                              SpecFormatError)
 from cantordim.hfun import DyadicHFn, power_hfn, power_log_hfn, table_hfn
 from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               ShelahMWitness, ShelahNWitness, TPrimeWitness,
-                              _growth, nadd_box_check, shelahN_filtration,
-                              tprime_lbox_check, tprime_level_sets)
+                              _growth, ank_test, nadd_box_check,
+                              shelahN_filtration, tprime_lbox_check,
+                              tprime_level_sets, xtilde_level_set)
 from cantordim.measures import (_dp_bounds, extract_optimal_cover,
                                 hausdorff_measure_delta, sparse_I_builder)
 from cantordim.specio import (canonical_json, cover_to_obj, parse_cover,
                               parse_set, parse_witness, set_to_dict,
                               witness_to_dict)
 from cantordim.treeset import (Budget, CISet, CylinderUnionSet, ExplicitSet,
-                               ProductSet)
-from cantordim.words import all_words, periodic_ispec
+                               FullCube, ProductSet)
+from cantordim.words import ISpec, all_words, periodic_ispec
 
 bits = st.text("01", max_size=4)
 
@@ -301,6 +304,79 @@ def test_block_levels_and_box_rows_match_the_word_oracle(instance):
         assert row.count == len(block_level_trace(table, fams, row.level, row.scale))
         sample = r1.hi_at(row.scale - 1 if shelah else row.scale)
         assert row.content == row.count * sample
+
+
+@st.composite
+def einc_instances(draw):
+    """f on blocks of width 1 to 3, g grouping them, F on the first blocks
+    of f and G on the first coarse blocks of f o g, each family drawn within
+    its smallness bound (an empty one included)."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    f = BlockPartition(tuple(accumulate(widths, initial=0)))
+    cuts = draw(st.lists(st.booleans(), min_size=len(widths) - 1,
+                         max_size=len(widths) - 1))
+    g = BlockPartition((0, *(k for k, cut in enumerate(cuts, 1) if cut), len(widths)))
+    fg = f.compose(g)
+
+    def families(part, count):
+        out = []
+        for n in range(count):
+            width = part.block_width(n)
+            limit = min(1 << width, 1 << (part(n + 1) - n), 6)
+            out.append(tuple(draw(st.sets(st.text("01", min_size=width, max_size=width),
+                                          max_size=limit))))
+        return BlockFamily(part, tuple(out))
+
+    fam = families(f, f.block_count - draw(st.integers(0, f.block_count)))
+    gfam = families(fg, fg.block_count - draw(st.integers(0, fg.block_count - 1)))
+    return f, g, fam, gfam
+
+
+@given(einc_instances(), st.data())
+def test_block_tests_match_the_filter_oracle(instance, data):
+    f, g, fam, gfam = instance
+    n0 = data.draw(st.integers(0, gfam.count - 1))
+    try:
+        want = xtilde_blocks_by_filter(f, g, fam, gfam, n0)
+    except BuildError:
+        with pytest.raises(BuildError):
+            xtilde_level_set(f, g, fam, gfam, n0)
+    else:
+        got = xtilde_level_set(f, g, fam, gfam, n0)
+        if want is None:
+            assert isinstance(got, FullCube)
+        else:
+            assert (got.boundaries, got.blocks) == want
+    x = data.draw(st.text("01", min_size=f.table[-1], max_size=f.table[-1]))
+    for n in range(gfam.count):
+        for k in range(g(n), min(g(n + 1), fam.count)):
+            assert ank_test(x, n, k, f, g, fam, gfam) == \
+                ank_by_filter(x, n, k, f, g, fam, gfam)
+
+
+@st.composite
+def ispec_tails(draw):
+    """A prefix, which may end before, inside or past the tail's first
+    runs, and one of the three tail rules."""
+    prefix = draw(st.text("01", max_size=60))
+    kind = draw(st.sampled_from(("periodic", "powers", "blocks")))
+    if kind == "periodic":
+        return prefix, (kind, draw(st.text("01", min_size=1, max_size=6).filter(
+            lambda w: "1" in w)))
+    c, q = draw(st.integers(1, 30)), draw(st.integers(2, 5))
+    if kind == "powers":
+        return prefix, (kind, c, q)
+    return prefix, (kind, c, draw(st.integers(c + 1, c * q)), q)
+
+
+@given(ispec_tails(), st.integers(0, 300))
+def test_ispec_counts_match_the_member_oracle(spec, n):
+    prefix, tail = spec
+    ispec = ISpec(prefix, tail)
+    members = ispec_members(prefix, tail, n)
+    assert {m for m in range(n) if ispec.contains(m)} == members
+    assert [ispec.count_below(m) for m in range(n + 1)] == \
+        list(accumulate((m in members for m in range(n)), initial=0))
 
 
 # ---------------------------------------------------------------------------
