@@ -234,6 +234,8 @@ def _verify_from_file(cfg: RunConfig, spec: dict):
         fam = ideals.BlockFamily(f, fams)
         gfam = ideals.BlockFamily(f.compose(g), gfams)
         horizon = specio.integer(spec.get("horizon", cfg.groups), "einc.horizon")
+        if horizon < 1:
+            raise SpecFormatError("horizon must be positive", "einc.horizon")
         v = ideals.einc_inclusion(f, g, fam, gfam, horizon)
         return v.n0 is not None, {"n0": v.n0, "failures": list(v.failures)}
     raise SpecFormatError(f"unknown check {check!r}", "check")

@@ -233,10 +233,17 @@ class DyadicHFn:
         return Fraction(lo[n], den), Fraction(hi[n], den)
 
     def lo_at(self, n: int) -> Fraction:
-        return self.value(n)[0]
+        return self._side(n, 1)
 
     def hi_at(self, n: int) -> Fraction:
-        return self.value(n)[1]
+        return self._side(n, 2)
+
+    def _side(self, n: int, side: int) -> Fraction:
+        """value(n)[side - 1]; from the store it builds only that Fraction."""
+        store = self._store
+        if 0 <= n < len(store[1]):
+            return Fraction(store[side][n], store[0])
+        return self.value(n)[side - 1]
 
     lo = property(lambda self: self._fractions(1), doc="Lower bounds at 0..n_max.")
     hi = property(lambda self: self._fractions(2), doc="Upper bounds at 0..n_max.")

@@ -150,18 +150,31 @@ class SMembershipReport:
 
 def s_membership_count(fam: BlockFamily, x: Word) -> SMembershipReport:
     """How often x's blocks land in the families (the 'frequently' count)."""
-    hits = []
-    for n in range(fam.count):
-        if fam.partition.restrict(x, n) in set(fam.family(n)):
-            hits.append(n)
-    return SMembershipReport(len(hits), tuple(hits), fam.count)
+    v = _blockwise_check(fam.partition, dict(enumerate(fam.families)), x, 0, fam.count)
+    hits = tuple(n for n, ok in v.outcomes if ok)
+    return SMembershipReport(len(hits), hits, fam.count)
 
 
 @dataclass(frozen=True)
 class EincVerdict:
-    n0: int | None          # least n past which the inclusion condition holds
+    n0: int | None          # least n from which every checked coarse block passes
     failures: tuple         # failing (n, k) pairs within the horizon
     horizon: int
+
+
+def _block_pairs(g: BlockPartition, fam: BlockFamily, n_lo: int, n_hi: int):
+    """The (n, k) with n in [n_lo, n_hi), k in [g(n), g(n+1)) and a family F_k."""
+    for n in range(n_lo, n_hi):
+        for k in range(g(n), min(g(n + 1), fam.count)):
+            yield n, k
+
+
+def _shadows(f: BlockPartition, g: BlockPartition, gfam: BlockFamily,
+             n: int, k: int) -> set:
+    """G_n's shadow on block k: the k-block restrictions of its words."""
+    a, b = f.block(k)
+    big_lo = f(g(n))
+    return {t[a - big_lo:b - big_lo] for t in gfam.family(n)}
 
 
 def einc_inclusion(f: BlockPartition, g: BlockPartition, fam: BlockFamily,
@@ -169,26 +182,14 @@ def einc_inclusion(f: BlockPartition, g: BlockPartition, fam: BlockFamily,
     """The blockwise inclusion criterion for S(f,F) inside S(f o g, G):
     for n and every k in [g(n), g(n+1)), each word of F_k appears as the
     k-block restriction of some word of G_n."""
-    fg = f.compose(g)
-    if gfam.partition != fg:
+    if gfam.partition != f.compose(g):
         raise SpecFormatError("G must live on the composed partition f o g")
-    failures = []
-    for n in range(min(horizon, gfam.count)):
-        big_lo = fg(n)
-        gwords = gfam.family(n)
-        for k in range(g(n), g(n + 1)):
-            if k >= fam.count:
-                break
-            a, b = f.block(k)
-            shadows = {w[a - big_lo:b - big_lo] for w in gwords}
-            if not set(fam.family(k)) <= shadows:
-                failures.append((n, k))
-    n0 = 0
-    if failures:
-        n0 = max(n for n, _ in failures) + 1
-        if n0 >= min(horizon, gfam.count):
-            n0 = None
-    return EincVerdict(n0, tuple(failures), horizon)
+    top = min(horizon, gfam.count)
+    failures = tuple((n, k) for n, k in _block_pairs(g, fam, 0, top)
+                     if not set(fam.family(k)) <= _shadows(f, g, gfam, n, k))
+    failed = {n for n, _ in failures}
+    n0 = _least_threshold([(n, n not in failed) for n in range(top)])
+    return EincVerdict(n0, failures, horizon)
 
 
 def ank_test(x: Word, n: int, k: int, f: BlockPartition, g: BlockPartition,
@@ -198,9 +199,7 @@ def ank_test(x: Word, n: int, k: int, f: BlockPartition, g: BlockPartition,
     if not g(n) <= k < g(n + 1):
         raise ValueError(f"k={k} is not in [g({n}), g({n}+1))")
     y = f.restrict(x, k)
-    a, b = f.block(k)
-    big_lo = f(g(n))
-    shadows = {t[a - big_lo:b - big_lo] for t in gfam.family(n)}
+    shadows = _shadows(f, g, gfam, n, k)
     return all(xor_words(z, y) in shadows for z in fam.family(k))
 
 
@@ -208,32 +207,27 @@ def xtilde_level_set(f: BlockPartition, g: BlockPartition, fam: BlockFamily,
                      gfam: BlockFamily, n0: int) -> BlockConstraintSet:
     """The closed level set {x : for all n >= n0 and applicable k, the block
     test holds}, as a block-constraint set (free below f(g(n0)) and beyond
-    the supplied horizon).  The full X-tilde is the increasing union over
-    n0, exposed by xtilde_filtration."""
-    n_top = gfam.count
-    if n0 >= n_top:
+    the supplied horizon): block k admits the y in z + G_n's shadow for
+    every z in F_k.  The full X-tilde is the increasing union over n0,
+    exposed by xtilde_filtration."""
+    if n0 >= gfam.count:
         raise ValueError("n0 beyond the supplied G families")
-    boundaries = []
-    blocks = []
-    for n in range(n0, n_top):
-        big_lo = f(g(n))
-        for k in range(g(n), g(n + 1)):
-            if k >= fam.count:
-                break
-            a, b = f.block(k)
-            shadows = {t[a - big_lo:b - big_lo] for t in gfam.family(n)}
-            allowed = [y for y in all_words(b - a)
-                       if all(xor_words(z, y) in shadows for z in fam.family(k))]
-            if not allowed:
-                raise BuildError(f"no admissible block words at (n={n}, k={k}): "
-                                 "empty survivor")
-            if not boundaries:
-                boundaries.append(a)
-            blocks.append(allowed)
-            boundaries.append(b)
-    if not blocks:
+    pairs = list(_block_pairs(g, fam, n0, gfam.count))
+    if not pairs:
         return FullCube()
-    return BlockConstraintSet(boundaries, blocks)
+    blocks = []
+    for n, k in pairs:
+        if fam.family(k):
+            shadows = _shadows(f, g, gfam, n, k)
+            allowed = set.intersection(*({xor_words(z, t) for t in shadows}
+                                         for z in fam.family(k)))
+        else:
+            allowed = all_words(f.block_width(k))
+        if not allowed:
+            raise BuildError(f"no admissible block words at (n={n}, k={k}): "
+                             "empty survivor")
+        blocks.append(allowed)
+    return BlockConstraintSet([f(k) for k in range(pairs[0][1], pairs[-1][1] + 2)], blocks)
 
 
 def xtilde_filtration(f, g, fam, gfam) -> Filtration:
@@ -265,9 +259,7 @@ def shelahM_check(w: ShelahMWitness, x: Word, n_lo: int, n_hi: int) -> Threshold
     """For each n: is there a full f-block inside [g(n), g(n+1)) on which x
     agrees with y?"""
     outcomes = []
-    for n in range(n_lo, n_hi + 1):
-        if n + 1 >= len(w.g.table):
-            break
+    for n in range(n_lo, min(n_hi + 1, w.g.block_count)):
         hit = False
         for k in range(w.f.block_count):
             if w.g(n) <= w.f(k) and w.f(k + 1) <= w.g(n + 1):
@@ -508,9 +500,7 @@ def nadd_box_check(w: ShelahNWitness, growth, h: DyadicHFn, i_max: int,
         for i in range(f(n + 1), i_max + 1):
             # blocks n..k meet the first i bits
             k = max(kk for kk in range(len(sizes)) if f(kk) <= i)
-            bound = 1 << f(n)
-            for size in sizes[n:k + 1]:
-                bound *= size
+            bound = (1 << f(n)) * math.prod(sizes[n:k + 1])
             triples.append((i, bound, samples[i - 1]))
         targets.append(triples)
     return _box_rows(shelahN_filtration(w), targets, budget)

@@ -104,28 +104,24 @@ class ISpec:
 
     # -- membership and counting ------------------------------------------
 
+    def _tail_runs(self):
+        """A geometric tail's member runs [lo, hi), increasing and endless:
+        [c*q^k, c*q^k + 1) for powers, [c*q^k, d*q^k) for blocks."""
+        lo, q = self.tail[1], self.tail[-1]
+        width, grow = (self.tail[2] - lo, q) if self.tail[0] == "blocks" else (1, 1)
+        while True:
+            yield lo, lo + width
+            lo, width = lo * q, width * grow
+
     def contains(self, n: int) -> bool:
         if n < len(self.prefix):
             return self.prefix[n] == "1"
-        kind = self.tail[0]
-        if kind == "periodic":
+        if self.tail[0] == "periodic":
             word = self.tail[1]
             return word[(n - len(self.prefix)) % len(word)] == "1"
-        if kind == "powers":
-            _, c, q = self.tail
-            v = c
-            while v < n:
-                v *= q
-            return v == n and n >= len(self.prefix)
-        _, c, d, q = self.tail
-        lo = c
-        hi = d
-        while lo <= n:
-            if lo <= n < hi:
-                return True
-            lo *= q
-            hi *= q
-        return False
+        for lo, hi in self._tail_runs():
+            if n < hi:
+                return lo <= n
 
     def count_below(self, n: int) -> int:
         """|I  n|, the number of members below n."""
@@ -133,31 +129,16 @@ class ISpec:
         total = self.prefix[:cut].count("1")
         if n <= len(self.prefix):
             return total
-        kind = self.tail[0]
         start = len(self.prefix)
-        if kind == "periodic":
+        if self.tail[0] == "periodic":
             word = self.tail[1]
             span = n - start
             full, rem = divmod(span, len(word))
             return total + full * word.count("1") + word[:rem].count("1")
-        if kind == "powers":
-            _, c, q = self.tail
-            v = c
-            while v < n:
-                if v >= start:
-                    total += 1
-                v *= q
-            return total
-        _, c, d, q = self.tail
-        lo, hi = c, d
-        while lo < n:
-            a = max(lo, start)
-            b = min(hi, n)
-            if b > a:
-                total += b - a
-            lo *= q
-            hi *= q
-        return total
+        for lo, hi in self._tail_runs():
+            if lo >= n:
+                return total
+            total += max(0, min(hi, n) - max(lo, start))
 
     def complement_count(self, n: int) -> int:
         return n - self.count_below(n)

@@ -593,6 +593,22 @@ def test_well_formed_check_specs_run(tmp_path, capsys, spec):
 
 
 
+def test_einc_horizon_must_be_positive(tmp_path, capsys):
+    spec = {"check": "einc", "f": [0, 1, 2], "g": [0, 2],
+            "F": [["0"], ["1"]], "G": [["00"]]}
+    path = tmp_path / "check.json"
+    path.write_text(canonical_json({**spec, "horizon": 1}))
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 1 and err == ""
+    assert json.loads(out)["detail"] == {"n0": None, "failures": [[0, 1]]}
+    # with no coarse block checked there is no verdict to give
+    for horizon in (0, -3):
+        path.write_text(canonical_json({**spec, "horizon": horizon}))
+        code, out, err = run(["verify", str(path)], capsys)
+        assert code == 2 and out == "" and err.startswith("input error:")
+        assert "(at einc.horizon)" in err
+
+
 @pytest.mark.parametrize("cover", [
     [0, 1],
     [{"cyl": "0", "group": [0]}, {"cyl": "1", "group": [0]}],

@@ -76,6 +76,22 @@ def test_a_power_past_its_store_is_read_off_its_grid(monkeypatch):
     assert len(h.numerators(0)[1]) == stored
 
 
+@pytest.mark.parametrize("h, ns", [
+    (table_hfn([Fraction(3, 2 * n + 3) for n in range(40)]), range(40)),
+    # a power read past its store, which stays empty
+    (power_hfn(Fraction(2, 3)), [0, 1, 7, 40, 191, 5000]),
+    (power_log_hfn(Fraction(1, 2), 1, 20), range(60)),
+])
+def test_one_sided_reads_equal_value(monkeypatch, h, ns):
+    for n in ns:
+        assert (h.lo_at(n), h.hi_at(n)) == h.value(n)
+    if h.symbolic and not h.symbolic.t:
+        # the power's reads still go to its grid, one sample each
+        built = _counted(monkeypatch, "sample", _Grid)
+        assert h.lo_at(10_000) < h.hi_at(10_000)
+        assert [n for _, n in built] == [10_000, 10_000]
+
+
 @pytest.mark.parametrize("s", ["1/2", "2/3", "7/10", "13/7", "9/4", "3"])
 @pytest.mark.parametrize("precision", [3, 128])
 def test_power_table_takes_one_root_per_residue_class(monkeypatch, s, precision):

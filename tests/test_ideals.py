@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               tprime_lbox_check, tprime_level_sets,
                               xtilde_level_set, xtilde_filtration)
 from cantordim.treeset import FullCube
-from cantordim.words import all_words, evens, periodic_ispec
+from cantordim.words import all_words, evens, periodic_ispec, xor_words
 
 
 def test_block_partition():
@@ -114,6 +115,21 @@ def test_einc_trivial_cases():
     assert v.failures and v.failures[0] == (0, 0)
 
 
+def test_einc_without_a_checked_block_has_no_threshold():
+    f, g = BlockPartition((0, 1, 2)), BlockPartition((0, 2))
+    F = BlockFamily(f, (("0",), ("1",)))
+    G = BlockFamily(f.compose(g), (("00",),))
+    v = einc_inclusion(f, g, F, G, 1)
+    assert v.failures == ((0, 1),) and v.n0 is None
+    for horizon in (0, -3):
+        v = einc_inclusion(f, g, F, G, horizon)
+        assert v.failures == () and v.n0 is None
+    # a coarse block with no family of F to check passes vacuously
+    G2 = BlockFamily(f.compose(BlockPartition((0, 1, 2))), (("0",), ("1",)))
+    v = einc_inclusion(f, BlockPartition((0, 1, 2)), BlockFamily(f, (("0",),)), G2, 2)
+    assert v.failures == () and v.n0 == 0
+
+
 def test_ank_test():
     f = BlockPartition(tuple(range(9)))
     g = BlockPartition((0, 2, 4, 6, 8))
@@ -152,6 +168,20 @@ def test_xtilde_level_sets():
     G_bad = BlockFamily(fg, (("11",),) * 4)
     with pytest.raises(BuildError):
         xtilde_level_set(f, g, BlockFamily(f, (("0", "1"),) * 8), G_bad, 0)
+
+
+def test_xtilde_level_set_on_a_wide_block():
+    # 2^24 block words: the admissible ones are z + G_0's shadow, found
+    # without listing the others
+    f, g = BlockPartition((0, 24)), BlockPartition((0, 1))
+    z = "011010011100101101001110"
+    gwords = ("0" * 24, "1" * 24, "01" * 12, "0011" * 6, z)
+    start = time.perf_counter()
+    xt = xtilde_level_set(f, g, BlockFamily(f, ((z,),)),
+                          BlockFamily(f.compose(g), (gwords,)), 0)
+    assert time.perf_counter() - start < 0.5
+    assert xt.boundaries == (0, 24)
+    assert xt.blocks == (frozenset(xor_words(z, t) for t in gwords),)
 
 
 def test_shelahM_check():

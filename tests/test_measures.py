@@ -242,9 +242,17 @@ def test_sparse_builder_asks_the_gauge_once_per_scale():
     # each n's test only gets harder as the count grows, so a log gauge is
     # read once per n <= depth, not once per (j, n) pair (about depth^2 / 2)
     h = power_log_hfn(Fraction(1, 2), 1)
-    reads = []
-    value = h.value
-    h.value = lambda n: reads.append(n) or value(n)
+    reads, inside = [], []
+    for name in ("value", "lo_at", "hi_at"):
+        def counted(n, read=getattr(h, name)):
+            if not inside:  # not a read that lo_at or hi_at hands to value
+                reads.append(n)
+            inside.append(n)
+            try:
+                return read(n)
+            finally:
+                inside.pop()
+        setattr(h, name, counted)
     sparse_I_builder(h, 96)
     assert reads == list(range(96, 0, -1))
 
