@@ -9,9 +9,11 @@ can disagree.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby, repeat
+from math import lcm
 
 from cantordim.errors import BuildError, DepthExceededError
-from cantordim.hfun import pow2_bounds, power_hfn, precede
+from cantordim.hfun import (iroot_floor, ln2_bounds, pow2_bounds, power_hfn,
+                            precede)
 from cantordim.measures import IdentityCode, RepeatCode, ShiftCode, _gauge_covers
 from cantordim.treeset import _budget
 from cantordim.words import ISpec, all_words, check_words, xor_words
@@ -424,6 +426,91 @@ def gauge_table_error(lo, hi):
         if n and (lo[n] > lo[n - 1] or hi[n] > hi[n - 1]):
             return f"gauge values must be nonincreasing in n (index {n})"
     return None
+
+
+class GaugeStoreByFractions:
+    """A gauge's integer store (den, lo, hi) built the way it was built
+    before samples stayed integers: each grid sample is a pair of normalized
+    `Fraction`s, and each fill puts every sample over the lcm of the store's
+    denominator and theirs.  Reads follow `DyadicHFn`'s policy: a symbolic
+    store grows in order, within n_max to max(n, min(2 len, n_max)) and past
+    it exactly to n; a power read past its store is sampled, not stored."""
+
+    def __init__(self, s=None, t=0, prec=128, n_max=96, lo=None, hi=None):
+        self.s, self.t, self.prec = Fraction(s) if s is not None else None, t, prec
+        self.store = (1, [], [])
+        self._roots, self._log_powers = {}, None
+        if self.s is None:
+            self.n_max = len(lo) - 1
+            self._fill(list(zip(map(Fraction, lo), map(Fraction, hi))))
+        else:
+            self.n_max = n_max
+
+    def sample(self, n):
+        a, b, t, prec = self.s.numerator, self.s.denominator, self.t, self.prec
+        if t:
+            n = n or 1
+        an = a * n
+        c = -(-an // b)
+        j = c * b - an
+        if not j:
+            lo = hi = Fraction(1, 1 << c)
+        else:
+            root = self._roots.get(j)
+            if root is None:
+                root = self._roots[j] = iroot_floor(1 << (b * prec + j), b)
+            if c > prec:
+                den = 1 << (prec + c)
+            else:
+                root, den = root >> c, 1 << prec
+            lo, hi = Fraction(root, den), Fraction(root + 1, den)
+        if not t:
+            return lo, hi
+        if self._log_powers is None:
+            l2lo, l2hi = ln2_bounds(prec)
+            self._log_powers = l2lo ** abs(t), l2hi ** abs(t)
+        plo, phi = self._log_powers
+        if t > 0:
+            scale = n ** t
+            return lo * plo * scale, hi * phi * scale
+        scale = n ** -t
+        return lo / (phi * scale), hi / (plo * scale)
+
+    def _fill(self, samples):
+        den, lo, hi = self.store
+        top = lcm(den, *(v.denominator for pair in samples for v in pair))
+        if top != den:
+            lo, hi = [x * (top // den) for x in lo], [x * (top // den) for x in hi]
+        lo.extend(v.numerator * (top // v.denominator) for v, _ in samples)
+        hi.extend(v.numerator * (top // v.denominator) for _, v in samples)
+        self.store = top, lo, hi
+
+    def numerators(self, n):
+        have = len(self.store[1])
+        if not 0 <= n < have:
+            if n < 0 or self.s is None:
+                raise DepthExceededError(
+                    f"gauge undefined at grid index {n} (table to {self.n_max})")
+            new = [self.sample(k)
+                   for k in range(have, max(n, min(2 * have, self.n_max)) + 1)]
+            if self.t:
+                lo, hi = self.value(have - 1) if have else new[0]
+                for k, (klo, khi) in enumerate(new):
+                    lo, hi = new[k] = min(klo, lo), min(khi, hi)
+            self._fill(new)
+        return self.store
+
+    def value(self, n):
+        if n >= len(self.store[1]) and self.s is not None and not self.t:
+            return self.sample(n)
+        den, lo, hi = self.numerators(n)
+        return Fraction(lo[n], den), Fraction(hi[n], den)
+
+    def lo_at(self, n):
+        return self.value(n)[0]
+
+    def hi_at(self, n):
+        return self.value(n)[1]
 
 
 def coherence_holds(e, p, budget=None):

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (ank_by_filter, block_level_trace, cover_walk_charge,
-                     covering_groups_by_words, covering_groups_sets, dp_walk,
-                     gauge_table, gauge_table_error, ispec_members,
+from oracles import (GaugeStoreByFractions, ank_by_filter, block_level_trace,
+                     ci_trace, cover_walk_charge, covering_groups_by_words,
+                     covering_groups_sets, dp_walk, gauge_table,
+                     gauge_table_error, ispec_members,
                      min_cylinder_cover_cost, sparse_greedy,
                      xtilde_blocks_by_filter)
 
@@ -235,6 +236,52 @@ def test_gauge_tables_are_refused_as_the_oracle_says(pairs, aligned):
 
 
 @st.composite
+def stored_gauges(draw):
+    """(gauge, its Fraction-built oracle): a power r^(a/b) with b <= 40 at
+    precision 3..128, a power-log gauge with t in {-2, -1, 1, 2}, or a table,
+    exact or an interval, over drawn denominators."""
+    kind = draw(st.sampled_from(("power", "log", "table")))
+    if kind == "table":
+        lo = sorted(draw(st.lists(st.builds(Fraction, st.integers(1, 9),
+                                            st.integers(1, 64)),
+                                  min_size=1, max_size=20)), reverse=True)
+        hi = lo if draw(st.booleans()) else [v * Fraction(9, 8) for v in lo]
+        return DyadicHFn(lo, hi), GaugeStoreByFractions(lo=lo, hi=hi)
+    s = Fraction(draw(st.integers(1, 80)), draw(st.integers(1, 40)))
+    t = 0 if kind == "power" else draw(st.sampled_from((-2, -1, 1, 2)))
+    prec, n_max = draw(st.integers(3, 128)), draw(st.integers(0, 40))
+    return (power_log_hfn(s, t, n_max, prec),
+            GaugeStoreByFractions(s, t, prec, n_max))
+
+
+def _read(h, method, n):
+    try:
+        return getattr(h, method)(n)
+    except DepthExceededError as exc:
+        return str(exc)
+
+
+@given(stored_gauges(), st.data())
+def test_gauge_store_equals_the_fraction_built_store(gauges, data):
+    # reads one index at a time, jumps past n_max and reads past the store,
+    # in a drawn order, so that every rescaling path runs
+    h, oracle = gauges
+    for _ in range(data.draw(st.integers(1, 8))):
+        have = len(oracle.store[1])
+        n = data.draw(st.one_of(st.just(have), st.integers(0, h.n_max + 2),
+                                st.integers(h.n_max, h.n_max + 80),
+                                st.integers(have, have + 40)))
+        method = data.draw(st.sampled_from(("numerators", "value", "lo_at", "hi_at")))
+        got, want = _read(h, method, n), _read(oracle, method, n)
+        if method == "numerators" and not isinstance(want, str):
+            got, want = (got[0], list(got[1]), list(got[2])), want
+        assert got == want and type(got) is type(want)
+        if method != "numerators" and not isinstance(want, str):
+            assert all(type(v) is Fraction for v in (got if method == "value" else [got]))
+        assert h.numerators(0) == oracle.numerators(0)
+
+
+@st.composite
 def extraction_instances(draw):
     """A set, a gauge, a cover scale m and a depth >= m reaching every word."""
     e = draw(st.one_of(explicit_sets(), st.builds(
@@ -386,6 +433,20 @@ def test_ispec_counts_match_the_member_oracle(spec, n):
 
 def words_of(width):
     return st.text("01", min_size=width, max_size=width)
+
+
+@given(ispec_tails(), st.lists(st.integers(0, 300), min_size=1, max_size=6),
+       st.integers(0, 10))
+def test_ci_traces_match_the_member_oracle(spec, depths, n):
+    prefix, tail = spec
+    members = ispec_members(prefix, tail, 301)
+    # a cold set first read at drawn depths, in a drawn order
+    e = CISet(ISpec(prefix, tail))
+    for d in depths:
+        assert [b for b, _ in e.children((), d)] == ([0] if d in members else [0, 1])
+    assert e.trace_counts(300) == [1 << (d - len(members & set(range(d))))
+                                   for d in range(301)]
+    assert e.trace(n) == ci_trace(members.__contains__, n)
 
 
 @st.composite
