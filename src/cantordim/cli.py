@@ -89,8 +89,8 @@ def cmd_dim(cfg: RunConfig, args) -> int:
         # gauge given: emit the box-content sequence n, N, N*h instead
         h = cfg.parse_hfn(specio.load_json(args.hfn))
         seq = measures.box_content_sequence(e, h, lo, hi, cfg.make_budget())
-        rows = [(n, specio.rational_str(count), specio.rational_str(v_hi))
-                for n, count, _, v_hi in seq.entries]
+        rows = [(n, specio.rational_str(count), specio.ratio_str(v_hi, seq.den))
+                for n, count, v_hi in zip(seq.scales, seq.counts, seq.his)]
         if cfg.fmt == "csv":
             _emit_csv(cfg, ["n", "N", "N_times_h"], rows)
         else:
@@ -315,16 +315,21 @@ def cmd_witness(cfg: RunConfig, args) -> int:
         ok = all(s <= Fraction(1, 1 << k) for k, s in enumerate(sums))
         report = {"partial_sum": specio.rational_str(sum(sums)), "inequality_ok": ok}
     elif args.action == "compile-nadd":
-        f = ideals.nadd_fbuilder(lambda n: Fraction(1, h.hi_at(max(0, n - 1))), args.k)
+        f = ideals.nadd_fbuilder(lambda n: _inverse_hi(h, max(0, n - 1)), args.k)
     else:
-        f = ideals.tprime_fbuilder(lambda n: Fraction(1, h.hi_at(n)), lambda n: n + 1,
-                                   args.k)
+        f = ideals.tprime_fbuilder(lambda n: _inverse_hi(h, n), lambda n: n + 1, args.k)
     if args.witness_out:
         with open(args.witness_out, "w", encoding="utf-8") as fh:
             fh.write(specio.canonical_json({"f": list(f.table)}))
     _emit_json(cfg, {"f": list(f.table), **report, "status": "pass" if ok else "fail",
                      "limits": cfg.limits()})
     return EXIT_PASS if ok else EXIT_FAIL
+
+
+def _inverse_hi(h: DyadicHFn, n: int) -> Fraction:
+    """1 / h.hi_at(n), made as one Fraction."""
+    _, hi, den = h.sample_at(n)
+    return Fraction(den, hi)
 
 
 # ---------------------------------------------------------------------------

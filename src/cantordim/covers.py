@@ -72,9 +72,10 @@ class Cover:
         return None
 
 
-def _growth(fn, n: int) -> Fraction:
-    """fn(n) for a callable bound, fn[n] for a table."""
-    return Fraction(fn(n) if callable(fn) else fn[n])
+def _growth(fn, n: int) -> int | Fraction:
+    """fn(n) for a callable bound, fn[n] for a table; an int or a Fraction as is."""
+    v = fn(n) if callable(fn) else fn[n]
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
 def _least_threshold(outcomes) -> int | None:
@@ -553,7 +554,8 @@ def verify_combDnull_witness(e: TreeSet, eps, index_set, families, f_bound,
     fine_bad, size_bad = [], []
     for n in idx:
         fam = families[n]
-        if any(Fraction(1, 1 << e.scale_of_depth(len(w))) > eps[n] for w in fam):
+        p, q = eps[n].numerator, eps[n].denominator  # 2^-k > p/q iff q > p 2^k
+        if any(q > p << e.scale_of_depth(len(w)) for w in fam):
             fine_bad.append(n)
         if len(fam) > _growth(f_bound, n):
             size_bad.append(n)

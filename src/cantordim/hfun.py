@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm, log2
+from math import gcd, lcm, log2
 
 from .errors import (BuildError, DepthExceededError, ResourceLimitError,
                      SpecFormatError)
@@ -99,11 +99,12 @@ class _Grid:
         if self.b * prec > MAX_SAMPLE_BITS:
             raise ResourceLimitError(TOO_LONG)
         self._roots: dict[int, int] = {}
-        self._log_powers = None  # (ln2_lo^|t|, ln2_hi^|t|)
+        self._log_powers = None  # ln2_lo^|t| and ln2_hi^|t| as integer ratios
 
-    def sample(self, n: int) -> tuple[Fraction, Fraction]:
-        """Outward bounds on h(2^-n): pow2_bounds(-s n, prec), times
-        (n ln 2)^t for a log gauge."""
+    def sample(self, n: int) -> tuple[int, int, int]:
+        """Outward bounds on h(2^-n) as (lo, hi, den), jointly in lowest
+        terms: pow2_bounds(-s n, prec), times (n ln 2)^t for a log gauge.
+        A power's den is a power of two."""
         t, b, prec = self.t, self.b, self.prec
         if t:
             n = n or 1  # log(1/r) vanishes at r=1: the n=0 sample is the n=1 one
@@ -113,30 +114,40 @@ class _Grid:
         if c > MAX_SAMPLE_BITS:
             raise ResourceLimitError(TOO_LONG)
         if not j:
-            lo = hi = Fraction(1, 1 << c)
+            lo, hi, e = 1, 1, c
         else:
             root = self._roots.get(j)
             if root is None:
                 root = self._roots[j] = iroot_floor(1 << (b * prec + j), b)
-            if c > prec:
-                # where pow2_bounds pushes the exponent up by c: the same
-                # root, over 2^(prec + c)
-                den = 1 << (prec + c)
-            else:
-                root, den = root >> c, 1 << prec
-            lo, hi = Fraction(root, den), Fraction(root + 1, den)
+            # past c = prec, where pow2_bounds pushes the exponent up by c:
+            # the same root, over 2^(prec + c)
+            lo, e = (root, prec + c) if c > prec else (root >> c, prec)
+            hi = lo + 1  # one of lo, hi is odd: the pair is in lowest terms
         if not t:
-            return lo, hi
+            return lo, hi, 1 << e
         if self._log_powers is None:
-            l2lo, l2hi = ln2_bounds(prec)
-            self._log_powers = l2lo ** abs(t), l2hi ** abs(t)
-        plo, phi = self._log_powers
+            # ln2_lo^|t| = ln / ld and ln2_hi^|t| = hn / hd
+            self._log_powers = [x ** abs(t) for v in ln2_bounds(prec)
+                                for x in v.as_integer_ratio()]
+        ln, ld, hn, hd = self._log_powers
         # every factor is positive, so the bracket's ends pair up directly
         if t > 0:
             scale = n ** t
-            return lo * plo * scale, hi * phi * scale
-        scale = n ** -t
-        return lo / (phi * scale), hi / (plo * scale)
+            return _lowest(lo * ln * hd * scale, hi * hn * ld * scale, (ld * hd) << e)
+        return _lowest(lo * hd * ln, hi * ld * hn, (hn * ln * n ** -t) << e)
+
+
+def _lowest(lo: int, hi: int, den: int) -> tuple[int, int, int]:
+    """(lo, hi, den) divided by gcd(lo, hi, den)."""
+    g = gcd(lo, hi, den)
+    return lo // g, hi // g, den // g
+
+
+def _ratios(lo, hi) -> tuple[int, int, int]:
+    """The table sample lo..hi as (lo, hi, den), jointly in lowest terms."""
+    (a, b), (c, d) = (v.as_integer_ratio() if isinstance(v, (int, Fraction))
+                      else Fraction(v).as_integer_ratio() for v in (lo, hi))
+    return (a, c, b) if b == d else _lowest(a * d, c * b, b * d)
 
 
 @dataclass(frozen=True)
@@ -170,7 +181,7 @@ class DyadicHFn:
             raise SpecFormatError("gauge table bounds must be nonempty and aligned")
         self.n_max = n_max
         if symbolic is None:
-            self._fill(list(zip(map(Fraction, lo), map(Fraction, hi))))
+            self._fill(list(map(_ratios, lo, hi)))
 
     def _symbolic_name(self) -> str:
         s = self.symbolic
@@ -179,26 +190,30 @@ class DyadicHFn:
         return f"r^{s.s}*log^{s.t}"
 
     def _fill(self, samples):
-        """Append samples, as (lo, hi) Fractions, to the store: the only way
-        into it, so each one is validated here."""
+        """Append samples, as (lo, hi, den) integers jointly in lowest terms,
+        to the store: the only way into it, so each one is validated here."""
         den, lo, hi = self._store
         n = len(lo)
-        pln, pld, phn, phd = (lo[-1], den, hi[-1], den) if n else (0, 1, 0, 1)
+        pl, ph, pd = (lo[-1], hi[-1], den) if n else (0, 0, 1)
         # p/q <= r/s iff p s <= r q, as denominators are positive
-        for l, h in samples:
-            ln, ld, hn, hd = l.numerator, l.denominator, h.numerator, h.denominator
-            if not (0 < ln and ln * hd <= hn * ld):
+        for l, h, d in samples:
+            if not 0 < l <= h:
                 raise SpecFormatError(f"gauge values must be positive (index {n})")
-            if n and (ln * pld > pln * ld or hn * phd > phn * hd):
+            if n and (l * pd > pl * d or h * pd > ph * d):
                 raise SpecFormatError(f"gauge values must be nonincreasing in n (index {n})")
-            pln, pld, phn, phd = ln, ld, hn, hd
+            pl, ph, pd = l, h, d
             n += 1
-        top = lcm(den, *(v.denominator for pair in samples for v in pair))
+        dens = [d for _, _, d in samples]
+        if den & (den - 1) or any(d & (d - 1) for d in dens):
+            top = lcm(den, *dens)
+            scale = lambda x, d: x * (top // d)
+        else:  # powers of two: the lcm is the largest, and rescaling a shift
+            top = max(den, *dens)
+            scale = lambda x, d: x << (top.bit_length() - d.bit_length())
         if top != den:
-            up = top // den
-            lo, hi = [x * up for x in lo], [x * up for x in hi]
-        lo.extend(v.numerator * (top // v.denominator) for v, _ in samples)
-        hi.extend(v.numerator * (top // v.denominator) for _, v in samples)
+            lo, hi = [scale(x, den) for x in lo], [scale(x, den) for x in hi]
+        lo.extend(scale(l, d) for l, _, d in samples)
+        hi.extend(scale(h, d) for _, h, d in samples)
         self._store = top, lo, hi
 
     def _grow(self, n: int):
@@ -210,9 +225,11 @@ class DyadicHFn:
         new = [sample(k) for k in range(have, max(n, min(2 * have, self.n_max)) + 1)]
         if self.symbolic.t:
             # r^s log(1/r)^t can wobble upward; clamp to nonincreasing
-            lo, hi = self.value(have - 1) if have else new[0]
-            for k, (klo, khi) in enumerate(new):
-                lo, hi = new[k] = min(klo, lo), min(khi, hi)
+            pl, ph, pd = self.sample_at(have - 1) if have else new[0]
+            for k, (l, h, d) in enumerate(new):
+                if l * pd > pl * d or h * pd > ph * d:
+                    new[k] = _lowest(min(l * pd, pl * d), min(h * pd, ph * d), d * pd)
+                pl, ph, pd = new[k]
         self._fill(new)
 
     def numerators(self, n: int) -> tuple[int, list, list]:
@@ -225,12 +242,17 @@ class DyadicHFn:
             self._grow(n)
         return self._store
 
-    def value(self, n: int) -> tuple[Fraction, Fraction]:
+    def sample_at(self, n: int) -> tuple[int, int, int]:
+        """Sample n as integers (lo, hi, den), value(n) = (lo/den, hi/den):
+        from the store, or for a power past it off the grid (it needs no clamp)."""
         if n >= len(self._store[1]) and self._grid is not None and not self.symbolic.t:
-            # a power needs no clamp: past the store, read it off the grid
             return self._grid.sample(n)
         den, lo, hi = self.numerators(n)
-        return Fraction(lo[n], den), Fraction(hi[n], den)
+        return lo[n], hi[n], den
+
+    def value(self, n: int) -> tuple[Fraction, Fraction]:
+        lo, hi, den = self.sample_at(n)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def lo_at(self, n: int) -> Fraction:
         return self._side(n, 1)
@@ -239,11 +261,9 @@ class DyadicHFn:
         return self._side(n, 2)
 
     def _side(self, n: int, side: int) -> Fraction:
-        """value(n)[side - 1]; from the store it builds only that Fraction."""
-        store = self._store
-        if 0 <= n < len(store[1]):
-            return Fraction(store[side][n], store[0])
-        return self.value(n)[side - 1]
+        """value(n)[side - 1], building only that Fraction."""
+        sample = self.sample_at(n)
+        return Fraction(sample[side - 1], sample[2])
 
     lo = property(lambda self: self._fractions(1), doc="Lower bounds at 0..n_max.")
     hi = property(lambda self: self._fractions(2), doc="Upper bounds at 0..n_max.")
@@ -266,25 +286,28 @@ class DyadicHFn:
     def dominates_dyadic(self, exponent: int, n: int) -> bool | None:
         """Certified verdict of 2^-exponent <= h(2^-n); None if undecided."""
         if self.symbolic is not None and self.symbolic.t == 0:
-            # 2^-e <= 2^-ns  iff  e >= n*s, exactly
-            return Fraction(exponent) >= self.symbolic.s * n
-        target = Fraction(1, 1 << exponent)
-        lo, hi = self.value(n)
-        if target <= lo:
+            s = self.symbolic.s  # 2^-e <= 2^-ns  iff  e >= n*s, exactly
+            return exponent * s.denominator >= s.numerator * n
+        lo, hi, den = self.sample_at(n)
+        # 2^-e <= x / den  iff  den <= x 2^e
+        if den <= lo << exponent:
             return True
-        if target > hi:
+        if den > hi << exponent:
             return False
         return None
 
     def below_dyadic(self, exponent: int, n: int) -> bool | None:
         """Certified verdict of h(2^-n) <= 2^-exponent; None if undecided."""
         if self.symbolic is not None and self.symbolic.t == 0:
-            return self.symbolic.s * n >= Fraction(exponent)
-        target = Fraction(1, 1 << exponent) if exponent >= 0 else Fraction(1 << -exponent)
-        lo, hi = self.value(n)
-        if hi <= target:
+            s = self.symbolic.s
+            return s.numerator * n >= exponent * s.denominator
+        lo, hi, den = self.sample_at(n)
+        # x / den <= 2^-e  iff  x 2^e <= den, for e of either sign
+        lo, hi, den = ((lo << exponent, hi << exponent, den) if exponent >= 0
+                       else (lo, hi, den << -exponent))
+        if hi <= den:
             return True
-        if lo > target:
+        if lo > den:
             return False
         return None
 
@@ -320,7 +343,7 @@ def power_log_hfn(s, t: int, n_max: int = DEFAULT_N_MAX,
 
 
 def table_hfn(values, precision: int = DEFAULT_PRECISION_BITS) -> DyadicHFn:
-    vals = [Fraction(v) for v in values]
+    vals = list(values)
     return DyadicHFn(vals, vals, None, precision)
 
 

@@ -521,7 +521,7 @@ def chain_check(e: TreeSet, h: DyadicHFn, m: int, depth: int,
         failures.append("H lower exceeds dbox witness")
     if dbox > seq.tail_sup:
         failures.append("dbox witness exceeds ubox tail sup")
-    best_single_scale = min(r[3] for r in seq.entries)
+    best_single_scale = Fraction(min(seq.his), seq.den)
     if hb.upper > best_single_scale:
         failures.append("DP upper exceeds a single-scale trace cover")
     return ChainReport(not failures, hb, hb, dbox, seq.tail_sup, tuple(failures))
@@ -564,8 +564,8 @@ def product_inequality_check(a: TreeSet, b: TreeSet, h: DyadicHFn, g: DyadicHFn,
     seq_b = box_content_sequence(b, g, n_lo, n_hi, bud)
     seq_p = box_content_sequence(p, hg, n_lo, n_hi, bud)
     # row n holds N at scale n: depth n of a factor, depth 2n of the product
-    counting = all(rp[1] == ra[1] * rb[1] for ra, rb, rp
-                   in zip(seq_a.entries, seq_b.entries, seq_p.entries))
+    counting = all(c == x * y for x, y, c
+                   in zip(seq_a.counts, seq_b.counts, seq_p.counts))
     window_ok = seq_p.tail_sup <= seq_a.tail_sup * seq_b.tail_sup
 
     bounds_a = hausdorff_measure_delta(a, h, m, depth, bud)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .covers import Cover
 from .errors import ResourceLimitError, SpecFormatError
@@ -20,9 +21,9 @@ from .hfun import (DEFAULT_N_MAX, DEFAULT_PRECISION_BITS, DyadicHFn,
                    power_hfn, power_log_hfn, table_hfn)
 from .ideals import (BlockFamily, BlockPartition, EventualPoint,
                      ShelahMWitness, ShelahNWitness, TPrimeWitness)
-from .treeset import (BlockConstraintSet, CISet, CylinderUnionSet,
-                      ExplicitSet, FullCube, ProductSet, SumSet, TreeSet,
-                      UnionSet)
+from .treeset import (MAX_SET_NESTING, BlockConstraintSet, CISet,
+                      CylinderUnionSet, ExplicitSet, FullCube, ProductSet,
+                      SumSet, TreeSet, UnionSet)
 from .words import ISpec
 
 
@@ -37,9 +38,22 @@ def rational(text, where: str) -> Fraction:
         raise SpecFormatError(f"bad rational {text!r}: {exc}", where) from None
 
 
-def rational_str(x: Fraction) -> str:
+def rational_str(x: Fraction | int) -> str:
+    """str(Fraction(x)) for an int or a Fraction, without copying it."""
+    return ratio_str(x.numerator, x.denominator)
+
+
+def ratio_str(p: int, den: int) -> str:
+    """str(Fraction(p, den)) for den > 0, from the integers: a power-of-two
+    den is reduced by p's trailing zeros, any other by a gcd."""
+    if den & (den - 1):
+        g = gcd(p, den)
+        p, den = p // g, den // g
+    else:
+        z = (min(p & -p, den) if p else den).bit_length() - 1
+        p, den = p >> z, den >> z
     try:
-        return str(Fraction(x))
+        return f"{p}/{den}" if den != 1 else str(p)
     except ValueError:  # past Python's int-to-str digit limit
         raise ResourceLimitError("number too long to print "
                                  f"(over {sys.get_int_max_str_digits()} digits)") from None
@@ -104,13 +118,6 @@ def ispec_to_dict(spec: ISpec) -> dict:
     if rule == "periodic":
         return {"preperiod": spec.prefix, "period": params[0]}
     return {"prefix": spec.prefix, rule: dict(zip(_TAIL_KEYS[rule], params))}
-
-
-# Deepest set-spec nesting accepted.  Sets nested this deep still evaluate
-# inside Python's default recursion limit (a sumset costs about three frames
-# per level per step; 330 levels of sumsets already overflow), so deeper
-# specs are input errors rather than crashes.
-MAX_SET_NESTING = 256
 
 
 def parse_set(d: dict, where: str = "set", depth: int = 0) -> TreeSet:

@@ -24,6 +24,10 @@ from .errors import ResourceLimitError, SpecFormatError
 from .words import ISpec, Word, check_word, check_words
 
 DEFAULT_NODE_BUDGET = 1 << 22
+# Deepest nesting of sumsets, products and unions, specs included: a sumset
+# costs about three frames per level per step, and 330 levels overflow
+# Python's default recursion limit, so deeper sets are input errors.
+MAX_SET_NESTING = 256
 
 
 class Budget:
@@ -76,10 +80,15 @@ class TreeSet:
 
     kind = "abstract"
     interleaved = False
+    nesting = 0  # levels of sumsets, products and unions above the leaves
 
-    def __init__(self):
+    def __init__(self, operands=()):
         self._children_cache: dict = {}
         self._mass_lower_cache: dict = {}  # gauge -> measures' structural bound
+        if operands:  # a sumset, product or union: one level above its operands
+            self.nesting = 1 + max(op.nesting for op in operands)
+            if self.nesting > MAX_SET_NESTING:
+                raise SpecFormatError(f"set nests deeper than {MAX_SET_NESTING} levels")
 
     # -- automaton interface ------------------------------------------------
 
@@ -217,14 +226,15 @@ class CISet(TreeSet):
     def __init__(self, ispec: ISpec):
         super().__init__()
         self.ispec = ispec
+        self._members = ""  # I's membership bits, read ahead as depths are reached
 
     def root_state(self):
         return ()
 
     def step(self, state, depth, bit):
-        if bit == 1 and self.ispec.contains(depth):
-            return None
-        return ()
+        if bit and depth >= len(self._members):
+            self._members = self.ispec.members_below(2 * depth + 64)
+        return None if bit and self._members[depth] == "1" else ()
 
 
 FREE = -1  # the block-constraint state outside constrained blocks
@@ -370,7 +380,7 @@ class SumSet(TreeSet):
     kind = "sumset"
 
     def __init__(self, a: TreeSet, b: TreeSet):
-        super().__init__()
+        super().__init__((a, b))
         if a.interleaved != b.interleaved:
             raise SpecFormatError("sumset operands must share the scale convention")
         self.a = a
@@ -397,7 +407,7 @@ class ProductSet(TreeSet):
     interleaved = True
 
     def __init__(self, a: TreeSet, b: TreeSet):
-        super().__init__()
+        super().__init__((a, b))
         if a.interleaved or b.interleaved:
             raise SpecFormatError("product factors must be plain (non-interleaved) sets")
         self.a = a
@@ -419,7 +429,7 @@ class UnionSet(TreeSet):
     kind = "union"
 
     def __init__(self, members: list[TreeSet]):
-        super().__init__()
+        super().__init__(members)
         if not members:
             raise SpecFormatError("union needs at least one member")
         if len({m.interleaved for m in members}) != 1:

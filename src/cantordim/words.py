@@ -123,6 +123,19 @@ class ISpec:
             if n < hi:
                 return lo <= n
 
+    def members_below(self, n: int) -> str:
+        """The membership bits of 0..n-1, '1' for a member, in one string."""
+        if self.tail[0] == "periodic":
+            word = self.tail[1]
+            return (self.prefix + word * (n // len(word) + 1))[:n]
+        bits = bytearray(self.prefix[:n].ljust(n, "0"), "ascii")
+        start = len(self.prefix)
+        for lo, hi in self._tail_runs():
+            if lo >= n:
+                return bits.decode()
+            lo, hi = max(lo, start), min(hi, n)
+            bits[lo:hi] = b"1" * (hi - lo)  # nothing when the run misses [start, n)
+
     def count_below(self, n: int) -> int:
         """|I  n|, the number of members below n."""
         cut = min(n, len(self.prefix))

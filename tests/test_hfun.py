@@ -258,9 +258,10 @@ def test_outward_rounding_soundness_spot_check(rng):
         coarse, fine = _Grid(sym, 96), _Grid(sym, 256)
         for _ in range(20):
             n = rng.randint(1, 80)
-            lo, hi = coarse.sample(n)
-            lo2, hi2 = fine.sample(n)
-            assert lo <= lo2 <= hi2 <= hi
+            lo, hi, den = coarse.sample(n)
+            lo2, hi2, den2 = fine.sample(n)
+            assert Fraction(lo, den) <= Fraction(lo2, den2) <= Fraction(hi2, den2) \
+                <= Fraction(hi, den)
 
 
 def test_grid_index_floor():

@@ -447,6 +447,9 @@ def test_ci_traces_match_the_member_oracle(spec, depths, n):
     assert e.trace_counts(300) == [1 << (d - len(members & set(range(d))))
                                    for d in range(301)]
     assert e.trace(n) == ci_trace(members.__contains__, n)
+    for d in depths:
+        assert e.ispec.members_below(d) == "".join(
+            "1" if m in members else "0" for m in range(d))
 
 
 @st.composite

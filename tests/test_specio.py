@@ -1,10 +1,13 @@
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cantordim import specio
 from cantordim.covers import Cover
-from cantordim.errors import SpecFormatError
+from cantordim.errors import ResourceLimitError, SpecFormatError
 from cantordim.ideals import (BlockPartition, EventualPoint, ShelahMWitness,
                               ShelahNWitness, TPrimeWitness)
 
@@ -173,3 +176,29 @@ def test_canonical_json_deterministic():
     a = specio.canonical_json({"b": 1, "a": [2, 3]})
     b = specio.canonical_json({"a": [2, 3], "b": 1})
     assert a == b == '{"a":[2,3],"b":1}\n'
+
+
+# denominators that are powers of two up to 2^300, and others
+dens = st.one_of(st.integers(0, 300).map(lambda k: 1 << k), st.integers(1, 10 ** 30))
+
+
+@given(st.one_of(st.just(0), st.integers(-(10 ** 40), 10 ** 40),
+                 st.integers(0, 300).map(lambda k: 3 << k)), dens)
+def test_ratio_str_prints_the_reduced_fraction(a, den):
+    assert specio.ratio_str(a, den) == str(Fraction(a, den))
+
+
+@given(st.one_of(st.integers(), st.booleans(), st.fractions()))
+def test_rational_str_prints_the_fraction(x):
+    assert specio.rational_str(x) == str(Fraction(x))
+
+
+def test_printing_past_the_digit_limit_is_a_resource_limit():
+    big = 10 ** sys.get_int_max_str_digits() + 1  # odd, one digit past the limit
+    for text in (lambda: specio.ratio_str(big, 1), lambda: specio.ratio_str(1, 3 * big),
+                 lambda: specio.ratio_str(big << 500, 1 << 1000),
+                 lambda: specio.rational_str(big), lambda: specio.rational_str(Fraction(1, big))):
+        with pytest.raises(ResourceLimitError, match="number too long to print"):
+            text()
+    # a power-of-two den is reduced before printing
+    assert specio.ratio_str(3 << 20_000, 1 << 20_001) == "3/2"

@@ -10,10 +10,10 @@ from cantordim.errors import ResourceLimitError, SpecFormatError
 from cantordim.hfun import power_hfn
 from cantordim.measures import (TableMass, extract_optimal_cover,
                                 hausdorff_measure_delta, mass_lower_certificate)
-from cantordim.treeset import (END, BlockConstraintSet, Budget, CISet,
-                               CylinderUnionSet, ExplicitSet, FullCube,
-                               ProductSet, SumSet, UnionSet, is_trace_subset,
-                               singleton_zero)
+from cantordim.treeset import (END, MAX_SET_NESTING, BlockConstraintSet,
+                               Budget, CISet, CylinderUnionSet, ExplicitSet,
+                               FullCube, ProductSet, SumSet, UnionSet,
+                               is_trace_subset, singleton_zero)
 from cantordim.words import all_words, evens, odds, periodic_ispec
 
 
@@ -301,6 +301,19 @@ def test_budget_guard():
     s = SumSet(ExplicitSet(words_a, tail="free"), ExplicitSet(words_b, tail="free"))
     with pytest.raises(ResourceLimitError):
         s.trace(10, Budget(50))
+
+
+def test_sets_nested_past_the_cap_are_refused():
+    # built through the API, as a spec is capped: MAX_SET_NESTING levels of
+    # sumsets still evaluate, and each compound kind refuses one more level
+    e = ExplicitSet(["01", "10"])
+    for _ in range(MAX_SET_NESTING):
+        e = SumSet(e, ExplicitSet(["00"]))
+    assert e.nesting == MAX_SET_NESTING and e.trace_counts(3) == [1, 2, 2, 2]
+    for make in (lambda: SumSet(e, FullCube()), lambda: ProductSet(e, FullCube()),
+                 lambda: UnionSet([FullCube(), e])):
+        with pytest.raises(SpecFormatError, match="set nests deeper than 256 levels"):
+            make()
 
 
 def test_scale_convention_mixing_rejected():
