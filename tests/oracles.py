@@ -14,7 +14,8 @@ from math import lcm
 from cantordim.errors import BuildError, DepthExceededError
 from cantordim.hfun import (iroot_floor, ln2_bounds, pow2_bounds, power_hfn,
                             precede)
-from cantordim.measures import IdentityCode, RepeatCode, ShiftCode, _gauge_covers
+from cantordim.measures import (IdentityCode, MassCertificate, RepeatCode,
+                                ShiftCode, _gauge_covers, _structural_mass_lower)
 from cantordim.treeset import _budget
 from cantordim.words import ISpec, all_words, check_words, xor_words
 
@@ -660,3 +661,91 @@ def dp_walk(e, h, m, depth, bud):
             bits |= bit << (b - d - 1)
             memo[state, d] = (lower, upper, b, bits, kids)
     return memo, den
+
+
+def mass_sweep(e, h, mass, depth, budget=None):
+    """``measures.mass_lower_certificate`` with its own memoized walk to each
+    node's first branch, as it ran before ``TreeSet`` owned that walk.
+
+    One level-synchronous sweep over (word, state, mass) nodes, keyed by
+    state for a depth-uniform mass and by word otherwise; each node checks
+    h at its piece's first branch and the additivity of its children.
+    """
+    bud = _budget(budget)
+    horizon = depth + 64
+    branch: dict = {}  # (state, d) -> first branch at or below d, or None
+
+    def first_branch(state, d):
+        path = []
+        while (state, d) not in branch and d < horizon:
+            kids = e.children(state, d, bud)
+            if len(kids) == 2:
+                branch[state, d] = d
+                break
+            path.append((state, d))
+            state, d = kids[0][1], d + 1
+        b = branch.get((state, d))
+        for key in path:
+            branch[key] = b
+        return b
+
+    key = (lambda node: node[1]) if mass.depth_uniform else (lambda node: node[0])
+    root = ("", e.root_state(), mass.value_at(""))
+    frontier = {key(root): root}
+    for d in range(depth + 1):
+        nxt = {}
+        for word, state, lam in frontier.values():
+            if lam != 0:
+                b = first_branch(state, d)
+                scale_idx = min(e.scale_of_depth(b if b is not None else depth), h.n_max)
+                if not _gauge_covers(lam, h, scale_idx):
+                    return MassCertificate(False, Fraction(0), False, depth, word,
+                                           f"h(2^-{scale_idx}) < mass at [{word}]")
+            if d == depth:
+                continue
+            kids = []
+            for bit, child in e.children(state, d, bud):
+                kids.append((word + str(bit), child, mass.value_at(word + str(bit))))
+            if sum(kid[2] for kid in kids) != lam:
+                return MassCertificate(False, Fraction(0), False, depth, word,
+                                       "additivity fails")
+            for kid in kids:
+                nxt.setdefault(key(kid), kid)
+        frontier = nxt
+    exact = mass.depth_uniform and _structural_mass_lower(e, h) is not None
+    return MassCertificate(True, root[2], exact, depth)
+
+
+def point_prefix_by_bits(y, n):
+    """The first n bits of an eventually periodic point, bit by bit."""
+    return "".join(y.preperiod[i] if i < len(y.preperiod)
+                   else y.period[(i - len(y.preperiod)) % len(y.period)]
+                   for i in range(n))
+
+
+def shelahM_by_scan(w, x, n_lo, n_hi):
+    """(outcomes, n0) of ``ideals.shelahM_check``, scanning every f-block
+    for each coarse n and rebuilding y's prefix for each candidate.
+
+    n0 is the least n from which every outcome holds, None when the last
+    fails or there is none.  A block past x's end raises DepthExceededError
+    when it is reached, as ``BlockPartition.restrict`` does.
+    """
+    outcomes = []
+    for n in range(n_lo, min(n_hi + 1, w.g.block_count)):
+        hit = False
+        for k in range(w.f.block_count):
+            a, b = w.f.table[k], w.f.table[k + 1]
+            if w.g.table[n] <= a and b <= w.g.table[n + 1]:
+                if len(x) < b:
+                    raise DepthExceededError(f"x ends before block {k}")
+                if x[a:b] == point_prefix_by_bits(w.y, b)[a:b]:
+                    hit = True
+                    break
+        outcomes.append((n, hit))
+    n0 = None
+    for n, ok in reversed(outcomes):
+        if not ok:
+            break
+        n0 = n
+    return tuple(outcomes), n0

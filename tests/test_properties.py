@@ -22,22 +22,25 @@ from hypothesis import strategies as st
 from oracles import (GaugeStoreByFractions, ank_by_filter, block_level_trace,
                      ci_trace, cover_walk_charge, covering_groups_by_words,
                      covering_groups_sets, dp_walk, gauge_table,
-                     gauge_table_error, ispec_members,
-                     min_cylinder_cover_cost, sparse_greedy,
-                     xtilde_blocks_by_filter)
+                     gauge_table_error, ispec_members, mass_sweep,
+                     min_cylinder_cover_cost, point_prefix_by_bits,
+                     shelahM_by_scan, sparse_greedy, xtilde_blocks_by_filter)
 
 from cantordim.cli import main
 from cantordim.covers import CHUNK_BITS, Cover, _covered_groups, verify_lambda
 from cantordim.errors import (BuildError, CantorDimError, DepthExceededError,
-                              SpecFormatError)
+                              ResourceLimitError, SpecFormatError)
 from cantordim.hfun import DyadicHFn, power_hfn, power_log_hfn, table_hfn
 from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               ShelahMWitness, ShelahNWitness, TPrimeWitness,
                               _growth, ank_test, nadd_box_check,
-                              shelahN_filtration, tprime_lbox_check,
-                              tprime_level_sets, xtilde_level_set)
-from cantordim.measures import (_dp_bounds, extract_optimal_cover,
-                                hausdorff_measure_delta, sparse_I_builder)
+                              shelahM_check, shelahN_filtration,
+                              tprime_lbox_check, tprime_level_sets,
+                              xtilde_level_set)
+from cantordim.measures import (CIProductMass, TableMass, UniformMass,
+                                _dp_bounds, extract_optimal_cover,
+                                hausdorff_measure_delta,
+                                mass_lower_certificate, sparse_I_builder)
 from cantordim.specio import (canonical_json, cover_to_obj, parse_cover,
                               parse_set, parse_witness, set_to_dict,
                               witness_to_dict)
@@ -527,6 +530,87 @@ def test_dp_sweeps_equal_the_walk_oracle(spec, depth, h, data):
     assert _dp_bounds(e, h, m, depth, swept) == \
         dp_walk(parse_set(spec), h, m, depth, walked)
     assert swept.used == walked.used
+
+
+@st.composite
+def mass_instances(draw):
+    """(make, mass, depth): a maker of fresh copies of a set and a mass on
+    it, the uniform mass on the full cube, a product mass on C_I, or a mass
+    split evenly over a drawn set's depth-d trace words, scaled and with a
+    word perhaps dropped so that additivity fails."""
+    kind = draw(st.sampled_from(("uniform", "ci", "table")))
+    if kind == "uniform":
+        return FullCube, UniformMass(), draw(st.integers(0, 64))
+    if kind == "ci":
+        ispec = ISpec(*draw(ispec_tails()))
+        total = draw(st.sampled_from((Fraction(1), Fraction(3, 4), Fraction(1, 4))))
+        return lambda: CISet(ispec), CIProductMass(ispec, total), draw(st.integers(0, 64))
+    spec, depth = draw(set_specs), draw(st.integers(0, 6))
+    words = parse_set(spec).trace(depth)
+    share = Fraction(draw(st.sampled_from((1, 2, 5))), len(words) << depth)
+    table = {}
+    for w in words:
+        for k in range(depth + 1):
+            table[w[:k]] = table.get(w[:k], 0) + share
+    if depth and draw(st.booleans()):
+        del table[draw(st.sampled_from(sorted(table)[1:]))]
+    return lambda: parse_set(spec), TableMass(table), depth
+
+
+@given(mass_instances(), st.sampled_from(GAUGES) | sparse_gauges(),
+       st.none() | st.integers(0, 400))
+def test_mass_certificate_equals_the_sweep_oracle(instance, h, limit):
+    # the verdict, the failing node, the reason and the charge equal those
+    # of the sweep with its own first-branch walk, each on a fresh set, also
+    # where the budget runs out
+    make, mass, depth = instance
+    got, want = (Budget() if limit is None else Budget(limit) for _ in range(2))
+    try:
+        expected = mass_sweep(make(), h, mass, depth, want)
+    except ResourceLimitError:
+        with pytest.raises(ResourceLimitError):
+            mass_lower_certificate(make(), h, mass, depth, got)
+    else:
+        assert mass_lower_certificate(make(), h, mass, depth, got) == expected
+    assert got.used == want.used
+
+
+@st.composite
+def shelahM_instances(draw):
+    """A witness on f-blocks of width 1 to 3 with coarse boundaries drawn
+    anywhere near them, a point y with a preperiod, and x a prefix of y,
+    with bits flipped or not, or random, of any length up to past f's end."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    f = BlockPartition(tuple(accumulate(widths, initial=draw(st.integers(0, 2)))))
+    end = f.table[-1]
+    g = BlockPartition(tuple(sorted(draw(st.sets(st.integers(0, end + 2),
+                                                 min_size=2, max_size=6)))))
+    y = EventualPoint(draw(bits), draw(bits.filter(bool)))
+    length = draw(st.sampled_from((end, end + 2)) | st.integers(0, end))
+    kind = draw(st.sampled_from(("prefix", "flipped", "random")))
+    if kind == "random":
+        x = draw(st.text("01", min_size=length, max_size=length))
+    else:
+        flips = draw(st.sets(st.integers(0, end + 1), max_size=3)) if kind == "flipped" else ()
+        x = "".join("10"[int(c)] if i in flips else c
+                    for i, c in enumerate(point_prefix_by_bits(y, length)))
+    n_lo = draw(st.integers(0, g.block_count - 1))
+    return ShelahMWitness(f, g, y), x, n_lo, draw(st.integers(n_lo - 1, g.block_count + 1))
+
+
+@given(shelahM_instances())
+def test_shelahM_check_equals_the_scan_oracle(instance):
+    w, x, n_lo, n_hi = instance
+    for n in range(w.f.table[-1] + 3):
+        assert w.y.prefix(n) == point_prefix_by_bits(w.y, n)
+    try:
+        want = shelahM_by_scan(w, x, n_lo, n_hi)
+    except DepthExceededError:
+        with pytest.raises(DepthExceededError):
+            shelahM_check(w, x, n_lo, n_hi)
+    else:
+        got = shelahM_check(w, x, n_lo, n_hi)
+        assert (got.outcomes, got.n0, got.horizon) == (*want, n_hi)
 
 
 @given(set_specs)
