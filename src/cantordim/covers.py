@@ -340,17 +340,15 @@ def verify_gamma_groupable(e: TreeSet, cover: Cover, horizon: int, depth: int,
     return GammaVerdict("fails" if j0 is None else "holds", j0, top, depth, failures)
 
 
-def gamma_grouped_sum(cover: Cover, h: DyadicHFn, interleaved: bool = False):
-    """Exact partial Hausdorff sum of the cover plus per-group subtotals.
+def gamma_grouped_sum(cover: Cover, h: DyadicHFn, interleaved: bool = False) -> Fraction:
+    """Exact partial Hausdorff sum of the cover's elements.
 
-    Uses the certified upper samples of the gauge, so the returned values
-    bound the true sums from above (and are exact for exact gauges).
+    Uses the certified upper samples of the gauge, so the returned value
+    bounds the true sum from above (and is exact for exact gauges).
     """
     scales = [len(w) // 2 if interleaved else len(w) for w in cover.elements]
     den, _, hi = h.numerators(max(scales, default=0))
-    per_elem = [hi[n] for n in scales]  # numerators over den
-    groups = tuple(Fraction(sum(per_elem[a:b]), den) for a, b in cover.groups or ())
-    return Fraction(sum(per_elem), den), groups
+    return Fraction(sum(hi[n] for n in scales), den)  # numerators over den
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +429,7 @@ def build_gamma_groupable(filtration: Filtration, h: DyadicHFn, max_scale: int =
         groups.append((len(elements), len(elements) + len(cyls)))
         elements.extend(cyls)
     cover = Cover(tuple(elements), tuple(groups))
-    total, _ = gamma_grouped_sum(cover, h, filtration.sets[-1].interleaved)
+    total = gamma_grouped_sum(cover, h, filtration.sets[-1].interleaved)
     if not total < 2:
         raise BuildError(f"total Hausdorff sum {total} is not below 2")
     check_depth = max(depth, max(len(w) for w in elements))
@@ -694,8 +692,8 @@ def product_cover(v_elements, u_cover: Cover, h: DyadicHFn,
             elements.append(interleave(v[:len(u)], u))
         groups.append((start, len(elements)))
     cover = Cover(tuple(elements), tuple(groups))
-    u_sum, _ = gamma_grouped_sum(u_cover, h)
-    w_sum, _ = gamma_grouped_sum(cover, h, interleaved=True)
+    u_sum = gamma_grouped_sum(u_cover, h)
+    w_sum = gamma_grouped_sum(cover, h, interleaved=True)
     if w_sum != u_sum:
         raise AssertionError("product cover sum drifted from the U-side sum")
     if product_set is not None and depth is not None:

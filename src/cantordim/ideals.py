@@ -13,6 +13,7 @@ exposed here (level sets, X-tilde levels) are block-constraint sets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,13 +126,8 @@ class EventualPoint:
         if not self.period:
             raise SpecFormatError("point needs a nonempty period")
 
-    def bit(self, n: int) -> str:
-        if n < len(self.preperiod):
-            return self.preperiod[n]
-        return self.period[(n - len(self.preperiod)) % len(self.period)]
-
     def prefix(self, n: int) -> Word:
-        return "".join(self.bit(i) for i in range(n))
+        return (self.preperiod + self.period * (n // len(self.period) + 1))[:n]
 
 
 ZERO_POINT = EventualPoint("", "0")
@@ -258,16 +254,16 @@ class ThresholdVerdict:
 def shelahM_check(w: ShelahMWitness, x: Word, n_lo: int, n_hi: int) -> ThresholdVerdict:
     """For each n: is there a full f-block inside [g(n), g(n+1)) on which x
     agrees with y?"""
-    outcomes = []
+    outcomes, f = [], w.f.table
     for n in range(n_lo, min(n_hi + 1, w.g.block_count)):
         hit = False
-        for k in range(w.f.block_count):
-            if w.g(n) <= w.f(k) and w.f(k + 1) <= w.g(n + 1):
-                block = w.f.restrict(x, k)
-                a, b = w.f.block(k)
-                if block == w.y.prefix(b)[a:b]:
-                    hit = True
-                    break
+        # the f-blocks k with g(n) <= f(k) and f(k+1) <= g(n+1), in order
+        for k in range(bisect_left(f, w.g(n)), bisect_right(f, w.g(n + 1)) - 1):
+            block = w.f.restrict(x, k)
+            a, b = w.f.block(k)
+            if block == w.y.prefix(b)[a:b]:
+                hit = True
+                break
         outcomes.append((n, hit))
     return ThresholdVerdict(tuple(outcomes), _least_threshold(outcomes), n_hi)
 

@@ -268,7 +268,8 @@ class CIProductMass(TreeMass):
         self.total = Fraction(total)
 
     def value_at(self, word):
-        return self.total * Fraction(1, 1 << self.ispec.complement_count(len(word)))
+        k = self.ispec.complement_count(len(word))
+        return Fraction(self.total.numerator, self.total.denominator << k)
 
 
 class TableMass(TreeMass):
@@ -346,23 +347,8 @@ def mass_lower_certificate(e: TreeSet, h: DyadicHFn, mass: TreeMass, depth: int,
     (valid for H^h itself) when the periodic/symbolic tail argument closes.
     """
     bud = _budget(budget)
-    horizon = depth + 64  # look past `depth` so chain pieces resolve their diameter
-    branch: dict = {}  # (state, d) -> first branch at or below d, or None
-
-    def first_branch(state, d):
-        # nodes of one chain share its branch: each is looked up once
-        path = []
-        while (state, d) not in branch and d < horizon:
-            kids = e.children(state, d, bud)
-            if len(kids) == 2:
-                branch[state, d] = d
-                break
-            path.append((state, d))
-            state, d = kids[0][1], d + 1
-        b = branch.get((state, d))
-        for key in path:
-            branch[key] = b
-        return b
+    # look past `depth` so chain pieces resolve their diameter
+    first_branch = e._branches(depth + 64, bud)
 
     # one level-synchronous sweep over (word, state, mass) nodes; a
     # depth-uniform mass only sees the state, so its frontier is keyed by

@@ -181,13 +181,28 @@ class TreeSet:
     def first_branch(self, state, depth: int, horizon: int,
                      budget: Budget | None = None) -> int | None:
         """Least depth >= `depth` where the subtree splits, up to horizon."""
-        bud = _budget(budget)
-        for b in range(depth, horizon):
-            kids = self.children(state, b, bud)
-            if len(kids) == 2:
-                return b
-            state = kids[0][1]
-        return None
+        return self._branches(horizon, _budget(budget))(state, depth)
+
+    def _branches(self, horizon: int, budget: Budget):
+        """first_branch up to `horizon` as a function of (state, d) whose memo
+        lets the nodes of one chain share its branch: each is looked up once."""
+        branch: dict = {}  # (state, d) -> first branch at or below d, or None
+
+        def first_branch(state, d):
+            path = []
+            while (state, d) not in branch and d < horizon:
+                kids = self.children(state, d, budget)
+                if len(kids) == 2:
+                    branch[state, d] = d
+                    break
+                path.append((state, d))
+                state, d = kids[0][1], d + 1
+            b = branch.get((state, d))
+            for key in path:
+                branch[key] = b
+            return b
+
+        return first_branch
 
     def local_diameter(self, p: Word, maxdepth: int,
                        budget: Budget | None = None) -> Diameter:

@@ -114,14 +114,7 @@ class ISpec:
             lo, width = lo * q, width * grow
 
     def contains(self, n: int) -> bool:
-        if n < len(self.prefix):
-            return self.prefix[n] == "1"
-        if self.tail[0] == "periodic":
-            word = self.tail[1]
-            return word[(n - len(self.prefix)) % len(word)] == "1"
-        for lo, hi in self._tail_runs():
-            if n < hi:
-                return lo <= n
+        return self.count_below(n + 1) > self.count_below(n)
 
     def members_below(self, n: int) -> str:
         """The membership bits of 0..n-1, '1' for a member, in one string."""

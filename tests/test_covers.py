@@ -78,10 +78,9 @@ def test_verify_gamma_groupable():
 
 
 def test_gamma_grouped_sum():
-    assert gamma_grouped_sum(Cover(()), power_hfn(1)) == (0, ())
+    assert gamma_grouped_sum(Cover(()), power_hfn(1)) == 0
     cov = depth_cylinder_cover(FullCube(), range(1, 5))
-    total, per = gamma_grouped_sum(cov, power_hfn(1))
-    assert per == (1, 1, 1, 1) and total == 4
+    assert gamma_grouped_sum(cov, power_hfn(1)) == 4
 
 
 def test_epsilons_for_gauge():
@@ -152,12 +151,12 @@ def test_build_gamma_groupable_pipeline():
     sing = ExplicitSet(["0" * 8])
     out = build_gamma_groupable(Filtration((sing, sing, sing)), r1,
                                 max_scale=24, depth=12)
-    total, _ = gamma_grouped_sum(out, r1)
+    total = gamma_grouped_sum(out, r1)
     assert total < 2
     ce = CISet(evens())
     out2 = build_gamma_groupable(Filtration((ce,) * 4), r1, max_scale=24, depth=16)
     assert verify_gamma_groupable(ce, out2, 3, 16).holds
-    total2, _ = gamma_grouped_sum(out2, r1)
+    total2 = gamma_grouped_sum(out2, r1)
     assert total2 < 2
     # reverse direction: the grouped cover reproves a finite Hausdorff bound
     for j in range(out2.group_count):
@@ -324,8 +323,7 @@ def test_product_cover():
                for j in range(ucov.group_count)]
     r1 = power_hfn(1)
     w = product_cover(v_elems, ucov, r1)
-    assert gamma_grouped_sum(w, r1, interleaved=True)[0] == \
-        gamma_grouped_sum(ucov, r1)[0]
+    assert gamma_grouped_sum(w, r1, interleaved=True) == gamma_grouped_sum(ucov, r1)
     with pytest.raises(BuildError):
         product_cover(["0"], ucov, r1)  # V too coarse for the U fineness
 

@@ -73,6 +73,22 @@ def test_geometric_powers():
     assert p.complement_density_limits() == (1, 1)
 
 
+def test_geometric_tails_count_far_out():
+    # counts and membership near 10^18 against closed forms: the tail walks
+    # take one step per run, where a membership string would take n bytes
+    n = 10**18
+    p = geometric_powers(3, 2)  # I = {3 * 2^k}; 3 * 2^k < n iff 2^k <= (n - 1) // 3
+    assert p.count_below(n) == ((n - 1) // 3).bit_length() == 59
+    big = 3 << 58
+    assert [p.contains(m) for m in (big - 1, big, big + 1)] == [False, True, False]
+    assert (p.count_below(big), p.count_below(big + 1)) == (58, 59)
+    # I = union of [5^k, 4*5^k): 5^25 < n < 4*5^25, so n falls inside run 25
+    b = geometric_blocks(1, 4, 5)
+    assert 5**25 < n < 4 * 5**25
+    assert b.count_below(n) == sum(3 * 5**k for k in range(25)) + n - 5**25
+    assert b.contains(n - 1) and not b.contains(4 * 5**25)
+
+
 def test_bad_specs():
     with pytest.raises(SpecFormatError):
         ISpec("", ("blocks", 2, 1, 4))
