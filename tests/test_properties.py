@@ -38,14 +38,15 @@ from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               tprime_lbox_check, tprime_level_sets,
                               xtilde_level_set)
 from cantordim.measures import (CIProductMass, TableMass, UniformMass,
-                                _dp_bounds, extract_optimal_cover,
+                                _argmin_words, _dp_bounds,
+                                _structural_mass_lower, extract_optimal_cover,
                                 hausdorff_measure_delta,
                                 mass_lower_certificate, sparse_I_builder)
 from cantordim.specio import (canonical_json, cover_to_obj, parse_cover,
                               parse_set, parse_witness, set_to_dict,
                               witness_to_dict)
 from cantordim.treeset import (Budget, CISet, CylinderUnionSet, ExplicitSet,
-                               FullCube, ProductSet)
+                               FullCube, ProductSet, TreeSet)
 from cantordim.words import ISpec, all_words, periodic_ispec
 
 bits = st.text("01", max_size=4)
@@ -530,6 +531,72 @@ def test_dp_sweeps_equal_the_walk_oracle(spec, depth, h, data):
     assert _dp_bounds(e, h, m, depth, swept) == \
         dp_walk(parse_set(spec), h, m, depth, walked)
     assert swept.used == walked.used
+
+
+@st.composite
+def fresh_gauges(draw):
+    """A gauge whose store starts empty: a symbolic power or power-log gauge,
+    made here, or a table gauge."""
+    kind = draw(st.sampled_from(("power", "log", "table")))
+    s = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+    if kind == "power":
+        return power_hfn(s)
+    if kind == "log":
+        return power_log_hfn(s, draw(st.sampled_from((-1, 1, 2))))
+    return table_hfn([Fraction(1, n + 1) for n in range(17)])
+
+
+@given(set_specs, st.integers(0, 8), fresh_gauges(), st.data())
+def test_dp_scale_sequences_equal_the_walk_oracle(spec, depth, h, data):
+    # one set priced at a drawn sequence of scales, repeats included, with
+    # the gauge's store grown (and perhaps rescaled) between calls: every
+    # memo, bracket, cover, cost and charge equals the post-order walk's on
+    # a fresh copy of the set
+    e = parse_set(spec)
+    scales = st.integers(0, e.scale_of_depth(depth))
+    for _ in range(data.draw(st.integers(1, 6))):
+        op = data.draw(st.sampled_from(("memo", "bracket", "cover", "grow")))
+        if op == "grow":
+            if h.symbolic is not None:
+                h.numerators(data.draw(st.integers(0, 600)))
+            continue
+        m = data.draw(scales)
+        fresh, got, walked = parse_set(spec), Budget(), Budget()
+        memo, den = dp_walk(fresh, h, m, depth, walked)
+        root = memo[fresh.root_state(), 0]
+        if op == "memo":
+            assert _dp_bounds(e, h, m, depth, got) == (memo, den)
+        elif op == "bracket":
+            bound = hausdorff_measure_delta(e, h, m, depth, got)
+            lower = Fraction(root[0], den)
+            cert = _structural_mass_lower(fresh, h)
+            if cert is not None and cert > lower:
+                lower = cert
+            assert (bound.lower, bound.upper) == (lower, Fraction(root[1], den))
+        else:
+            words, cost = extract_optimal_cover(e, h, m, depth, got)
+            assert words == _argmin_words(memo, root, walked)
+            assert cost == Fraction(root[1], den)
+        assert got.used == walked.used
+
+
+@given(st.one_of(explicit_sets(), st.builds(
+    CylinderUnionSet, st.lists(bits, min_size=1, max_size=6))), st.integers(0, 4))
+def test_trie_children_are_the_stepped_children(e, beyond):
+    # at every reachable (state, d), past the longest word too, so that both
+    # tails are read: the set's children and charge equal the base class's
+    # tuple built from two steps, on a fresh copy of the set
+    fresh = parse_set(set_to_dict(e))
+    frontier = {e.root_state()}
+    for d in range(max(map(len, e.words)) + beyond):
+        below = set()
+        for state in frontier:
+            got, want = Budget(), Budget()
+            kids = e.children(state, d, got)
+            assert kids == TreeSet.children(fresh, state, d, want)
+            assert got.used == want.used == 1
+            below.update(s for _, s in kids)
+        frontier = below
 
 
 @st.composite
