@@ -127,7 +127,17 @@ class EventualPoint:
             raise SpecFormatError("point needs a nonempty period")
 
     def prefix(self, n: int) -> Word:
-        return (self.preperiod + self.period * (n // len(self.period) + 1))[:n]
+        return self.segment(0, n)
+
+    def segment(self, a: int, b: int) -> Word:
+        """Bits a..b-1 of the point, read by period arithmetic in O(b - a)."""
+        pre, per = self.preperiod, self.period
+        start = max(a, len(pre)) - len(pre)  # offset of the periodic part
+        width = b - len(pre) - start
+        if width <= 0:
+            return pre[a:b]
+        tail = per[start % len(per):] + per * (width // len(per) + 1)
+        return pre[a:] + tail[:width]
 
 
 ZERO_POINT = EventualPoint("", "0")
@@ -261,7 +271,7 @@ def shelahM_check(w: ShelahMWitness, x: Word, n_lo: int, n_hi: int) -> Threshold
         for k in range(bisect_left(f, w.g(n)), bisect_right(f, w.g(n + 1)) - 1):
             block = w.f.restrict(x, k)
             a, b = w.f.block(k)
-            if block == w.y.prefix(b)[a:b]:
+            if block == w.y.segment(a, b):
                 hit = True
                 break
         outcomes.append((n, hit))
@@ -330,7 +340,7 @@ def me_cover(w: ShelahMWitness, h: DyadicHFn, k_max: int,
     spans = []
     for k in range(k_top):
         a, b = f.block(k)
-        yblock = w.y.prefix(b)[a:b]
+        yblock = w.y.segment(a, b)
         start = len(elements)
         for p in all_words(f(k)):
             elements.append(p + yblock)

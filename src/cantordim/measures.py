@@ -126,6 +126,17 @@ class MeasureBound:
             raise AssertionError("certified bounds crossed")
 
 
+@dataclass(slots=True)
+class _Sweep:
+    """A set's cached cover DP, kept on the set by ``_dp_bounds``."""
+
+    key: tuple    # (gauge, depth, the gauge store's denominator)
+    levels: list  # levels[d] maps each state at d to its children
+    charge: int   # the nodes the forward sweep looked up
+    memo: dict    # the m = 0 entries, at the levels from `low` to the leaves
+    low: int
+
+
 def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
     """Min-cost cover DP over (state, depth), on integer numerators.
 
@@ -138,41 +149,74 @@ def _dp_bounds(e: TreeSet, h: DyadicHFn, m: int, depth: int, bud: Budget):
     when one cylinder covers the piece optimally.  A forward sweep looks up
     the children of each (state, d) with d < depth once, so the DP costs
     what ``trace_counts(depth)`` does; a backward sweep prices each level
-    from the one below and frees it.
+    from the one below.
+
+    The scale m enters only through the test scale(d) >= m, which every
+    level d >= top = depth_of_scale(m) passes: there an entry is the m = 0
+    entry, and above top a two-child node adds its children's entries and
+    a one-child node extends its chain.  So the set keeps one `_Sweep`, for
+    the last (gauge, depth, den) it was priced at: the levels, and the m = 0
+    memo from the least top asked so far to the leaves.  A call on the same
+    gauge object, depth and denominator (a deeper gauge read may rescale
+    the store) charges the recorded nodes in one spend, so a warm call
+    costs what a cold one does, also when the budget runs out; it extends
+    the m = 0 memo up to its top if need be, and prices the levels above
+    top into a copy of its own.
     """
     leaf_scale = e.scale_of_depth(depth)
     if leaf_scale < m:
         raise DepthExceededError(f"truncation depth {depth} does not reach "
                                  f"the cover scale {m}")
     den, lo, hi = h.numerators(leaf_scale)
-    children = e.children
-    levels = [{e.root_state(): None}]  # levels[d] maps each state at d to its children
-    for d in range(depth):
-        level, below = levels[d], {}
-        for state in level:
-            level[state] = kids = children(state, d, bud)
-            for _, child in kids:
-                below[child] = None
-        levels.append(below)
-    leaf = (0, hi[leaf_scale], depth, 0, None)
-    memo = {(state, depth): leaf for state in levels.pop()}
-    for d in reversed(range(depth)):
+    sweep = e._dp_sweep
+    if sweep is not None and sweep.key == (h, depth, den):
+        # one spend, which runs out where the cold sweep's lookups would
+        bud.spend(min(sweep.charge, bud.limit - bud.used + 1))
+    else:
+        children = e.children
+        levels = [{e.root_state(): None}]  # levels[d] maps each state at d to its children
+        for d in range(depth):
+            level, below = levels[d], {}
+            for state in level:
+                level[state] = kids = children(state, d, bud)
+                for _, child in kids:
+                    below[child] = None
+            levels.append(below)
+        leaf = (0, hi[leaf_scale], depth, 0, None)
+        memo = {(state, depth): leaf for state in levels[depth]}
+        sweep = e._dp_sweep = _Sweep((h, depth, den), levels,
+                                     sum(map(len, levels[:depth])), memo, depth)
+    top = max(0, e.depth_of_scale(m))
+    memo = sweep.memo
+    for d in reversed(range(top, sweep.low)):
         n = e.scale_of_depth(d)
-        for state, kids in levels.pop().items():
-            if len(kids) == 2:
-                (_, c0), (_, c1) = kids
-                e0, e1 = memo[c0, d + 1], memo[c1, d + 1]
-                lower, upper, kids = e0[0] + e1[0], e0[1] + e1[1], (c0, c1)
-                if n >= m:  # one cylinder may cover the piece
-                    lower = min(lo[n], lower)
-                    if hi[n] <= upper:  # ties prefer the parent cylinder
-                        upper, kids = hi[n], None
-                memo[state, d] = (lower, upper, d, 0, kids)
-            else:
-                (bit, child), = kids
-                lower, upper, b, bits, kids = memo[child, d + 1]
-                memo[state, d] = (lower, upper, b, bits | bit << (b - d - 1), kids)
+        _price_level(memo, sweep.levels[d], d, lo[n], hi[n])
+    sweep.low = min(sweep.low, top)
+    if top:
+        memo = dict(memo)
+        for d in reversed(range(top)):
+            _price_level(memo, sweep.levels[d], d)
     return memo, den
+
+
+def _price_level(memo: dict, level: dict, d: int, one_lo=None, one_hi=None):
+    """Enter the states of `level` (state -> children) at depth d in `memo`
+    from the entries at d + 1; a piece that branches at d may be covered by
+    one cylinder, of numerators (one_lo, one_hi), unless they are None."""
+    for state, kids in level.items():
+        if len(kids) == 2:
+            (_, c0), (_, c1) = kids
+            e0, e1 = memo[c0, d + 1], memo[c1, d + 1]
+            lower, upper, kids = e0[0] + e1[0], e0[1] + e1[1], (c0, c1)
+            if one_lo is not None:
+                lower = min(one_lo, lower)
+                if one_hi <= upper:  # ties prefer the parent cylinder
+                    upper, kids = one_hi, None
+            memo[state, d] = (lower, upper, d, 0, kids)
+        else:
+            (bit, child), = kids
+            lower, upper, b, bits, kids = memo[child, d + 1]
+            memo[state, d] = (lower, upper, b, bits | bit << (b - d - 1), kids)
 
 
 def hausdorff_measure_delta(e: TreeSet, h: DyadicHFn, m: int, depth: int,

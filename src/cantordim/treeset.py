@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ResourceLimitError, SpecFormatError
 from .words import ISpec, Word, check_word, check_words
@@ -85,6 +86,7 @@ class TreeSet:
     def __init__(self, operands=()):
         self._children_cache: dict = {}
         self._mass_lower_cache: dict = {}  # gauge -> measures' structural bound
+        self._dp_sweep = None  # measures' cover DP for its last gauge and depth
         if operands:  # a sumset, product or union: one level above its operands
             self.nesting = 1 + max(op.nesting for op in operands)
             if self.nesting > MAX_SET_NESTING:
@@ -382,6 +384,19 @@ class ExplicitSet(TreeSet):
 
     def step(self, state, depth, bit):
         return self._rows[state][bit]
+
+    def children(self, state, depth: int, budget: Budget | None = None):
+        # a state's children do not depend on the depth: read its row's
+        if budget is not None:
+            budget.spend()
+        return self._kids[state]
+
+    @cached_property
+    def _kids(self) -> list:
+        """Each state's children tuple, made from its row on the first
+        ``children`` call: a set read only through ``step`` makes none."""
+        return [((0, c0),) if c1 is None else ((1, c1),) if c0 is None
+                else ((0, c0), (1, c1)) for c0, c1 in self._rows]
 
 
 class SumSet(TreeSet):

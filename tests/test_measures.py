@@ -580,6 +580,36 @@ def test_dp_budget_charges_are_pinned():
     assert b.used == 13
 
 
+def test_dp_cache_misses_once_the_gauge_store_rescales():
+    # a deeper read of the gauge rescales its whole store to a larger common
+    # denominator: a DP priced over the old numerators must not be reused
+    e, h = FullCube(), power_hfn(Fraction(1, 3))
+    first = hausdorff_measure_delta(e, h, 0, 8)
+    den = h.numerators(8)[0]
+    assert h.numerators(3000)[0] > den
+    assert hausdorff_measure_delta(e, h, 1, 8) == hausdorff_measure_delta(FullCube(), h, 1, 8)
+    assert hausdorff_measure_delta(e, h, 0, 8) == first
+
+
+def test_cached_dp_runs_out_of_budget_where_a_cold_one_does():
+    # a warm call charges its recorded sweep in one spend, stopping at the
+    # node where the cold sweep's lookups exceed the limit
+    h = power_hfn(Fraction(1, 2))
+    warm_set = CISet(evens())
+    hausdorff_measure_delta(warm_set, h, 1, 40)
+    for limit in (0, 7, 39):
+        runs = []
+        for e in (CISet(evens()), warm_set):
+            b = Budget(limit)
+            with pytest.raises(ResourceLimitError) as err:
+                hausdorff_measure_delta(e, h, 2, 40, b)
+            runs.append((b.used, str(err.value)))
+        assert runs[0] == runs[1] and runs[0][0] == limit + 1
+    b = Budget(40)
+    hausdorff_measure_delta(warm_set, h, 2, 40, b)
+    assert b.used == 40
+
+
 def test_extraction_charges_the_cover_it_builds():
     # the DP prices FullCube in about 2 * depth nodes, but with children
     # cheaper than their parent the optimal cover is every depth-16 word

@@ -665,6 +665,14 @@ def shelahM_instances(draw):
     return ShelahMWitness(f, g, y), x, n_lo, draw(st.integers(n_lo - 1, g.block_count + 1))
 
 
+@given(bits, bits.filter(bool), st.integers(0, 40), st.integers(0, 40))
+def test_point_segments_equal_the_bitwise_prefix(pre, period, a, b):
+    # any window, inside the preperiod, across it, past it, or empty
+    y = EventualPoint(pre, period)
+    assert y.segment(a, b) == point_prefix_by_bits(y, b)[a:b]
+    assert y.prefix(b) == point_prefix_by_bits(y, b)
+
+
 @given(shelahM_instances())
 def test_shelahM_check_equals_the_scan_oracle(instance):
     w, x, n_lo, n_hi = instance

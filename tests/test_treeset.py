@@ -168,6 +168,10 @@ def trace_mass(e):
     return TableMass(table)
 
 
+# one gauge object for every walk that reads a gauge, so that on the warm
+# set the cover DP walks find the DP the other one cached
+WARMTH_GAUGE = power_hfn(Fraction(1, 2))
+
 # each walk gets the set e it charges and a fresh copy `aux` of e, from
 # which it reads its other inputs without touching e's cache
 WARMTH_WALKS = {
@@ -177,11 +181,11 @@ WARMTH_WALKS = {
         e.local_diameter(aux.trace(3)[-1], 2 * WARMTH_DEPTH, b),
     "is_trace_subset": lambda e, aux, b: is_trace_subset(e, aux, WARMTH_DEPTH, b),
     "hausdorff_measure_delta": lambda e, aux, b:
-        hausdorff_measure_delta(e, power_hfn(Fraction(1, 2)), 1, WARMTH_DEPTH, b),
+        hausdorff_measure_delta(e, WARMTH_GAUGE, 1, WARMTH_DEPTH, b),
     "extract_optimal_cover": lambda e, aux, b:
-        extract_optimal_cover(e, power_hfn(Fraction(1, 2)), 1, WARMTH_DEPTH, b),
+        extract_optimal_cover(e, WARMTH_GAUGE, 1, WARMTH_DEPTH, b),
     "mass_lower_certificate": lambda e, aux, b:
-        mass_lower_certificate(e, power_hfn(Fraction(1, 2)), trace_mass(aux),
+        mass_lower_certificate(e, WARMTH_GAUGE, trace_mass(aux),
                                WARMTH_DEPTH, b),
     "is_cover_at_depth": lambda e, aux, b:
         is_cover_at_depth(e, aux.trace(4), WARMTH_DEPTH, b),
