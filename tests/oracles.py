@@ -16,7 +16,7 @@ from cantordim.hfun import (iroot_floor, ln2_bounds, pow2_bounds, power_hfn,
                             precede)
 from cantordim.measures import (IdentityCode, MassCertificate, RepeatCode,
                                 ShiftCode, _gauge_covers, _structural_mass_lower)
-from cantordim.treeset import _budget
+from cantordim.treeset import END, _budget
 from cantordim.words import ISpec, all_words, check_words, xor_words
 
 
@@ -749,3 +749,38 @@ def shelahM_by_scan(w, x, n_lo, n_hi):
             break
         n0 = n
     return tuple(outcomes), n0
+
+
+def interned_trie(words, tail: str):
+    """Root state and transition rows of the words' trie, hash-consed.
+
+    Built bottom-up one depth at a time, with the node words at depth d read
+    as d-bit integers.  A node is keyed by whether it ends a word and by its
+    children's keys, so one key stands for one set of suffixes left to read.
+    A key that ends a word has state END; every other key gets its own
+    integer state, whose row holds the (child0, child1) states, None where
+    no suffix continues.  END's row keeps a free tail under either bit and a
+    zeros tail only under 0.
+    """
+    rows = [(END, END) if tail == "free" else (END, None)]
+    keys: dict = {}  # (ends a word, child key 0, child key 1) -> key id
+    state_of: dict = {None: None}  # key id -> state
+    ends_at: dict = {}  # d -> the words of length d
+    for w in words:
+        ends_at.setdefault(len(w), set()).add(int(w, 2) if w else 0)
+    level: dict = {}  # node at depth d + 1 -> key id
+    for d in range(max(ends_at), -1, -1):
+        ends = ends_at.get(d, set())
+        below, level = level, {}
+        for v in ends.union(q >> 1 for q in below):
+            key = (v in ends, below.get(v << 1), below.get(v << 1 | 1))
+            kid = keys.get(key)
+            if kid is None:
+                kid = keys[key] = len(keys)
+                if key[0]:
+                    state_of[kid] = END
+                else:
+                    state_of[kid] = len(rows)
+                    rows.append((state_of[key[1]], state_of[key[2]]))
+            level[v] = kid
+    return state_of[level[0]], rows

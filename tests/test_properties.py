@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from oracles import (GaugeStoreByFractions, ank_by_filter, block_level_trace,
                      ci_trace, cover_walk_charge, covering_groups_by_words,
                      covering_groups_sets, dp_walk, gauge_table,
-                     gauge_table_error, ispec_members, mass_sweep,
-                     min_cylinder_cover_cost, point_prefix_by_bits,
+                     gauge_table_error, interned_trie, ispec_members,
+                     mass_sweep, min_cylinder_cover_cost, point_prefix_by_bits,
                      shelahM_by_scan, sparse_greedy, xtilde_blocks_by_filter)
 
 from cantordim.cli import main
@@ -45,8 +45,9 @@ from cantordim.measures import (CIProductMass, TableMass, UniformMass,
 from cantordim.specio import (canonical_json, cover_to_obj, parse_cover,
                               parse_set, parse_witness, set_to_dict,
                               witness_to_dict)
-from cantordim.treeset import (Budget, CISet, CylinderUnionSet, ExplicitSet,
-                               FullCube, ProductSet, TreeSet)
+from cantordim.treeset import (END, BlockConstraintSet, Budget, CISet,
+                               CylinderUnionSet, ExplicitSet, FullCube,
+                               ProductSet, TreeSet)
 from cantordim.words import ISpec, all_words, periodic_ispec
 
 bits = st.text("01", max_size=4)
@@ -597,6 +598,85 @@ def test_trie_children_are_the_stepped_children(e, beyond):
             assert got.used == want.used == 1
             below.update(s for _, s in kids)
         frontier = below
+
+
+@st.composite
+def trie_specs(draw):
+    """An explicit set of width 0-8 with either tail; a cylinder union of
+    mixed lengths, "" and words under shorter words among them; or a
+    block-constraint set with pattern families of width 1-6."""
+    kind = draw(st.sampled_from(("explicit", "cylinder_union", "block_constraint")))
+    if kind == "explicit":
+        words = draw(st.lists(words_of(draw(st.integers(0, 8))), min_size=1, max_size=12))
+        return {"kind": kind, "words": words,
+                "tail": draw(st.sampled_from(("zeros", "free")))}
+    if kind == "cylinder_union":
+        words = draw(st.lists(st.text("01", max_size=6), min_size=1, max_size=8))
+        for _ in range(draw(st.integers(0, 3))):
+            words.append(draw(st.sampled_from(words)) +
+                         draw(st.text("01", min_size=1, max_size=3)))
+        if draw(st.booleans()):
+            words.append("")
+        return {"kind": kind, "cylinders": words}
+    widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    return {"kind": kind,
+            "boundaries": list(accumulate(widths, initial=draw(st.integers(0, 2)))),
+            "blocks": [draw(st.none() | st.lists(words_of(w), min_size=1, max_size=12))
+                       for w in widths]}
+
+
+def _tries(e):
+    """(trie, depth to walk it) for each trie of a trie set."""
+    if isinstance(e, BlockConstraintSet):
+        return [(t, e.boundaries[j + 1] - e.boundaries[j] + 2)
+                for j, t in enumerate(e._tries) if t is not None]
+    return [((e._root, e._rows), max(map(len, e.words)) + 2)]
+
+
+def _with_oracle_tries(e):
+    """The trie set e with its tries rebuilt by the bottom-up oracle."""
+    if isinstance(e, BlockConstraintSet):
+        e._tries = tuple(None if pats is None else interned_trie(pats, "zeros")
+                         for pats in e.blocks)
+    else:
+        e._root, e._rows = interned_trie(e.words, e.tail)
+    return e
+
+
+@given(trie_specs(), st.sampled_from(GAUGES), st.data())
+def test_trie_build_matches_the_bottom_up_oracle(spec, h, data):
+    # walking both tries from their roots to the longest word + 2, the states
+    # at each depth pair off one to one, END with END and a missing child
+    # with a missing child; counts, DP roots and charges equal those of a
+    # copy built from the oracle's rows
+    e, copy = parse_set(spec), _with_oracle_tries(parse_set(spec))
+    for ((root, rows), depth), ((oroot, orows), _) in zip(_tries(e), _tries(copy)):
+        frontier = {(root, oroot)}
+        for _ in range(depth + 1):
+            assert len({a for a, _ in frontier}) == len(frontier)
+            assert len({b for _, b in frontier}) == len(frontier)
+            below = set()
+            for a, b in frontier:
+                assert (a == END) == (b == END)
+                for c, oc in zip(rows[a], orows[b]):
+                    assert (c is None) == (oc is None)
+                    if c is not None:
+                        below.add((c, oc))
+            frontier = below
+    deepest = e.boundaries[-1] if isinstance(e, BlockConstraintSet) else \
+        max(map(len, e.words))
+    depth = data.draw(st.integers(0, min(deepest + 2, 15)))  # the table gauge ends at 15
+    got, want = Budget(), Budget()
+    assert e.trace_counts(depth, got) == copy.trace_counts(depth, want)
+    assert got.used == want.used
+    m = data.draw(st.integers(0, depth))
+    got, want = Budget(), Budget()
+    memo, _ = _dp_bounds(e, h, m, depth, got)
+    omemo, _ = _dp_bounds(copy, h, m, depth, want)
+    (entry, kids), (oentry, okids) = [(w[:4], w[4]) for w in (
+        memo[e.root_state(), 0], omemo[copy.root_state(), 0])]
+    assert entry == oentry and (kids is None) == (okids is None)
+    assert got.used == want.used
 
 
 @st.composite

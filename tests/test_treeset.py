@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ci_trace, coherence_holds, interleave_trace, xor_trace
+from oracles import (ci_trace, coherence_holds, interleave_trace,
+                     interned_trie, xor_trace)
 
 from cantordim.covers import is_cover_at_depth
 from cantordim.errors import ResourceLimitError, SpecFormatError
@@ -275,6 +276,30 @@ def test_long_explicit_words_build_without_recursion():
     assert e.trace_count(4000) == 2 and e.trace_count(1999) == 1
     assert e.state_at(a) == e.state_at(b) == END
     assert CylinderUnionSet([a, a[:3000]]).trace_count(3001) == 2
+
+
+def _states_per_depth(root, rows, depth):
+    sizes, frontier = [], {root}
+    for _ in range(depth + 1):
+        sizes.append(len(frontier))
+        frontier = {c for s in frontier for c in rows[s] if c is not None}
+    return sizes
+
+
+def test_large_tries_match_the_bottom_up_oracle():
+    # random 64-bit words share hardly a suffix set, so states are about
+    # prefix nodes; a dense 12-bit set shares them below its top levels
+    rng = random.Random(2400)
+    sparse = [format(rng.getrandbits(64), "064b") for _ in range(1000)]
+    dense = [format(i, "012b") for i in rng.sample(range(1 << 12), 2900)]
+    for words in (sparse, dense):
+        e, copy, width = ExplicitSet(words), ExplicitSet(words), len(words[0])
+        copy._root, copy._rows = interned_trie(copy.words, copy.tail)
+        assert _states_per_depth(e._root, e._rows, width) == \
+            _states_per_depth(copy._root, copy._rows, width)
+        got, want = Budget(), Budget()
+        assert e.trace_counts(width + 1, got) == copy.trace_counts(width + 1, want)
+        assert got.used == want.used
 
 
 def test_explicit_words_share_one_length():
