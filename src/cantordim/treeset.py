@@ -17,9 +17,10 @@ diameter 2^-(d//2).  Plain sets have scale(d) = d.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 from .errors import ResourceLimitError, SpecFormatError
 from .words import ISpec, Word, check_word, check_words
@@ -263,10 +264,11 @@ class BlockConstraintSet(TreeSet):
     Bits below the first boundary and beyond the last are free, and a block
     whose pattern set is None is an unconstrained gap; every such bit, and
     every block boundary, has the one state FREE.  Inside a constrained
-    block the state is a state of that block's interned pattern trie (see
-    ``_interned_trie``), standing for the pattern suffixes still consistent
-    with the bits chosen so far; emptiness at construction is rejected since
-    coded sets must be nonempty.
+    block the state is a state of that block's pattern trie, hash-consed
+    once, top-down (see ``_interned_trie``): it stands for the pattern
+    suffixes still consistent with the bits chosen so far, and nodes at one
+    depth of the block with equal suffix sets share it.  Emptiness at
+    construction is rejected since coded sets must be nonempty.
     """
 
     kind = "block_constraint"
@@ -318,38 +320,56 @@ END = 0  # the explicit-set state in which a whole word has been read
 
 
 def _interned_trie(words, tail: str):
-    """Root state and transition rows of the words' trie, hash-consed.
+    """Root state and transition rows of the words' trie, hash-consed once,
+    top-down.
 
-    Built bottom-up one depth at a time, with the node words at depth d read
-    as d-bit integers.  A node is keyed by whether it ends a word and by its
-    children's keys, so one key stands for one set of suffixes left to read.
-    A key that ends a word has state END; every other key gets its own
-    integer state, whose row holds the (child0, child1) states, None where
-    no suffix continues.  END's row keeps a free tail under either bit and a
-    zeros tail only under 0.
+    Each word is read as one integer code, its bits left-aligned to the
+    longest word's length and followed by its length, and the codes are
+    sorted.  A node at depth d is a run of consecutive codes, split at the
+    next bit by bisection.  Its set of suffixes left to read is keyed by the
+    first code's bits below the node's prefix and the run's gaps between
+    consecutive codes.  A node at which a word ends has state END; every
+    other suffix set gets an integer state the first time it is met at its
+    depth, and only then is its run split, so each distinct suffix set is
+    expanded once per depth it occurs at.  Words under a shorter word stay
+    in the keys, so two nodes share a state only when their whole suffix
+    sets agree, hidden words included.  A state's row holds its (child0,
+    child1) states, None where no suffix continues.  END's row keeps a free
+    tail under either bit and a zeros tail only under 0.
     """
     rows = [(END, END) if tail == "free" else (END, None)]
-    keys: dict = {}  # (ends a word, child key 0, child key 1) -> key id
-    state_of: dict = {None: None}  # key id -> state
-    ends_at: dict = {}  # d -> the words of length d
-    for w in words:
-        ends_at.setdefault(len(w), set()).add(int(w, 2) if w else 0)
-    level: dict = {}  # node at depth d + 1 -> key id
-    for d in range(max(ends_at), -1, -1):
-        ends = ends_at.get(d, set())
-        below, level = level, {}
-        for v in ends.union(q >> 1 for q in below):
-            key = (v in ends, below.get(v << 1), below.get(v << 1 | 1))
-            kid = keys.get(key)
+    if "" in words:
+        return END, rows
+    top = max(map(len, words))
+    width = top + top.bit_length() + 1  # code bits: the word's, then its length
+    codes = sorted([int(w, 2) << (width - len(w)) | len(w) for w in words])
+    gaps = tuple(map(sub, codes[1:], codes))
+    rows.append(None)
+    level = [(0, len(codes), 1)]  # (start, end, state) of each run to split
+    for d in range(top):
+        bit = 1 << (width - 1 - d)  # the code bit read at depth d
+        low, seen, below = bit - 1, {}, []  # seen: key at d + 1 -> state
+
+        def state_of(a, b):
+            """The state of the run [a, b) one depth below d."""
+            if a == b:
+                return None
+            first = codes[a] & low
+            if first == d + 1:  # the first word is the node's own prefix
+                return END
+            key = (first, gaps[a:b - 1])
+            kid = seen.get(key)
             if kid is None:
-                kid = keys[key] = len(keys)
-                if key[0]:
-                    state_of[kid] = END
-                else:
-                    state_of[kid] = len(rows)
-                    rows.append((state_of[key[1]], state_of[key[2]]))
-            level[v] = kid
-    return state_of[level[0]], rows
+                kid = seen[key] = len(rows)
+                rows.append(None)
+                below.append((a, b, kid))
+            return kid
+
+        for i, j, state in level:
+            m = bisect_left(codes, (codes[i] | bit) & -bit, i, j)  # first 1 at d
+            rows[state] = (state_of(i, m), state_of(m, j))
+        level = below
+    return 1, rows
 
 
 class ExplicitSet(TreeSet):
@@ -357,9 +377,12 @@ class ExplicitSet(TreeSet):
 
     ``tail='zeros'`` codes the finite point set {w followed by zeros};
     ``tail='free'`` codes the clopen union of the cylinders [w].  The state
-    is an integer standing for the set of word suffixes still to be read
-    (see ``_interned_trie``); once a word has been read it is END, which a
-    free tail keeps under either bit and a zeros tail only under 0.
+    is an integer standing for the set of word suffixes still to be read,
+    from a trie hash-consed once, top-down (see ``_interned_trie``): nodes
+    at one depth with equal suffix sets share a state, while a suffix set
+    met at two depths (as in a cylinder union) may have one at each.  Once
+    a word has been read the state is END, which a free tail keeps under
+    either bit and a zeros tail only under 0.
     """
 
     kind = "explicit"

@@ -761,6 +761,10 @@ def interned_trie(words, tail: str):
     integer state, whose row holds the (child0, child1) states, None where
     no suffix continues.  END's row keeps a free tail under either bit and a
     zeros tail only under 0.
+
+    This is the bottom-up build that ``treeset._interned_trie`` replaced: it
+    touches every prefix node once, where the top-down build expands each
+    distinct suffix set once per depth.
     """
     rows = [(END, END) if tail == "free" else (END, None)]
     keys: dict = {}  # (ends a word, child key 0, child key 1) -> key id
