@@ -6,6 +6,7 @@ deliberately avoiding the package's automaton/DP machinery so the two paths
 can disagree.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby, repeat
@@ -16,7 +17,7 @@ from cantordim.hfun import (iroot_floor, ln2_bounds, pow2_bounds, power_hfn,
                             precede)
 from cantordim.measures import (IdentityCode, MassCertificate, RepeatCode,
                                 ShiftCode, _gauge_covers, _structural_mass_lower)
-from cantordim.treeset import END, _budget
+from cantordim.treeset import END, FREE, _budget
 from cantordim.words import ISpec, all_words, check_words, xor_words
 
 
@@ -788,3 +789,90 @@ def interned_trie(words, tail: str):
                     rows.append((state_of[key[1]], state_of[key[2]]))
             level[v] = kid
     return state_of[level[0]], rows
+
+
+def step_by_kind(e, state, depth, bit):
+    """The child of (state, depth) under `bit`, or None, one bit at a time.
+
+    These are the per-kind ``step`` bodies from before each kind built both
+    children in one pass.  Composite kinds recurse into this oracle for
+    their operands, so no engine cache is read; a C_I set asks its ISpec
+    for each index, and a trie set reads its trie's rows.
+    """
+    kind = e.kind
+    if kind == "full_cube":
+        return ()
+    if kind == "ci":
+        return None if bit and e.ispec.contains(depth) else ()
+    if kind == "block_constraint":
+        bs = e.boundaries
+        j = bisect_right(bs, depth) - 1
+        if depth < bs[0] or depth >= bs[-1] or e._tries[j] is None:
+            return FREE
+        root, rows = e._tries[j]
+        nxt = rows[root if depth == bs[j] else state][bit]
+        if nxt is None:
+            return None
+        return FREE if depth + 1 == bs[j + 1] else nxt
+    if kind in ("explicit", "cylinder_union"):
+        return e._rows[state][bit]
+    if kind == "sumset":
+        nxt = set()
+        for sa, sb in state:
+            for ba, ca in children_by_step(e.a, sa, depth):
+                for bb, cb in children_by_step(e.b, sb, depth):
+                    if ba ^ bb == bit:
+                        nxt.add((ca, cb))
+        return frozenset(nxt) or None
+    if kind == "product":
+        sa, sb = state
+        if depth % 2 == 0:
+            nxt = step_by_kind(e.a, sa, depth // 2, bit)
+            return None if nxt is None else (nxt, sb)
+        nxt = step_by_kind(e.b, sb, depth // 2, bit)
+        return None if nxt is None else (sa, nxt)
+    if kind == "union":
+        nxt = set()
+        for i, s in state:
+            child = step_by_kind(e.members[i], s, depth, bit)
+            if child is not None:
+                nxt.add((i, child))
+        return frozenset(nxt) or None
+    if kind == "shift_image":
+        nxt = set()
+        for s in state:
+            child = step_by_kind(e.base, s, depth + e.k, bit)
+            if child is not None:
+                nxt.add(child)
+        return frozenset(nxt) or None
+    if kind == "repeat_image":
+        s, pending = state
+        if depth % 2 == 0:
+            if step_by_kind(e.base, s, depth // 2, bit) is None:
+                return None
+            return (s, bit)
+        if bit != pending:
+            return None
+        child = step_by_kind(e.base, s, depth // 2, bit)
+        return None if child is None else (child, None)
+    raise ValueError(f"no per-bit oracle for kind {kind!r}")
+
+
+def children_by_step(e, state, depth):
+    """The ((bit, child), ...) tuple of (state, depth), from two per-bit
+    steps of ``step_by_kind``."""
+    return tuple((b, s) for b in (0, 1)
+                 if (s := step_by_kind(e, state, depth, b)) is not None)
+
+
+def driven_by_step(e):
+    """e with its ``children`` replaced by ``children_by_step``, one node
+    charged per lookup as the engine charges it: a copy whose walks never
+    run the engine's own transitions."""
+    def children(state, depth, budget=None):
+        if budget is not None:
+            budget.spend()
+        return children_by_step(e, state, depth)
+
+    e.children = children
+    return e

@@ -20,8 +20,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (GaugeStoreByFractions, ank_by_filter, block_level_trace,
-                     ci_trace, cover_walk_charge, covering_groups_by_words,
-                     covering_groups_sets, dp_walk, gauge_table,
+                     children_by_step, ci_trace, cover_walk_charge,
+                     covering_groups_by_words, covering_groups_sets,
+                     driven_by_step, dp_walk, gauge_table,
                      gauge_table_error, interned_trie, ispec_members,
                      mass_sweep, min_cylinder_cover_cost, point_prefix_by_bits,
                      shelahM_by_scan, sparse_greedy, xtilde_blocks_by_filter)
@@ -37,9 +38,10 @@ from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               shelahM_check, shelahN_filtration,
                               tprime_lbox_check, tprime_level_sets,
                               xtilde_level_set)
-from cantordim.measures import (CIProductMass, TableMass, UniformMass,
-                                _argmin_words, _dp_bounds,
-                                _structural_mass_lower, extract_optimal_cover,
+from cantordim.measures import (CIProductMass, RepeatCode, ShiftCode,
+                                TableMass, UniformMass, _argmin_words,
+                                _dp_bounds, _structural_mass_lower,
+                                extract_optimal_cover,
                                 hausdorff_measure_delta,
                                 mass_lower_certificate, sparse_I_builder)
 from cantordim.specio import (canonical_json, cover_to_obj, parse_cover,
@@ -47,7 +49,7 @@ from cantordim.specio import (canonical_json, cover_to_obj, parse_cover,
                               witness_to_dict)
 from cantordim.treeset import (END, BlockConstraintSet, Budget, CISet,
                                CylinderUnionSet, ExplicitSet, FullCube,
-                               ProductSet, TreeSet)
+                               ProductSet)
 from cantordim.words import ISpec, all_words, periodic_ispec
 
 bits = st.text("01", max_size=4)
@@ -585,19 +587,59 @@ def test_dp_scale_sequences_equal_the_walk_oracle(spec, depth, h, data):
     CylinderUnionSet, st.lists(bits, min_size=1, max_size=6))), st.integers(0, 4))
 def test_trie_children_are_the_stepped_children(e, beyond):
     # at every reachable (state, d), past the longest word too, so that both
-    # tails are read: the set's children and charge equal the base class's
-    # tuple built from two steps, on a fresh copy of the set
+    # tails are read: the set's children equal the tuple built from two
+    # per-bit steps, on a fresh copy of the set, and cost one node
     fresh = parse_set(set_to_dict(e))
     frontier = {e.root_state()}
     for d in range(max(map(len, e.words)) + beyond):
         below = set()
         for state in frontier:
-            got, want = Budget(), Budget()
+            got = Budget()
             kids = e.children(state, d, got)
-            assert kids == TreeSet.children(fresh, state, d, want)
-            assert got.used == want.used == 1
+            assert kids == children_by_step(fresh, state, d)
+            assert got.used == 1
             below.update(s for _, s in kids)
         frontier = below
+
+
+@st.composite
+def automaton_sets(draw):
+    """(make, depth): a maker of fresh copies of a set of any kind, itself
+    or its shift or repeat image, and a depth to walk its trace to."""
+    spec = draw(set_specs)
+    image = draw(st.sampled_from(("set", "shift", "repeat")))
+    k = draw(st.integers(1, 3))
+
+    def make():
+        e = parse_set(spec)
+        if image == "shift":
+            return ShiftCode(k).image(e)
+        return RepeatCode().image(e) if image == "repeat" else e
+
+    return make, draw(st.integers(0, 8))
+
+
+@given(automaton_sets())
+def test_children_and_steps_equal_the_per_bit_oracle(instance):
+    # at every node of the trace down to the drawn depth, one copy's
+    # children and another's steps under both bits, each asked cold, equal
+    # the per-bit oracle's; counts and charge equal an oracle-driven copy's
+    make, depth = instance
+    by_children, by_step, fresh = make(), make(), make()
+    frontier = {fresh.root_state()}
+    for d in range(depth):
+        below = set()
+        for state in frontier:
+            kids = children_by_step(fresh, state, d)
+            assert by_children.children(state, d) == kids
+            for bit in (0, 1):
+                assert by_step.step(state, d, bit) == dict(kids).get(bit)
+            below.update(c for _, c in kids)
+        frontier = below
+    got, want = Budget(), Budget()
+    assert make().trace_counts(depth, got) == \
+        driven_by_step(make()).trace_counts(depth, want)
+    assert got.used == want.used
 
 
 @st.composite
