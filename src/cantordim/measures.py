@@ -22,7 +22,7 @@ from .errors import BuildError, DepthExceededError, SpecFormatError
 from .hfun import (DyadicHFn, compose, finite_order, grid_index_floor, multiply,
                    pow2_bounds, power_hfn, precede)
 from .treeset import (Budget, CISet, FullCube, ProductSet, TreeSet, _budget,
-                      is_trace_subset)
+                      _kids_of, is_trace_subset)
 from .words import ISpec, Word
 
 # ---------------------------------------------------------------------------
@@ -662,13 +662,13 @@ class _ShiftImage(TreeSet):
             frontier = {c for s in frontier for _, c in self.base.children(s, d)}
         return frozenset(frontier)
 
-    def step(self, state, depth, bit):
-        nxt = set()
+    def expand(self, state, depth):
+        children, d = self.base.children, depth + self.k
+        n0, n1 = set(), set()
         for s in state:
-            child = self.base.step(s, depth + self.k, bit)
-            if child is not None:
-                nxt.add(child)
-        return frozenset(nxt) or None
+            for bit, c in children(s, d):
+                (n1 if bit else n0).add(c)
+        return _kids_of(frozenset(n0) or None, frozenset(n1) or None)
 
 
 class ShiftCode(BlockCode):
@@ -692,16 +692,12 @@ class _RepeatImage(TreeSet):
     def root_state(self):
         return (self.base.root_state(), None)
 
-    def step(self, state, depth, bit):
+    def expand(self, state, depth):
         s, pending = state
-        if depth % 2 == 0:
-            if self.base.step(s, depth // 2, bit) is None:
-                return None
-            return (s, bit)
-        if bit != pending:
-            return None
-        child = self.base.step(s, depth // 2, bit)
-        return None if child is None else (child, None)
+        kids = self.base.children(s, depth // 2)
+        if depth % 2 == 0:  # the first copy of a bit remembers it
+            return tuple([(bit, (s, bit)) for bit, _ in kids])
+        return tuple([(bit, (c, None)) for bit, c in kids if bit == pending])
 
 
 class RepeatCode(BlockCode):

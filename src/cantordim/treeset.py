@@ -1,10 +1,13 @@
 """Tree-coded nonempty closed subsets of the Cantor cube.
 
 Every set kind is presented as a deterministic tree automaton: a hashable
-node state, a root state, and a ``step(state, depth, bit)`` transition that
-returns the child state or None.  The depth-n trace of the automaton is, for
-every kind, exactly the set of depth-n prefixes of points of the coded closed
-set, so traces, covering numbers and branching diameters are exact.
+node state, a root state, and an ``expand(state, depth)`` transition that
+returns the node's ((bit, child state), ...) tuple for both bits in one
+pass.  ``children`` caches that tuple per node and ``step(state, depth, bit)``
+reads one child from it; a sumset, product or union reads its operands'
+cached children.  The depth-n trace of the automaton is, for every kind,
+exactly the set of depth-n prefixes of points of the coded closed set, so
+traces, covering numbers and branching diameters are exact.
 
 States collapse isomorphic subtrees, which is what makes depth-64 work on
 constraint sets cheap while sumsets and unions degrade gracefully into the
@@ -26,9 +29,10 @@ from .errors import ResourceLimitError, SpecFormatError
 from .words import ISpec, Word, check_word, check_words
 
 DEFAULT_NODE_BUDGET = 1 << 22
-# Deepest nesting of sumsets, products and unions, specs included: a sumset
-# costs about three frames per level per step, and 330 levels overflow
-# Python's default recursion limit, so deeper sets are input errors.
+# Deepest nesting of sumsets, products and unions, specs included: expanding
+# a node costs two frames per level (children, then expand), and about 500
+# levels overflow Python's default recursion limit, so deeper sets are input
+# errors.
 MAX_SET_NESTING = 256
 
 
@@ -77,8 +81,19 @@ class Diameter:
         return f"Diameter(2^-{self.scale})"
 
 
+def _kids_of(c0, c1):
+    """The children tuple of a node whose child states under 0 and 1 are c0
+    and c1, None where a bit has no child."""
+    if c0 is None:
+        return () if c1 is None else ((1, c1),)
+    return ((0, c0),) if c1 is None else ((0, c0), (1, c1))
+
+
 class TreeSet:
-    """Base class; subclasses define root_state/step and a kind tag."""
+    """Base class; subclasses define root_state/expand and a kind tag.
+
+    Trie sets (``ExplicitSet``) read ``children`` and ``step`` from their
+    rows instead of expanding through the per-node cache."""
 
     kind = "abstract"
     interleaved = False
@@ -98,7 +113,8 @@ class TreeSet:
     def root_state(self):
         raise NotImplementedError
 
-    def step(self, state, depth: int, bit: int):
+    def expand(self, state, depth: int) -> tuple:
+        """The ((bit, child state), ...) tuple of the node, bits ascending."""
         raise NotImplementedError
 
     def children(self, state, depth: int, budget: Budget | None = None):
@@ -107,11 +123,15 @@ class TreeSet:
         key = (state, depth)
         hit = self._children_cache.get(key)
         if hit is None:
-            hit = tuple(
-                (b, s) for b in (0, 1) if (s := self.step(state, depth, b)) is not None
-            )
-            self._children_cache[key] = hit
+            hit = self._children_cache[key] = self.expand(state, depth)
         return hit
+
+    def step(self, state, depth: int, bit: int):
+        """The child state under `bit`, or None; read from ``children``."""
+        for b, child in self.children(state, depth):
+            if b == bit:
+                return child
+        return None
 
     # -- scale map -----------------------------------------------------------
 
@@ -226,14 +246,18 @@ class TreeSet:
 # Concrete kinds
 
 
+_BOTH = ((0, ()), (1, ()))  # the children of a state () free at its depth
+_ZERO = ((0, ()),)
+
+
 class FullCube(TreeSet):
     kind = "full_cube"
 
     def root_state(self):
         return ()
 
-    def step(self, state, depth, bit):
-        return ()
+    def expand(self, state, depth):
+        return _BOTH
 
 
 class CISet(TreeSet):
@@ -249,13 +273,14 @@ class CISet(TreeSet):
     def root_state(self):
         return ()
 
-    def step(self, state, depth, bit):
-        if bit and depth >= len(self._members):
+    def expand(self, state, depth):
+        if depth >= len(self._members):
             self._members = self.ispec.members_below(2 * depth + 64)
-        return None if bit and self._members[depth] == "1" else ()
+        return _ZERO if self._members[depth] == "1" else _BOTH
 
 
 FREE = -1  # the block-constraint state outside constrained blocks
+_FREE_BOTH = ((0, FREE), (1, FREE))
 
 
 class BlockConstraintSet(TreeSet):
@@ -305,15 +330,16 @@ class BlockConstraintSet(TreeSet):
     def root_state(self):
         return FREE
 
-    def step(self, state, depth, bit):
+    def expand(self, state, depth):
         j = self._block_index(depth)
         if j is None or self._tries[j] is None:
-            return FREE
+            return _FREE_BOTH
         root, rows = self._tries[j]
-        nxt = rows[root if depth == self.boundaries[j] else state][bit]
-        if nxt is None:
-            return None
-        return FREE if depth + 1 == self.boundaries[j + 1] else nxt
+        c0, c1 = rows[root if depth == self.boundaries[j] else state]
+        if depth + 1 == self.boundaries[j + 1]:  # the block ends below
+            c0 = None if c0 is None else FREE
+            c1 = None if c1 is None else FREE
+        return _kids_of(c0, c1)
 
 
 END = 0  # the explicit-set state in which a whole word has been read
@@ -443,14 +469,15 @@ class SumSet(TreeSet):
     def root_state(self):
         return frozenset({(self.a.root_state(), self.b.root_state())})
 
-    def step(self, state, depth, bit):
-        nxt = set()
+    def expand(self, state, depth):
+        a, b = self.a.children, self.b.children
+        n0, n1 = set(), set()
         for sa, sb in state:
-            for ba, ca in self.a.children(sa, depth):
-                for bb, cb in self.b.children(sb, depth):
-                    if ba ^ bb == bit:
-                        nxt.add((ca, cb))
-        return frozenset(nxt) or None
+            kb = b(sb, depth)
+            for ba, ca in a(sa, depth):
+                for bb, cb in kb:
+                    (n1 if ba ^ bb else n0).add((ca, cb))
+        return _kids_of(frozenset(n0) or None, frozenset(n1) or None)
 
 
 class ProductSet(TreeSet):
@@ -469,13 +496,11 @@ class ProductSet(TreeSet):
     def root_state(self):
         return (self.a.root_state(), self.b.root_state())
 
-    def step(self, state, depth, bit):
+    def expand(self, state, depth):
         sa, sb = state
         if depth % 2 == 0:
-            nxt = self.a.step(sa, depth // 2, bit)
-            return None if nxt is None else (nxt, sb)
-        nxt = self.b.step(sb, depth // 2, bit)
-        return None if nxt is None else (sa, nxt)
+            return tuple([(bit, (c, sb)) for bit, c in self.a.children(sa, depth // 2)])
+        return tuple([(bit, (sa, c)) for bit, c in self.b.children(sb, depth // 2)])
 
 
 class UnionSet(TreeSet):
@@ -493,13 +518,13 @@ class UnionSet(TreeSet):
     def root_state(self):
         return frozenset((i, m.root_state()) for i, m in enumerate(self.members))
 
-    def step(self, state, depth, bit):
-        nxt = set()
+    def expand(self, state, depth):
+        members = self.members
+        n0, n1 = set(), set()
         for i, s in state:
-            child = self.members[i].step(s, depth, bit)
-            if child is not None:
-                nxt.add((i, child))
-        return frozenset(nxt) or None
+            for bit, c in members[i].children(s, depth):
+                (n1 if bit else n0).add((i, c))
+        return _kids_of(frozenset(n0) or None, frozenset(n1) or None)
 
 
 class CylinderUnionSet(ExplicitSet):

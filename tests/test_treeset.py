@@ -13,8 +13,8 @@ from cantordim.measures import (TableMass, extract_optimal_cover,
                                 hausdorff_measure_delta, mass_lower_certificate)
 from cantordim.treeset import (END, MAX_SET_NESTING, BlockConstraintSet,
                                Budget, CISet, CylinderUnionSet, ExplicitSet,
-                               FullCube, ProductSet, SumSet, UnionSet,
-                               is_trace_subset, singleton_zero)
+                               FullCube, ProductSet, SumSet, TreeSet,
+                               UnionSet, is_trace_subset, singleton_zero)
 from cantordim.words import all_words, evens, odds, periodic_ispec
 
 
@@ -217,6 +217,44 @@ def test_trace_counts_budget_is_one_node_per_expanded_state():
     with pytest.raises(ResourceLimitError):
         SumSet(e.a, e.b).trace_counts(12, Budget(expanded - 1))
     SumSet(e.a, e.b).trace_counts(12, Budget(expanded))
+
+
+def _count_expansions(e, counts):
+    """Wrap the expand of e and of its operands, all the way down, with a
+    counter of (set, state, depth) -> calls.  Trie sets read their rows and
+    have no expand."""
+    if isinstance(e, ExplicitSet):
+        return
+    expand = e.expand
+
+    def counted(state, depth):
+        counts[e, state, depth] = counts.get((e, state, depth), 0) + 1
+        return expand(state, depth)
+
+    e.expand = counted
+    for op in (*getattr(e, "members", ()), *(getattr(e, k) for k in "ab" if hasattr(e, k))):
+        _count_expansions(op, counts)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SumSet(CISet(evens()), CISet(periodic_ispec("", "100"))),
+    lambda: UnionSet([ExplicitSet(["0110", "1011"]),
+                      ExplicitSet(["0111", "1100"], tail="free")]),
+    lambda: ProductSet(CISet(odds()), BlockConstraintSet([1, 3], [["01", "10"]])),
+])
+def test_each_node_is_expanded_once(make):
+    # trace_counts then both steps at every node it visited: one expand per
+    # (state, depth) of the set and of its operands, and step is the base
+    # class's read of the cached children
+    e, counts = make(), {}
+    _count_expansions(e, counts)
+    e.trace_counts(10)
+    visited = [(state, d) for s, state, d in counts if s is e]
+    for state, d in visited:
+        for bit in (0, 1):
+            e.step(state, d, bit)
+    assert len(visited) >= 10 and set(counts.values()) == {1}
+    assert all(type(s).step is TreeSet.step for s, _, _ in counts)
 
 
 def test_explicit_tails():
