@@ -232,8 +232,9 @@ def _count_expansions(e, counts):
         return expand(state, depth)
 
     e.expand = counted
-    for op in (*getattr(e, "members", ()), *(getattr(e, k) for k in "ab" if hasattr(e, k))):
-        _count_expansions(op, counts)
+    for op in (*getattr(e, "members", ()), getattr(e, "a", None), getattr(e, "b", None)):
+        if op is not None:
+            _count_expansions(op, counts)
 
 
 @pytest.mark.parametrize("make", [
