@@ -13,10 +13,11 @@ from itertools import chain, groupby, repeat
 from math import lcm
 
 from cantordim.errors import BuildError, DepthExceededError
-from cantordim.hfun import (iroot_floor, ln2_bounds, pow2_bounds, power_hfn,
-                            precede)
-from cantordim.measures import (IdentityCode, MassCertificate, RepeatCode,
-                                ShiftCode, _gauge_covers, _structural_mass_lower)
+from cantordim.hfun import (compose, iroot_floor, ln2_bounds, pow2_bounds,
+                            power_hfn, precede)
+from cantordim.measures import (IdentityCode, LipschitzReport, MassCertificate,
+                                RepeatCode, ShiftCode, _gauge_covers,
+                                _structural_mass_lower, hausdorff_measure_delta)
 from cantordim.treeset import END, FREE, _budget
 from cantordim.words import ISpec, all_words, check_words, xor_words
 
@@ -544,6 +545,39 @@ def verify_code_modulus(e, code, depth, budget=None):
             if not holds(nf, na):
                 return False
     return True
+
+
+def lipschitz_by_cases(e, image, k, c, h, m, depth, budget=None):
+    """The block-code image check written once per code, keyed on the code
+    (k, c) that drops k bits and writes each bit c times; `image` is its
+    image of e.  The identity (0, 1) wants the image's bound equal to the
+    source's; a k-shift (k, 1) multiplies the source's bound by the
+    Lipschitz factor 2^(s k) of a power r^s, rounded up; the repeat code
+    (0, 2) prices the source with the composed gauge h(r^2).  Any other
+    code, a shift at m <= k and a shift with a gauge that is not a power
+    raise ValueError."""
+    bud = _budget(budget)
+    if (k, c) == (0, 1):
+        src = hausdorff_measure_delta(e, h, m, depth, bud)
+        img = hausdorff_measure_delta(image, h, m, depth, bud)
+        return LipschitzReport(img.upper == src.upper, img, src.upper, "identity")
+    if c == 1:
+        if m <= k:
+            raise ValueError("shift check needs scale m > k")
+        src = hausdorff_measure_delta(e, h, m, depth, bud)
+        img = hausdorff_measure_delta(image, h, m - k, depth - k, bud)
+        if h.symbolic is None or h.symbolic.t != 0:
+            raise ValueError("shift check wants a symbolic power gauge")
+        transported = pow2_bounds(h.symbolic.s * k, h.precision)[1] * src.upper
+        return LipschitzReport(img.upper <= transported, img, transported,
+                               f"L=2^{k}")
+    if (k, c) == (0, 2):
+        img = hausdorff_measure_delta(image, h, 2 * m, 2 * depth, bud)
+        hg = compose(h, power_hfn(2, n_max=max(depth, h.n_max)))
+        src = hausdorff_measure_delta(e, hg, m, depth, bud)
+        return LipschitzReport(img.upper <= src.upper, img, src.upper,
+                               "modulus r^2")
+    raise ValueError(f"no reference for the code ({k}, {c})")
 
 
 def sparse_greedy(h, depth):

@@ -24,7 +24,7 @@ from oracles import (GaugeStoreByFractions, ank_by_filter, block_level_trace,
                      covering_groups_by_words, covering_groups_sets,
                      driven_by_step, dp_walk, gauge_table,
                      gauge_table_error, interned_trie, ispec_members,
-                     mass_sweep, min_cylinder_cover_cost, point_prefix_by_bits,
+                     lipschitz_by_cases, mass_sweep, min_cylinder_cover_cost, point_prefix_by_bits,
                      shelahM_by_scan, sparse_greedy, xtilde_blocks_by_filter)
 
 from cantordim.cli import main
@@ -38,11 +38,11 @@ from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               shelahM_check, shelahN_filtration,
                               tprime_lbox_check, tprime_level_sets,
                               xtilde_level_set)
-from cantordim.measures import (CIProductMass, RepeatCode, ShiftCode,
-                                TableMass, UniformMass, _argmin_words,
-                                _dp_bounds, _structural_mass_lower,
-                                extract_optimal_cover,
-                                hausdorff_measure_delta,
+from cantordim.measures import (CIProductMass, IdentityCode, RepeatCode,
+                                ShiftCode, TableMass, UniformMass,
+                                _argmin_words, _dp_bounds,
+                                _structural_mass_lower, extract_optimal_cover,
+                                hausdorff_measure_delta, lipschitz_image_check,
                                 mass_lower_certificate, sparse_I_builder)
 from cantordim.specio import (canonical_json, cover_to_obj, parse_cover,
                               parse_set, parse_witness, set_to_dict,
@@ -641,6 +641,43 @@ def test_children_and_steps_equal_the_per_bit_oracle(instance):
         driven_by_step(make()).trace_counts(depth, want)
     assert got.used == want.used
 
+
+
+POWERS = tuple(power_hfn(s) for s in (1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 7)))
+
+
+def _block_code(k, c):
+    """The code that drops k bits and writes each bit c times, or None."""
+    if (k, c) == (0, 2):
+        return RepeatCode()
+    if c == 1:
+        return ShiftCode(k) if k else IdentityCode()
+    return None
+
+
+@given(set_specs, st.integers(0, 3), st.integers(1, 2), st.sampled_from(POWERS),
+       st.data())
+def test_image_check_agrees_with_the_per_code_reference(spec, k, c, h, data):
+    # wherever the per-code reference answers, the engine's image bound and
+    # charge equal the reference's, and so does the identity's and the
+    # repeat code's transported bound; the engine passes where it passes
+    code = _block_code(k, c)
+    if code is None:
+        return
+    e = parse_set(spec)
+    m = data.draw(st.integers(k + 1 if k else 0, k + 3))
+    depth = e.depth_of_scale(m) + data.draw(st.integers(0, 3))
+    want = Budget()
+    try:
+        ref = lipschitz_by_cases(e, code.image(e), k, c, h, m, depth, want)
+    except ValueError:
+        return
+    got = Budget()
+    rep = lipschitz_image_check(parse_set(spec), code, h, m, depth, got)
+    assert rep.image_bound == ref.image_bound and got.used == want.used
+    if k == 0:
+        assert rep.transported_bound == ref.transported_bound
+    assert rep.ok or not ref.ok
 
 @st.composite
 def trie_specs(draw):
