@@ -22,7 +22,7 @@ from .errors import (BuildError, CantorDimError, DepthExceededError,
                      ResourceLimitError, SpecFormatError)
 from .hfun import DEFAULT_PRECISION_BITS, DyadicHFn, power_hfn
 from .treeset import DEFAULT_NODE_BUDGET, Budget, CISet, FullCube
-from .words import evens, odds
+from .words import check_word, evens, odds
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -289,6 +289,7 @@ def cmd_cover(cfg: RunConfig, args) -> int:
 def cmd_witness(cfg: RunConfig, args) -> int:
     if args.action == "check":
         w = specio.parse_witness(_load_flag(args, "witness"))
+        check_word(args.x)
         lo, hi = _parse_range(args.range, default=(0, cfg.groups))
         if isinstance(w, ideals.ShelahMWitness):
             v = ideals.shelahM_check(w, args.x, lo, hi)

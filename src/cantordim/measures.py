@@ -19,10 +19,10 @@ from itertools import accumulate
 from math import log2
 
 from .errors import BuildError, DepthExceededError, SpecFormatError
-from .hfun import (DyadicHFn, compose, finite_order, grid_index_floor, multiply,
-                   pow2_bounds, power_hfn, precede)
+from .hfun import (DyadicHFn, finite_order, grid_index_floor, multiply,
+                   power_hfn, precede)
 from .treeset import (Budget, CISet, FullCube, ProductSet, TreeSet, _budget,
-                      _kids_of, is_trace_subset)
+                      is_trace_subset)
 from .words import ISpec, Word
 
 # ---------------------------------------------------------------------------
@@ -481,7 +481,7 @@ class Filtration:
 
     def __post_init__(self):
         if not self.sets:
-            raise ValueError("filtration needs at least one set")
+            raise SpecFormatError("filtration needs at least one set")
 
     def validate(self, depth: int, budget: Budget | None = None) -> None:
         for k in range(len(self.sets) - 1):
@@ -632,81 +632,57 @@ def product_inequality_check(a: TreeSet, b: TreeSet, h: DyadicHFn, g: DyadicHFn,
 # Block-code images (Lipschitz / modulus instances)
 
 
+@dataclass(frozen=True)
 class BlockCode:
-    """A word map compatible with the tree structure."""
+    """The block code that drops the first k bits of x and writes each
+    remaining bit c times; identity is (0, 1), the k-shift (k, 1) and the
+    repeat code (0, 2).  Two points that share n >= k bits map to points
+    that share c (n - k), so the modulus is (2^k r)^c."""
 
-    name = "code"
+    k: int = 0
+    c: int = 1
+
+    def __post_init__(self):
+        for name, v, least in (("k", self.k, 0), ("c", self.c, 1)):
+            if type(v) is not int or v < least:
+                raise SpecFormatError(f"block code {name} must be an integer "
+                                      f">= {least}, not {v!r}")
 
     def image(self, e: TreeSet) -> TreeSet:
-        raise NotImplementedError
+        return e if (self.k, self.c) == (0, 1) else _CodeImage(e, self)
 
 
-class IdentityCode(BlockCode):
-    name = "identity"
+class _CodeImage(TreeSet):
+    """The image of a set under a block code.  At image depth d the state is
+    (S, pending): S is the frozenset of base states at input depth
+    k + d // c, and pending the bit being written, None at its first copy."""
 
-    def image(self, e):
-        return e
+    kind = "code_image"
 
-
-class _ShiftImage(TreeSet):
-    kind = "shift_image"
-
-    def __init__(self, e: TreeSet, k: int):
-        super().__init__()
+    def __init__(self, e: TreeSet, code: BlockCode):
+        super().__init__((e,))
         self.base = e
-        self.k = k
+        self.code = code
 
     def root_state(self):
         frontier = {self.base.root_state()}
-        for d in range(self.k):
+        for d in range(self.code.k):
             frontier = {c for s in frontier for _, c in self.base.children(s, d)}
-        return frozenset(frontier)
+        return (frozenset(frontier), None)
 
     def expand(self, state, depth):
-        children, d = self.base.children, depth + self.k
+        S, pending = state
+        k, c = self.code.k, self.code.c
+        children, d = self.base.children, k + depth // c
         n0, n1 = set(), set()
-        for s in state:
-            for bit, c in children(s, d):
-                (n1 if bit else n0).add(c)
-        return _kids_of(frozenset(n0) or None, frozenset(n1) or None)
-
-
-class ShiftCode(BlockCode):
-    """Drop the first k coordinates; Lipschitz with constant 2^k."""
-
-    def __init__(self, k: int = 1):
-        self.k = k
-        self.name = f"shift{k}"
-
-    def image(self, e):
-        return _ShiftImage(e, self.k)
-
-
-class _RepeatImage(TreeSet):
-    kind = "repeat_image"
-
-    def __init__(self, e: TreeSet):
-        super().__init__()
-        self.base = e
-
-    def root_state(self):
-        return (self.base.root_state(), None)
-
-    def expand(self, state, depth):
-        s, pending = state
-        kids = self.base.children(s, depth // 2)
-        if depth % 2 == 0:  # the first copy of a bit remembers it
-            return tuple([(bit, (s, bit)) for bit, _ in kids])
-        return tuple([(bit, (c, None)) for bit, c in kids if bit == pending])
-
-
-class RepeatCode(BlockCode):
-    """x maps to its bits each repeated twice; modulus g(r) = r^2."""
-
-    name = "repeat2"
-
-    def image(self, e):
-        return _RepeatImage(e)
+        for s in S:
+            for bit, child in children(s, d):
+                (n1 if bit else n0).add(child)
+        # the last copy of a bit moves on to the base children under it
+        last = depth % c == c - 1
+        return tuple([(bit, (frozenset(nxt), None) if last else (S, bit))
+                      for bit, nxt in ((0, n0), (1, n1))
+                      if nxt and pending in (None, bit)])
 
 
 @dataclass(frozen=True)
@@ -723,34 +699,22 @@ class LipschitzReport:
 def lipschitz_image_check(e: TreeSet, code: BlockCode, h: DyadicHFn,
                           m: int, depth: int,
                           budget: Budget | None = None) -> LipschitzReport:
-    """Check the image bound of a block code against the transported source
-    bound: identity and shifts use the Lipschitz constant, the repeat code
-    uses its modulus g(r) = r^2 through the composed gauge."""
+    """Check the image bound of a block code against the source bound
+    transported along its modulus (2^k r)^c: a source cover word of length
+    n >= k maps into an image cylinder of length c (n - k), so the image is
+    priced with h at scale c (m - k) and depth c (depth - k), and the source
+    with the gauge whose sample n is h's sample at c max(0, n - k)."""
+    k, c = code.k, code.c
+    if k and m <= k:
+        raise SpecFormatError(f"a check of a code that drops {k} bits needs "
+                              f"scale m > {k}, not {m}")
     bud = _budget(budget)
-    if isinstance(code, IdentityCode):
-        src = hausdorff_measure_delta(e, h, m, depth, bud)
-        img = hausdorff_measure_delta(code.image(e), h, m, depth, bud)
-        return LipschitzReport(img.upper == src.upper, img, src.upper, "identity")
-    if isinstance(code, ShiftCode):
-        k = code.k
-        if m <= k:
-            raise ValueError("shift check needs scale m > k")
-        src = hausdorff_measure_delta(e, h, m, depth, bud)
-        img = hausdorff_measure_delta(code.image(e), h, m - k, depth - k, bud)
-        if h.symbolic is None or h.symbolic.t != 0:
-            raise ValueError("shift check wants a symbolic power gauge")
-        l_pow = pow2_bounds(h.symbolic.s * k, h.precision)[1]
-        transported = l_pow * src.upper
-        return LipschitzReport(img.upper <= transported, img, transported,
-                               f"L=2^{k}")
-    if isinstance(code, RepeatCode):
-        img_set = code.image(e)
-        img = hausdorff_measure_delta(img_set, h, 2 * m, 2 * depth, bud)
-        hg = compose(h, power_hfn(2, n_max=max(depth, h.n_max)))
-        src = hausdorff_measure_delta(e, hg, m, depth, bud)
-        return LipschitzReport(img.upper <= src.upper, img, src.upper,
-                               "modulus r^2")
-    raise ValueError(f"unsupported code {code.name}")
+    img = hausdorff_measure_delta(code.image(e), h, c * (m - k), c * (depth - k), bud)
+    lo, hi = zip(*(h.value(c * max(0, n - k)) for n in range(depth + 1)))
+    moved = DyadicHFn(lo, hi, None, h.precision, f"({h.name})o(2^{k}r)^{c}")
+    src = hausdorff_measure_delta(e, moved, m, depth, bud)
+    return LipschitzReport(img.upper <= src.upper, img, src.upper,
+                           f"modulus (2^{k} r)^{c}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from math import lcm
 from cantordim.errors import BuildError, DepthExceededError
 from cantordim.hfun import (compose, iroot_floor, ln2_bounds, pow2_bounds,
                             power_hfn, precede)
-from cantordim.measures import (IdentityCode, LipschitzReport, MassCertificate,
-                                RepeatCode, ShiftCode, _gauge_covers,
+from cantordim.measures import (LipschitzReport, MassCertificate, _gauge_covers,
                                 _structural_mass_lower, hausdorff_measure_delta)
 from cantordim.treeset import END, FREE, _budget
 from cantordim.words import ISpec, all_words, check_words, xor_words
@@ -524,25 +523,24 @@ def coherence_holds(e, p, budget=None):
     return m == (m0 or m1)
 
 
+def code_word(w, k, c):
+    """w with its first k bits dropped and every other bit written c times."""
+    return "".join(b * c for b in w[k:])
+
+
 def verify_code_modulus(e, code, depth, budget=None):
     """Exhaustively confirm a block code's declared modulus on every pair of
-    depth-`depth` trace words: the images of two words whose common prefix
-    has n bits share at least n - k bits under a k-shift, at least 2n under
-    the repeat code and exactly n under the identity."""
-    if isinstance(code, ShiftCode):
-        apply, holds = (lambda w: w[code.k:]), (lambda nf, na: nf >= na - code.k)
-    elif isinstance(code, RepeatCode):
-        apply, holds = (lambda w: "".join(c * 2 for c in w)), (lambda nf, na: nf >= 2 * na)
-    else:
-        assert isinstance(code, IdentityCode)
-        apply, holds = (lambda w: w), (lambda nf, na: nf == na)
+    depth-`depth` trace words: the code drops k bits and writes each bit c
+    times, so the images of two words whose common prefix has n bits share
+    at least c (n - k) bits."""
+    k, c = code.k, code.c
     words = e.trace(depth, budget)
     for i, wa in enumerate(words):
         for wb in words[i + 1:]:
             na = next((t for t in range(depth) if wa[t] != wb[t]), depth)
-            fa, fb = apply(wa), apply(wb)
+            fa, fb = code_word(wa, k, c), code_word(wb, k, c)
             nf = next((t for t in range(len(fa)) if fa[t] != fb[t]), len(fa))
-            if not holds(nf, na):
+            if nf < c * (na - k):
                 return False
     return True
 
@@ -872,23 +870,18 @@ def step_by_kind(e, state, depth, bit):
             if child is not None:
                 nxt.add((i, child))
         return frozenset(nxt) or None
-    if kind == "shift_image":
-        nxt = set()
-        for s in state:
-            child = step_by_kind(e.base, s, depth + e.k, bit)
-            if child is not None:
-                nxt.add(child)
-        return frozenset(nxt) or None
-    if kind == "repeat_image":
-        s, pending = state
-        if depth % 2 == 0:
-            if step_by_kind(e.base, s, depth // 2, bit) is None:
-                return None
-            return (s, bit)
-        if bit != pending:
+    if kind == "code_image":
+        # a bit's first copy reads the base's step under it, its last copy
+        # moves on to the base children, and the copies between repeat it
+        S, pending = state
+        c = e.code.c
+        if pending is not None and bit != pending:
             return None
-        child = step_by_kind(e.base, s, depth // 2, bit)
-        return None if child is None else (child, None)
+        nxt = frozenset(child for s in S if (child := step_by_kind(
+            e.base, s, e.code.k + depth // c, bit)) is not None)
+        if not nxt:
+            return None
+        return (nxt, None) if depth % c == c - 1 else (S, bit)
     raise ValueError(f"no per-bit oracle for kind {kind!r}")
 
 

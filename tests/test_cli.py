@@ -428,6 +428,23 @@ def test_witness_check_shelahm(specs, tmp_path, capsys):
     assert code == 0 and json.loads(out)["n0"] == 0
 
 
+@pytest.mark.parametrize("x", ["abcdefghijklmnop", "0101 0101", "012"])
+def test_witness_check_x_must_be_a_binary_word(capsys, x):
+    wm = Path(__file__).parent / "golden" / "wm.json"
+    code, out, err = run(["witness", "check", "--witness", str(wm), "--x", x,
+                          "--range", "0:2"], capsys)
+    assert code == 2 and out == "" and err.startswith("input error:")
+    assert "not a binary word" in err
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_cover_build_needs_a_level(specs, capsys, levels):
+    code, out, err = run(["cover", "build", "--set", specs["ce"], "--hfn",
+                          specs["r1"], "--levels", levels], capsys)
+    assert code == 2 and out == "" and err.startswith("input error:")
+    assert "at least one set" in err
+
+
 def test_out_file_byte_identical(specs, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):

@@ -6,19 +6,18 @@ import pytest
 from oracles import (min_cover_count_arbitrary, min_cylinder_cover_cost,
                      separation_count, verify_code_modulus)
 
-from cantordim.errors import BuildError, ResourceLimitError
+from cantordim.errors import BuildError, ResourceLimitError, SpecFormatError
 from cantordim.hfun import multiply, power_hfn, power_log_hfn, table_hfn
-from cantordim.measures import (CIProductMass, Filtration, TableMass,
-                                UniformMass, _ci_mass_exact,
-                                box_content_sequence,
+from cantordim.measures import (BlockCode, CIProductMass, Filtration,
+                                LipschitzReport, TableMass, UniformMass,
+                                _ci_mass_exact, box_content_sequence,
                                 box_dimensions, chain_check, covering_number,
                                 dbox_on_filtration, extract_optimal_cover,
                                 hausdorff_measure_delta,
                                 increasing_sets_split, lipschitz_image_check,
                                 mass_lower_certificate,
                                 product_inequality_check, sparse_I_builder,
-                                trivial_filtration, IdentityCode, RepeatCode,
-                                ShiftCode)
+                                trivial_filtration)
 from cantordim.specio import parse_hfn
 from cantordim.treeset import (Budget, CISet, CylinderUnionSet, ExplicitSet,
                                FullCube, ProductSet, UnionSet)
@@ -515,14 +514,44 @@ def test_product_xn_instance():
 
 def test_lipschitz_checks():
     fc, r1 = FullCube(), power_hfn(1)
-    assert lipschitz_image_check(fc, IdentityCode(), r1, 2, 10).ok
-    rep = lipschitz_image_check(fc, ShiftCode(1), r1, 3, 10)
-    assert rep.ok  # image bound <= 2^1 * source bound
-    rep2 = lipschitz_image_check(CISet(evens()), RepeatCode(),
+    assert lipschitz_image_check(fc, BlockCode(), r1, 2, 10).ok
+    rep = lipschitz_image_check(fc, BlockCode(1), r1, 3, 10)
+    assert rep.ok  # image bound <= the source bound under (2 r)^1
+    rep2 = lipschitz_image_check(CISet(evens()), BlockCode(0, 2),
                                  power_hfn(Fraction(1, 2)), 3, 8)
     assert rep2.ok
-    assert verify_code_modulus(CISet(evens()), RepeatCode(), 5)
-    assert verify_code_modulus(FullCube(), ShiftCode(1), 4)
+    assert verify_code_modulus(CISet(evens()), BlockCode(0, 2), 5)
+    assert verify_code_modulus(FullCube(), BlockCode(1), 4)
+    assert verify_code_modulus(CISet(odds()), BlockCode(2, 3), 6)
+
+
+def test_shift_check_is_not_failed_by_rounding():
+    # a factor 2^(2/3) rounded up times the source bound rounded up could
+    # fall below the image bound; the transported gauge reads the image's
+    # own samples, so the image bound is at most the transported one
+    assert lipschitz_image_check(CISet(evens()), BlockCode(1, 1),
+                                 power_hfn(Fraction(2, 3)), 4, 10).ok
+
+
+@pytest.mark.parametrize("h", [power_log_hfn(1, 1),
+                               table_hfn([Fraction(1, n + 1) for n in range(97)])])
+@pytest.mark.parametrize("code", [BlockCode(1), BlockCode(0, 2)])
+def test_image_checks_take_log_and_table_gauges(h, code):
+    rep = lipschitz_image_check(CISet(evens()), code, h, 3, 10)
+    assert isinstance(rep, LipschitzReport) and rep.ok
+
+
+@pytest.mark.parametrize("k, c", [(-1, 1), (0, 0), (0, -2), (1.5, 1), (0, "2"),
+                                  (True, 1)])
+def test_out_of_range_codes_are_refused(k, c):
+    with pytest.raises(SpecFormatError):
+        BlockCode(k, c)
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 2), (3, 1)])
+def test_image_check_needs_a_scale_past_the_dropped_bits(k, m):
+    with pytest.raises(SpecFormatError):
+        lipschitz_image_check(FullCube(), BlockCode(k), power_hfn(1), m, 10)
 
 
 def test_increasing_sets_split():

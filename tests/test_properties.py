@@ -20,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (GaugeStoreByFractions, ank_by_filter, block_level_trace,
-                     children_by_step, ci_trace, cover_walk_charge,
+                     children_by_step, ci_trace, code_word, cover_walk_charge,
                      covering_groups_by_words, covering_groups_sets,
                      driven_by_step, dp_walk, gauge_table,
                      gauge_table_error, interned_trie, ispec_members,
@@ -38,9 +38,8 @@ from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               shelahM_check, shelahN_filtration,
                               tprime_lbox_check, tprime_level_sets,
                               xtilde_level_set)
-from cantordim.measures import (CIProductMass, IdentityCode, RepeatCode,
-                                ShiftCode, TableMass, UniformMass,
-                                _argmin_words, _dp_bounds,
+from cantordim.measures import (BlockCode, CIProductMass, TableMass,
+                                UniformMass, _argmin_words, _dp_bounds,
                                 _structural_mass_lower, extract_optimal_cover,
                                 hausdorff_measure_delta, lipschitz_image_check,
                                 mass_lower_certificate, sparse_I_builder)
@@ -604,19 +603,11 @@ def test_trie_children_are_the_stepped_children(e, beyond):
 
 @st.composite
 def automaton_sets(draw):
-    """(make, depth): a maker of fresh copies of a set of any kind, itself
-    or its shift or repeat image, and a depth to walk its trace to."""
-    spec = draw(set_specs)
-    image = draw(st.sampled_from(("set", "shift", "repeat")))
-    k = draw(st.integers(1, 3))
-
-    def make():
-        e = parse_set(spec)
-        if image == "shift":
-            return ShiftCode(k).image(e)
-        return RepeatCode().image(e) if image == "repeat" else e
-
-    return make, draw(st.integers(0, 8))
+    """(make, depth): a maker of fresh copies of a set of any kind, or of
+    its image under a block code (k, c), the set itself at (0, 1), and a
+    depth to walk its trace to."""
+    spec, code = draw(set_specs), BlockCode(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+    return (lambda: code.image(parse_set(spec))), draw(st.integers(0, 8))
 
 
 @given(automaton_sets())
@@ -643,16 +634,15 @@ def test_children_and_steps_equal_the_per_bit_oracle(instance):
 
 
 
+@given(set_specs, st.integers(0, 3), st.integers(1, 3), st.integers(0, 6))
+def test_code_images_trace_the_coded_words(spec, k, c, n):
+    # the image's depth-c n trace is the code of the set's depth-(k + n) trace
+    image = BlockCode(k, c).image(parse_set(spec))
+    words = {code_word(w, k, c) for w in parse_set(spec).trace(k + n)}
+    assert image.trace(c * n) == sorted(words)
+
+
 POWERS = tuple(power_hfn(s) for s in (1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 7)))
-
-
-def _block_code(k, c):
-    """The code that drops k bits and writes each bit c times, or None."""
-    if (k, c) == (0, 2):
-        return RepeatCode()
-    if c == 1:
-        return ShiftCode(k) if k else IdentityCode()
-    return None
 
 
 @given(set_specs, st.integers(0, 3), st.integers(1, 2), st.sampled_from(POWERS),
@@ -661,16 +651,14 @@ def test_image_check_agrees_with_the_per_code_reference(spec, k, c, h, data):
     # wherever the per-code reference answers, the engine's image bound and
     # charge equal the reference's, and so does the identity's and the
     # repeat code's transported bound; the engine passes where it passes
-    code = _block_code(k, c)
-    if code is None:
-        return
-    e = parse_set(spec)
+    code, e = BlockCode(k, c), parse_set(spec)
     m = data.draw(st.integers(k + 1 if k else 0, k + 3))
     depth = e.depth_of_scale(m) + data.draw(st.integers(0, 3))
     want = Budget()
     try:
         ref = lipschitz_by_cases(e, code.image(e), k, c, h, m, depth, want)
-    except ValueError:
+    except ValueError:  # a code it has no case for: the engine still passes
+        assert lipschitz_image_check(parse_set(spec), code, h, m, depth).ok
         return
     got = Budget()
     rep = lipschitz_image_check(parse_set(spec), code, h, m, depth, got)
@@ -678,6 +666,7 @@ def test_image_check_agrees_with_the_per_code_reference(spec, k, c, h, data):
     if k == 0:
         assert rep.transported_bound == ref.transported_bound
     assert rep.ok or not ref.ok
+
 
 @st.composite
 def trie_specs(draw):

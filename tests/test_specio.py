@@ -38,9 +38,9 @@ def test_set_roundtrip():
 
 
 def test_set_kinds_without_a_format_are_not_written():
-    from cantordim.measures import RepeatCode, ShiftCode
+    from cantordim.measures import BlockCode
     from cantordim.treeset import FullCube
-    for image in (ShiftCode(1).image(FullCube()), RepeatCode().image(FullCube())):
+    for image in (BlockCode(1).image(FullCube()), BlockCode(0, 2).image(FullCube())):
         with pytest.raises(SpecFormatError):
             specio.set_to_dict(image)
 
