@@ -6,9 +6,9 @@ from .errors import (BuildError, CantorDimError, DepthExceededError,
 from .hfun import (DyadicHFn, diagonal_dominate, compose, finite_order,
                    grid_inverse, hfn_from_epsilons, multiply, power_hfn,
                    power_log_hfn, precede, table_hfn)
-from .measures import (BlockCode, Filtration, MeasureBound,
-                       box_content_sequence, box_dimensions, chain_check,
-                       covering_number, dbox_on_filtration, extract_optimal_cover,
+from .measures import (Filtration, MeasureBound, box_content_sequence,
+                       box_dimensions, chain_check, covering_number,
+                       dbox_on_filtration, extract_optimal_cover,
                        hausdorff_measure_delta, increasing_sets_split,
                        lipschitz_image_check, mass_lower_certificate,
                        product_inequality_check, sparse_I_builder)

@@ -24,8 +24,9 @@ from oracles import (GaugeStoreByFractions, ank_by_filter, block_level_trace,
                      covering_groups_by_words, covering_groups_sets,
                      driven_by_step, dp_walk, gauge_table,
                      gauge_table_error, interned_trie, ispec_members,
-                     lipschitz_by_cases, mass_sweep, min_cylinder_cover_cost, point_prefix_by_bits,
-                     shelahM_by_scan, sparse_greedy, xtilde_blocks_by_filter)
+                     lipschitz_by_cases, mass_sweep, min_cylinder_cover_cost,
+                     point_prefix_by_bits, shelahM_by_scan, sparse_greedy,
+                     xtilde_blocks_by_filter)
 
 from cantordim.cli import main
 from cantordim.covers import CHUNK_BITS, Cover, _covered_groups, verify_lambda
@@ -606,7 +607,8 @@ def automaton_sets(draw):
     """(make, depth): a maker of fresh copies of a set of any kind, or of
     its image under a block code (k, c), the set itself at (0, 1), and a
     depth to walk its trace to."""
-    spec, code = draw(set_specs), BlockCode(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+    spec = draw(set_specs)
+    code = BlockCode(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
     return (lambda: code.image(parse_set(spec))), draw(st.integers(0, 8))
 
 
@@ -633,7 +635,6 @@ def test_children_and_steps_equal_the_per_bit_oracle(instance):
     assert got.used == want.used
 
 
-
 @given(set_specs, st.integers(0, 3), st.integers(1, 3), st.integers(0, 6))
 def test_code_images_trace_the_coded_words(spec, k, c, n):
     # the image's depth-c n trace is the code of the set's depth-(k + n) trace
@@ -642,7 +643,8 @@ def test_code_images_trace_the_coded_words(spec, k, c, n):
     assert image.trace(c * n) == sorted(words)
 
 
-POWERS = tuple(power_hfn(s) for s in (1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 7)))
+POWERS = tuple(power_hfn(s)
+               for s in (1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 7)))
 
 
 @given(set_specs, st.integers(0, 3), st.integers(1, 2), st.sampled_from(POWERS),
