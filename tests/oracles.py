@@ -13,8 +13,9 @@ from itertools import chain, groupby, repeat
 from math import lcm
 
 from cantordim.errors import BuildError, DepthExceededError
-from cantordim.hfun import (compose, iroot_floor, ln2_bounds, pow2_bounds,
-                            power_hfn, precede)
+from cantordim.hfun import (DEFAULT_PRECISION_BITS, DyadicHFn, grid_index_ceil,
+                            grid_index_floor, iroot_floor, ln2_bounds,
+                            pow2_bounds, power_hfn, precede)
 from cantordim.measures import (LipschitzReport, MassCertificate, _gauge_covers,
                                 _structural_mass_lower, hausdorff_measure_delta)
 from cantordim.treeset import END, FREE, _budget
@@ -515,6 +516,99 @@ class GaugeStoreByFractions:
         return self.value(n)[1]
 
 
+# The derived gauges as they were built before they sampled their operands:
+# each reads its operands out to n_max as Fractions when it is made and
+# hands the two lists to the table constructor.
+
+
+def _both_powers(h, g):
+    return (h.symbolic and g.symbolic) and h.symbolic.t == g.symbolic.t == 0
+
+
+def multiply_by_fractions(h, g):
+    """h * g, sample by sample."""
+    if _both_powers(h, g):
+        return power_hfn(h.symbolic.s + g.symbolic.s,
+                         min(h.n_max, g.n_max), max(h.precision, g.precision))
+    top = min(h.n_max, g.n_max)
+    lo = [h.lo_at(n) * g.lo_at(n) for n in range(top + 1)]
+    hi = [h.hi_at(n) * g.hi_at(n) for n in range(top + 1)]
+    return DyadicHFn(lo, hi, None, max(h.precision, g.precision),
+                     name=f"({h.name})*({g.name})")
+
+
+def compose_by_fractions(h, g):
+    """h o g: h at the grid indices bracketing each sample of g, h's lower
+    bound at the deep one and its upper bound at the shallow one, each side
+    then made nonincreasing by a running minimum."""
+    if _both_powers(h, g):
+        return power_hfn(h.symbolic.s * g.symbolic.s,
+                         min(h.n_max, g.n_max), max(h.precision, g.precision))
+    lo, hi = [], []
+    for n in range(g.n_max + 1):
+        glo, ghi = g.value(n)
+        j_deep, j_shallow = grid_index_floor(glo), grid_index_ceil(min(ghi, 1))
+        if j_deep > h.n_max:
+            raise DepthExceededError(
+                f"compose needs h at grid index {j_deep} (table to {h.n_max})")
+        lo.append(h.lo_at(j_deep))
+        hi.append(h.hi_at(min(j_shallow, h.n_max)))
+    for n in range(1, len(lo)):
+        lo[n], hi[n] = min(lo[n], lo[n - 1]), min(hi[n], hi[n - 1])
+    return DyadicHFn(lo, hi, None, max(h.precision, g.precision),
+                     name=f"({h.name})o({g.name})")
+
+
+def diagonal_dominate_by_fractions(hs):
+    """The least input at m damped by 2^-(m // 4), or the power max s + 1/4
+    of all-power inputs."""
+    hs = list(hs)
+    if not hs:
+        raise BuildError("diagonal domination needs at least one gauge")
+    for h in hs:
+        if not h.is_vanishing:
+            raise BuildError(f"gauge {h.name} is not vanishing")
+    n_max = min(h.n_max for h in hs)
+    if all(h.symbolic is not None and h.symbolic.t == 0 for h in hs):
+        return power_hfn(max(h.symbolic.s for h in hs) + Fraction(1, 4), n_max)
+    damp = [Fraction(1, 1 << (m // 4)) for m in range(n_max + 1)]
+    lo = [min(h.lo_at(m) for h in hs) * damp[m] for m in range(n_max + 1)]
+    hi = [min(h.hi_at(m) for h in hs) * damp[m] for m in range(n_max + 1)]
+    return DyadicHFn(lo, hi, None, DEFAULT_PRECISION_BITS, name="diag")
+
+
+def grid_inverse_by_fractions(g):
+    """2^-j at m for the deepest j with g_j >= 2^-m, j searched from 0 at
+    every m, of a strictly decreasing g."""
+    if g.symbolic is not None and g.symbolic.t == 0:
+        return power_hfn(1 / g.symbolic.s, g.n_max, g.precision)
+    if not all(g.hi_at(n + 1) < g.lo_at(n) for n in range(g.n_max)):
+        raise BuildError("grid inverse needs a strictly decreasing gauge table")
+    vals = []
+    for m in range(g.n_max + 1):
+        j = 0
+        while j < g.n_max and g.lo_at(j + 1) >= Fraction(1, 1 << m):
+            j += 1
+        vals.append(Fraction(1, 1 << j))
+    return DyadicHFn(vals, vals, None, g.precision, name=f"inv({g.name})")
+
+
+def scaled_by_fractions(h, factor, name=None):
+    """factor * h, a table to h's n_max."""
+    f = Fraction(factor)
+    if f <= 0:
+        raise ValueError("scale factor must be positive")
+    return DyadicHFn([v * f for v in h.lo], [v * f for v in h.hi], None,
+                     h.precision, name)
+
+
+def reindex_by_fractions(h, k, c, depth):
+    """The source gauge of a block code's image check: sample n is h's
+    sample at c max(0, n - k), for n up to depth."""
+    lo, hi = zip(*(h.value(c * max(0, n - k)) for n in range(depth + 1)))
+    return DyadicHFn(lo, hi, None, h.precision, f"({h.name})o(2^{k}r)^{c}")
+
+
 def coherence_holds(e, p, budget=None):
     """meets(p) iff meets(p0) or meets(p1); True for every kind by design."""
     m = e.meets(p, budget)
@@ -571,7 +665,7 @@ def lipschitz_by_cases(e, image, k, c, h, m, depth, budget=None):
                                f"L=2^{k}")
     if (k, c) == (0, 2):
         img = hausdorff_measure_delta(image, h, 2 * m, 2 * depth, bud)
-        hg = compose(h, power_hfn(2, n_max=max(depth, h.n_max)))
+        hg = compose_by_fractions(h, power_hfn(2, n_max=max(depth, h.n_max)))
         src = hausdorff_measure_delta(e, hg, m, depth, bud)
         return LipschitzReport(img.upper <= src.upper, img, src.upper,
                                "modulus r^2")

@@ -14,25 +14,31 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (GaugeStoreByFractions, ank_by_filter, block_level_trace,
-                     children_by_step, ci_trace, code_word, cover_walk_charge,
+                     children_by_step, ci_trace, code_word,
+                     compose_by_fractions, cover_walk_charge,
                      covering_groups_by_words, covering_groups_sets,
-                     driven_by_step, dp_walk, gauge_table,
-                     gauge_table_error, interned_trie, ispec_members,
-                     lipschitz_by_cases, mass_sweep, min_cylinder_cover_cost,
-                     point_prefix_by_bits, shelahM_by_scan, sparse_greedy,
-                     xtilde_blocks_by_filter)
+                     diagonal_dominate_by_fractions, driven_by_step, dp_walk,
+                     gauge_table, gauge_table_error, grid_inverse_by_fractions,
+                     interned_trie, ispec_members, lipschitz_by_cases,
+                     mass_sweep, min_cylinder_cover_cost,
+                     multiply_by_fractions, point_prefix_by_bits,
+                     reindex_by_fractions, scaled_by_fractions,
+                     shelahM_by_scan, sparse_greedy, xtilde_blocks_by_filter)
 
 from cantordim.cli import main
 from cantordim.covers import CHUNK_BITS, Cover, _covered_groups, verify_lambda
 from cantordim.errors import (BuildError, CantorDimError, DepthExceededError,
                               ResourceLimitError, SpecFormatError)
-from cantordim.hfun import DyadicHFn, power_hfn, power_log_hfn, table_hfn
+from cantordim import measures
+from cantordim.hfun import (DyadicHFn, compose, diagonal_dominate, grid_inverse,
+                            multiply, power_hfn, power_log_hfn, table_hfn)
 from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               ShelahMWitness, ShelahNWitness, TPrimeWitness,
                               _growth, ank_test, nadd_box_check,
@@ -284,6 +290,59 @@ def test_gauge_store_equals_the_fraction_built_store(gauges, data):
         if method != "numerators" and not isinstance(want, str):
             assert all(type(v) is Fraction for v in (got if method == "value" else [got]))
         assert h._store == oracle.store
+
+
+@st.composite
+def operand_gauges(draw):
+    """An operand of a derived gauge: a drawn power, power-log gauge or
+    table, exact or an interval, or a strictly decreasing table, so that
+    grid inverses are made as well as refused."""
+    if draw(st.booleans()):
+        return draw(stored_gauges())[0]
+    steps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=20))
+    lo = [Fraction(1, d) for d in accumulate(steps)]
+    widen = draw(st.sampled_from((1, Fraction(9, 8))))
+    return DyadicHFn(lo, [v * widen for v in lo])
+
+
+DERIVED = {
+    "multiply": (multiply, multiply_by_fractions, 2),
+    "compose": (compose, compose_by_fractions, 2),
+    "diagonal_dominate": (lambda *hs: diagonal_dominate(hs),
+                          lambda *hs: diagonal_dominate_by_fractions(hs), 3),
+    "grid_inverse": (grid_inverse, grid_inverse_by_fractions, 1),
+    "scaled": (lambda h: h.scaled(Fraction(3, 7)),
+               lambda h: scaled_by_fractions(h, Fraction(3, 7)), 1),
+}
+
+
+def _made(build, operands):
+    try:
+        return build(*operands)
+    except (BuildError, DepthExceededError, ValueError) as exc:
+        return type(exc)
+
+
+@given(st.sampled_from(sorted(DERIVED)), st.data())
+def test_derived_gauges_equal_the_fraction_built_tables(kind, data):
+    # a derived gauge is refused where the eager table was, and otherwise
+    # gives the table's reads in a drawn order, past n_max included, and
+    # its whole store once read to n_max
+    build, reference, arity = DERIVED[kind]
+    operands = [data.draw(operand_gauges())
+                for _ in range(data.draw(st.integers(1, arity)) if arity == 3 else arity)]
+    got, want = _made(build, operands), _made(reference, operands)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert (got.name, got.n_max, got.precision, got.symbolic) == \
+        (want.name, want.n_max, want.precision, want.symbolic)
+    for n in data.draw(st.lists(st.integers(0, want.n_max + 2), max_size=8)):
+        assert _read(got, "value", n) == _read(want, "value", n)
+    got.numerators(want.n_max)
+    want.numerators(want.n_max)
+    assert got._store == want._store
+    assert got.is_vanishing == want.is_vanishing
 
 
 @st.composite
@@ -668,6 +727,41 @@ def test_image_check_agrees_with_the_per_code_reference(spec, k, c, h, data):
     if k == 0:
         assert rep.transported_bound == ref.transported_bound
     assert rep.ok or not ref.ok
+
+
+@given(set_specs, st.integers(0, 3), st.integers(1, 3), operand_gauges(),
+       st.data())
+def test_image_check_source_equals_the_fraction_built_table(spec, k, c, h, data):
+    # the check prices its source with the table whose sample n is h's at
+    # c max(0, n - k): the same bound, charge and refusal, and after the
+    # check the same store
+    m = data.draw(st.integers(k + 1 if k else 0, k + 3))
+    depth = parse_set(spec).depth_of_scale(m) + data.draw(st.integers(0, 3))
+
+    def priced(check):
+        budget = Budget()
+        try:
+            return check(budget), budget.used
+        except DepthExceededError as exc:
+            return str(exc), budget.used
+
+    def engine(budget):
+        with mock.patch.object(measures, "hausdorff_measure_delta",
+                               wraps=measures.hausdorff_measure_delta) as spy:
+            rep = lipschitz_image_check(parse_set(spec), BlockCode(k, c), h, m,
+                                        depth, budget)
+        moved = spy.call_args_list[-1].args[1]
+        return rep.transported_bound, rep.image_bound, moved.numerators(depth)
+
+    def reference(budget):
+        e = parse_set(spec)
+        img = hausdorff_measure_delta(BlockCode(k, c).image(e), h, c * (m - k),
+                                      c * (depth - k), budget)
+        moved = reindex_by_fractions(h, k, c, depth)
+        src = hausdorff_measure_delta(e, moved, m, depth, budget)
+        return src.upper, img, moved.numerators(depth)
+
+    assert priced(engine) == priced(reference)
 
 
 @st.composite
