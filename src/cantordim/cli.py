@@ -349,10 +349,12 @@ def _parse_range(text, default):
     if not text:
         return default
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = map(int, text.split(":"))
+        if 0 <= lo <= hi:
+            return lo, hi
     except ValueError:
-        raise SpecFormatError(f"bad range {text!r}; want LO:HI") from None
+        pass
+    raise SpecFormatError(f"bad range {text!r}; want LO:HI with 0 <= LO <= HI")
 
 
 @functools.cache

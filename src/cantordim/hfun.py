@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import gcd, lcm, log2
+from itertools import accumulate, pairwise
+from math import gcd, lcm, log2, prod
 
 from .errors import (BuildError, DepthExceededError, ResourceLimitError,
                      SpecFormatError)
@@ -161,8 +161,8 @@ class Symbolic:
 class DyadicHFn:
     """A Hausdorff function as outward-rounded samples on the dyadic grid,
     kept in one integer store (den, lo, hi): sample k is lo[k]/den, hi[k]/den.
-    A table gauge fills it when made; a symbolic gauge from its grid on first
-    read, in order, only as far as asked, up to its declared n_max and past it.
+    A table gauge fills it when made; a symbolic or derived gauge on first
+    read, in order, only as far as asked, and only a symbolic one past n_max.
     """
 
     def __init__(self, lo=(), hi=(), symbolic: Symbolic | None = None,
@@ -170,7 +170,8 @@ class DyadicHFn:
                  n_max: int | None = None):
         self.symbolic = symbolic
         self.precision = precision
-        self.name = name or (self._symbolic_name() if symbolic else "table")
+        self.name = name or ("table" if symbolic is None else f"r^{symbolic.s}"
+                             + (f"*log^{symbolic.t}" if symbolic.t else ""))
         self._store: tuple = (1, [], [])
         # made now, so that an oversized root is refused when the gauge is made
         self._grid = _Grid(symbolic, precision) if symbolic else None
@@ -182,12 +183,6 @@ class DyadicHFn:
         self.n_max = n_max
         if symbolic is None:
             self._fill(list(map(_ratios, lo, hi)))
-
-    def _symbolic_name(self) -> str:
-        s = self.symbolic
-        if s.t == 0:
-            return f"r^{s.s}"
-        return f"r^{s.s}*log^{s.t}"
 
     def _fill(self, samples):
         """Append samples, as (lo, hi, den) integers jointly in lowest terms,
@@ -217,14 +212,14 @@ class DyadicHFn:
         self._store = top, lo, hi
 
     def _grow(self, n: int):
-        """Fill the store from the grid through sample n: within n_max to at
-        least twice its length, so one-at-a-time reads rescale it rarely;
-        past n_max exactly to n."""
+        """Fill the store from the grid or the operands through sample n:
+        within n_max to at least twice its length, so one-at-a-time reads
+        rescale it rarely; past n_max exactly to n."""
         have = len(self._store[1])
-        sample = self._grid.sample
+        sample = self._grid.sample if self._grid else self._sample
         new = [sample(k) for k in range(have, max(n, min(2 * have, self.n_max)) + 1)]
-        if self.symbolic.t:
-            # r^s log(1/r)^t can wobble upward; clamp to nonincreasing
+        if self._grid is None or self.symbolic.t:
+            # r^s log(1/r)^t can wobble upward; clamp all but a pure power
             pl, ph, pd = self.sample_at(have - 1) if have else new[0]
             for k, (l, h, d) in enumerate(new):
                 if l * pd > pl * d or h * pd > ph * d:
@@ -236,7 +231,7 @@ class DyadicHFn:
         """(den, lo, hi): the store, holding the samples at 0..n at least,
         so that lo[k] / den and hi[k] / den are value(k).  Read only."""
         if not 0 <= n < len(self._store[1]):
-            if n < 0 or self._grid is None:
+            if n < 0 or self.symbolic is None and n > self.n_max:
                 raise DepthExceededError(
                     f"gauge undefined at grid index {n} (table to {self.n_max})")
             self._grow(n)
@@ -255,15 +250,12 @@ class DyadicHFn:
         return Fraction(lo, den), Fraction(hi, den)
 
     def lo_at(self, n: int) -> Fraction:
-        return self._side(n, 1)
+        lo, _, den = self.sample_at(n)
+        return Fraction(lo, den)
 
     def hi_at(self, n: int) -> Fraction:
-        return self._side(n, 2)
-
-    def _side(self, n: int, side: int) -> Fraction:
-        """value(n)[side - 1], building only that Fraction."""
-        sample = self.sample_at(n)
-        return Fraction(sample[side - 1], sample[2])
+        _, hi, den = self.sample_at(n)
+        return Fraction(hi, den)
 
     lo = property(lambda self: self._fractions(1), doc="Lower bounds at 0..n_max.")
     hi = property(lambda self: self._fractions(2), doc="Upper bounds at 0..n_max.")
@@ -280,7 +272,7 @@ class DyadicHFn:
         out before their threshold)."""
         if self.symbolic is not None:
             return self.symbolic.s > 0
-        tail = self._store[2][max(0, self.n_max - 4):]  # numerators over one den
+        tail = self.numerators(self.n_max)[2][max(0, self.n_max - 4):]  # over one den
         return all(b < a for a, b in zip(tail, tail[1:]))
 
     def dominates_dyadic(self, exponent: int, n: int) -> bool | None:
@@ -312,14 +304,25 @@ class DyadicHFn:
         return None
 
     def scaled(self, factor: Fraction, name=None) -> "DyadicHFn":
-        f = Fraction(factor)
-        if f <= 0:
+        a, b = Fraction(factor).as_integer_ratio()
+        if a <= 0:
             raise ValueError("scale factor must be positive")
-        return DyadicHFn([v * f for v in self.lo], [v * f for v in self.hi],
-                         None, self.precision, name)
+        # (lo, hi, den) times (a, a, b), entry by entry
+        return _derived(lambda n: _lowest(*map(prod, zip(self.sample_at(n), (a, a, b)))),
+                        self.n_max, self.precision, name or "table")
 
     def __repr__(self):
         return f"<DyadicHFn {self.name} to n={self.n_max}>"
+
+
+def _derived(sample, n_max: int, precision: int, name: str) -> DyadicHFn:
+    """A gauge with table semantics to n_max whose sample n is sample(n):
+    (lo, hi, den) jointly in lowest terms, from its operands' `sample_at`.
+    The store asks for samples in increasing n, each once."""
+    h = DyadicHFn.__new__(DyadicHFn)
+    h.symbolic, h.precision, h.name, h.n_max = None, precision, name, n_max
+    h._store, h._grid, h._sample = (1, [], []), None, sample
+    return h
 
 
 def power_hfn(s, n_max: int = DEFAULT_N_MAX,
@@ -450,23 +453,22 @@ def diagonal_dominate(hs) -> DyadicHFn:
     n_max = min(h.n_max for h in hs)
     if all(h.symbolic is not None and h.symbolic.t == 0 for h in hs):
         return power_hfn(max(h.symbolic.s for h in hs) + Fraction(1, 4), n_max)
-    lo, hi = [], []
-    for m in range(n_max + 1):
-        damp = Fraction(1, 1 << (m // 4))
-        lo.append(min(h.lo_at(m) for h in hs) * damp)
-        hi.append(min(h.hi_at(m) for h in hs) * damp)
-    return DyadicHFn(lo, hi, None, name="diag")
+
+    def sample(m):
+        samples = [h.sample_at(m) for h in hs]
+        den = lcm(*(d for _, _, d in samples))
+        return _lowest(min(lo * (den // d) for lo, _, d in samples),
+                       min(hi * (den // d) for _, hi, d in samples), den << (m // 4))
+    return _derived(sample, n_max, DEFAULT_PRECISION_BITS, "diag")
 
 
 def multiply(h: DyadicHFn, g: DyadicHFn) -> DyadicHFn:
     if (h.symbolic and g.symbolic) and h.symbolic.t == g.symbolic.t == 0:
         return power_hfn(h.symbolic.s + g.symbolic.s,
                          min(h.n_max, g.n_max), max(h.precision, g.precision))
-    top = min(h.n_max, g.n_max)
-    lo = [h.lo_at(n) * g.lo_at(n) for n in range(top + 1)]
-    hi = [h.hi_at(n) * g.hi_at(n) for n in range(top + 1)]
-    return DyadicHFn(lo, hi, None, max(h.precision, g.precision),
-                     name=f"({h.name})*({g.name})")
+    return _derived(lambda n: _lowest(*map(prod, zip(h.sample_at(n), g.sample_at(n)))),
+                    min(h.n_max, g.n_max), max(h.precision, g.precision),
+                    f"({h.name})*({g.name})")
 
 
 def grid_index_floor(r: Fraction) -> int:
@@ -490,27 +492,28 @@ def compose(h: DyadicHFn, g: DyadicHFn) -> DyadicHFn:
     """h o g on the grid: evaluate h at the grid snap of g's values.
 
     Rounding is outward: the true h(g(2^-n)) lies between the h-samples at
-    the indices bracketing -log2 g_n.  Requires h's table to reach the
-    snapped indices.
+    the indices bracketing -log2 g_n.  Requires g <= 1 and h's table to
+    reach the snapped indices, both checked where g is largest and deepest.
     """
     if (h.symbolic and g.symbolic) and h.symbolic.t == g.symbolic.t == 0:
         return power_hfn(h.symbolic.s * g.symbolic.s,
                          min(h.n_max, g.n_max), max(h.precision, g.precision))
-    top = g.n_max
-    lo, hi = [], []
-    for n in range(top + 1):
+
+    def snaps(n):  # 2^-deep <= g_lo and min(g_hi, 1) <= 2^-shallow
         glo, ghi = g.value(n)
-        if ghi > 1:
-            ghi = Fraction(1)
-        j_deep = grid_index_floor(glo)   # 2^-j_deep <= g_lo
-        j_shallow = grid_index_ceil(ghi)
-        if j_deep > h.n_max:
-            raise DepthExceededError(
-                f"compose needs h at grid index {j_deep} (table to {h.n_max})")
-        lo.append(h.lo_at(j_deep))
-        hi.append(h.hi_at(min(j_shallow, h.n_max)))
-    return DyadicHFn(list(accumulate(lo, min)), list(accumulate(hi, min)), None,
-                     max(h.precision, g.precision), name=f"({h.name})o({g.name})")
+        return grid_index_floor(glo), grid_index_ceil(min(ghi, 1))
+    snaps(0)  # refuses a g above 1
+    deep = snaps(g.n_max)[0]
+    if deep > h.n_max:
+        raise DepthExceededError(
+            f"compose needs h at grid index {deep} (table to {h.n_max})")
+
+    def sample(n):
+        deep, shallow = snaps(n)
+        (lo, _, d), (_, hi, e) = h.sample_at(deep), h.sample_at(min(shallow, h.n_max))
+        return _lowest(lo * e, hi * d, d * e)
+    return _derived(sample, g.n_max, max(h.precision, g.precision),
+                    f"({h.name})o({g.name})")
 
 
 def grid_inverse(g: DyadicHFn) -> DyadicHFn:
@@ -518,19 +521,17 @@ def grid_inverse(g: DyadicHFn) -> DyadicHFn:
     where j(m) is the deepest grid index with g_j >= 2^-m."""
     if g.symbolic is not None and g.symbolic.t == 0:
         return power_hfn(1 / g.symbolic.s, g.n_max, g.precision)
-    strict = all(g.hi_at(n + 1) < g.lo_at(n) for n in range(g.n_max))
-    if not strict:
+    pairs = pairwise(g.sample_at(n) for n in range(g.n_max + 1))
+    if not all(hi * c < lo * d for (lo, _, c), (_, hi, d) in pairs):  # hi_n+1 < lo_n
         raise BuildError("grid inverse needs a strictly decreasing gauge table")
-    lo, hi = [], []
-    for m in range(g.n_max + 1):
-        target = Fraction(1, 1 << m)
-        j = 0
-        while j + 1 <= g.n_max and g.lo_at(j + 1) >= target:
+    j = 0
+
+    def sample(m):  # m increases from call to call, so j only moves on
+        nonlocal j
+        while j < g.n_max and g.dominates_dyadic(m, j + 1):  # g_lo >= 2^-m
             j += 1
-        v = Fraction(1, 1 << j)
-        lo.append(v)
-        hi.append(v)
-    return DyadicHFn(lo, hi, None, g.precision, name=f"inv({g.name})")
+        return 1, 1, 1 << j
+    return _derived(sample, g.n_max, g.precision, f"inv({g.name})")
 
 
 def hfn_from_epsilons(eps, n_max: int | None = None) -> DyadicHFn:
@@ -545,17 +546,13 @@ def hfn_from_epsilons(eps, n_max: int | None = None) -> DyadicHFn:
     if not eps or eps[-1] <= 0:
         raise SpecFormatError("epsilons must be positive")
     eps = [min(e, Fraction(1)) for e in eps]  # cube diameters cap at 1
-    count = len(eps)
     deepest = grid_index_floor(min(min(eps), Fraction(1))) + 4
     top = max(n_max if n_max is not None else 0, deepest, DEFAULT_N_MAX // 2)
     vals = []
     for m in range(top + 1):
         threshold = Fraction(2, 1 << m)  # 2^(1-m)
         first = next((i + 1 for i, e in enumerate(eps) if e < threshold), None)
-        if first is None:
-            vals.append(Fraction(1, count + 1 + max(0, m - deepest)))
-        else:
-            vals.append(Fraction(1, first))
+        vals.append(Fraction(1, first or len(eps) + 1 + max(0, m - deepest)))
     vals = list(accumulate(vals, min))
     # force a strictly decreasing tail so the vanishing flag holds
     m = len(vals) - 1

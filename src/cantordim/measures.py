@@ -19,8 +19,8 @@ from itertools import accumulate
 from math import log2
 
 from .errors import BuildError, DepthExceededError, SpecFormatError
-from .hfun import (DyadicHFn, finite_order, grid_index_floor, multiply,
-                   power_hfn, precede)
+from .hfun import (DyadicHFn, _derived, _lowest, finite_order,
+                   grid_index_floor, multiply, power_hfn, precede)
 from .treeset import (Budget, CISet, FullCube, ProductSet, TreeSet, _budget,
                       is_trace_subset)
 from .words import ISpec, Word
@@ -710,8 +710,9 @@ def lipschitz_image_check(e: TreeSet, code: BlockCode, h: DyadicHFn,
                               f"scale m > {k}, not {m}")
     bud = _budget(budget)
     img = hausdorff_measure_delta(code.image(e), h, c * (m - k), c * (depth - k), bud)
-    lo, hi = zip(*(h.value(c * max(0, n - k)) for n in range(depth + 1)))
-    moved = DyadicHFn(lo, hi, None, h.precision, f"({h.name})o(2^{k}r)^{c}")
+    h.sample_at(c * max(0, depth - k))  # refuses an h too short for the source
+    moved = _derived(lambda n: _lowest(*h.sample_at(c * max(0, n - k))), depth,
+                     h.precision, f"({h.name})o(2^{k}r)^{c}")
     src = hausdorff_measure_delta(e, moved, m, depth, bud)
     return LipschitzReport(img.upper <= src.upper, img, src.upper,
                            f"modulus (2^{k} r)^{c}")

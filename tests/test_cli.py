@@ -437,6 +437,17 @@ def test_witness_check_x_must_be_a_binary_word(capsys, x):
     assert "not a binary word" in err
 
 
+@pytest.mark.parametrize("rng", ["2:1", "-1:2"])
+def test_witness_check_range_must_run_up_from_zero(capsys, rng):
+    # an inverted range once checked no block and exited 1; a negative LO
+    # once reported block -1, read from the end of g
+    wm = Path(__file__).parent / "golden" / "wm.json"
+    code, out, err = run(["witness", "check", "--witness", str(wm), "--x",
+                          "0101010101010101", f"--range={rng}"], capsys)
+    assert code == 2 and out == "" and err.startswith("input error:")
+    assert "bad range" in err
+
+
 @pytest.mark.parametrize("levels", ["0", "-1"])
 def test_cover_build_needs_a_level(specs, capsys, levels):
     code, out, err = run(["cover", "build", "--set", specs["ce"], "--hfn",

@@ -292,3 +292,92 @@ def test_depth_exceeded():
         precede(short, short, 64)
     with pytest.raises(DepthExceededError):
         short.value(9)
+
+
+def _operand_reads(monkeypatch):
+    """(gauge, n) for every `sample_at` call from here on."""
+    reads = []
+    real = DyadicHFn.sample_at
+
+    def counting(self, n):
+        reads.append((self, n))
+        return real(self, n)
+    monkeypatch.setattr(DyadicHFn, "sample_at", counting)
+    return reads
+
+
+HARMONIC = [Fraction(1, n + 1) for n in range(97)]
+
+
+def test_a_derived_gauge_samples_no_operand_until_it_is_read(monkeypatch):
+    h, g = power_log_hfn(1, 1), table_hfn(HARMONIC)
+    reads = _operand_reads(monkeypatch)
+    made = [multiply(h, g), diagonal_dominate([h, g]), g.scaled(3), h.scaled(3)]
+    assert reads == []
+    # compose reads g where it is largest and deepest, to refuse it there
+    compose(h, power_hfn(Fraction(1, 2), 8))
+    assert [n for _, n in reads] == [0, 8]
+    assert all(len(d._store[1]) == 0 for d in made)
+
+
+def test_a_derived_gauge_reads_its_operands_as_far_as_its_store_grows(monkeypatch):
+    h, g = power_hfn(Fraction(2, 3)), table_hfn(HARMONIC)
+    product = multiply(h, g)
+    reads = _operand_reads(monkeypatch)
+    product.value(12)
+    assert [n for x, n in reads if x is h] == [n for x, n in reads if x is g] \
+        == list(range(13))
+    del reads[:]
+    product.value(12)
+    assert [x for x, _ in reads] == [product]  # a stored sample reads no operand
+    del reads[:]
+    product.value(13)  # the store doubles: samples 13..26
+    assert [n for x, n in reads if x is h] == list(range(13, 27))
+
+
+def test_grid_inverse_reads_each_operand_sample_a_bounded_number_of_times(monkeypatch):
+    from oracles import grid_inverse_by_fractions
+    g = table_hfn(HARMONIC)
+    reads = _operand_reads(monkeypatch)
+    inverse = grid_inverse(g)
+    inverse.numerators(inverse.n_max)
+    engine = sum(x is g for x, _ in reads)
+    del reads[:]
+    grid_inverse_by_fractions(g)  # searches from j = 0 at every m
+    assert engine <= 3 * (g.n_max + 1) < 8_000 < sum(x is g for x, _ in reads)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: multiply(power_log_hfn(1, 1, 20), table_hfn(HARMONIC)),
+    lambda: compose(table_hfn(HARMONIC), power_hfn(Fraction(1, 2), 20)),
+    lambda: diagonal_dominate([power_hfn(1), table_hfn(HARMONIC[:21])]),
+    lambda: grid_inverse(table_hfn(HARMONIC[:21])),
+    lambda: power_hfn(1, 20).scaled(2),
+])
+def test_a_derived_gauge_is_a_table_to_its_n_max(make):
+    h = make()
+    assert h.symbolic is None and h.n_max == 20
+    with pytest.raises(DepthExceededError, match="grid index 21 .table to 20"):
+        h.value(21)
+    h.value(20)  # the store holds samples 0..20 now, and still refuses 21
+    with pytest.raises(DepthExceededError):
+        h.numerators(21)
+
+
+def test_an_unread_derived_gauge_reads_its_tail_for_the_vanishing_flag():
+    flat = table_hfn([1, Fraction(1, 2)] + [Fraction(1, 4)] * 6)
+    for h in (flat.scaled(2), multiply(flat, flat)):
+        assert h._store[1] == [] and not h.is_vanishing
+        with pytest.raises(BuildError, match="not vanishing"):
+            diagonal_dominate([power_hfn(1), h])
+    assert multiply(flat, power_hfn(1, 7)).is_vanishing
+
+
+def test_derived_gauges_are_refused_when_they_are_made():
+    g = table_hfn([Fraction(1, 1 << n) for n in range(17)])
+    with pytest.raises(DepthExceededError, match="grid index 16 .table to 3"):
+        compose(table_hfn([1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]), g)
+    with pytest.raises(ValueError):  # h o g needs g <= 1
+        compose(table_hfn(HARMONIC), table_hfn([2, 1, Fraction(1, 2)]))
+    with pytest.raises(BuildError, match="strictly decreasing"):
+        grid_inverse(table_hfn([1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)]))
