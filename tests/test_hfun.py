@@ -294,24 +294,12 @@ def test_depth_exceeded():
         short.value(9)
 
 
-def _operand_reads(monkeypatch):
-    """(gauge, n) for every `sample_at` call from here on."""
-    reads = []
-    real = DyadicHFn.sample_at
-
-    def counting(self, n):
-        reads.append((self, n))
-        return real(self, n)
-    monkeypatch.setattr(DyadicHFn, "sample_at", counting)
-    return reads
-
-
 HARMONIC = [Fraction(1, n + 1) for n in range(97)]
 
 
 def test_a_derived_gauge_samples_no_operand_until_it_is_read(monkeypatch):
     h, g = power_log_hfn(1, 1), table_hfn(HARMONIC)
-    reads = _operand_reads(monkeypatch)
+    reads = _counted(monkeypatch, "sample_at", DyadicHFn)
     made = [multiply(h, g), diagonal_dominate([h, g]), g.scaled(3), h.scaled(3)]
     assert reads == []
     # compose reads g where it is largest and deepest, to refuse it there
@@ -323,7 +311,7 @@ def test_a_derived_gauge_samples_no_operand_until_it_is_read(monkeypatch):
 def test_a_derived_gauge_reads_its_operands_as_far_as_its_store_grows(monkeypatch):
     h, g = power_hfn(Fraction(2, 3)), table_hfn(HARMONIC)
     product = multiply(h, g)
-    reads = _operand_reads(monkeypatch)
+    reads = _counted(monkeypatch, "sample_at", DyadicHFn)
     product.value(12)
     assert [n for x, n in reads if x is h] == [n for x, n in reads if x is g] \
         == list(range(13))
@@ -338,7 +326,7 @@ def test_a_derived_gauge_reads_its_operands_as_far_as_its_store_grows(monkeypatc
 def test_grid_inverse_reads_each_operand_sample_a_bounded_number_of_times(monkeypatch):
     from oracles import grid_inverse_by_fractions
     g = table_hfn(HARMONIC)
-    reads = _operand_reads(monkeypatch)
+    reads = _counted(monkeypatch, "sample_at", DyadicHFn)
     inverse = grid_inverse(g)
     inverse.numerators(inverse.n_max)
     engine = sum(x is g for x, _ in reads)

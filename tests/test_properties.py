@@ -305,14 +305,15 @@ def operand_gauges(draw):
     return DyadicHFn(lo, [v * widen for v in lo])
 
 
+# kind -> (engine, reference, how many operands it takes)
 DERIVED = {
-    "multiply": (multiply, multiply_by_fractions, 2),
-    "compose": (compose, compose_by_fractions, 2),
+    "multiply": (multiply, multiply_by_fractions, (2, 2)),
+    "compose": (compose, compose_by_fractions, (2, 2)),
     "diagonal_dominate": (lambda *hs: diagonal_dominate(hs),
-                          lambda *hs: diagonal_dominate_by_fractions(hs), 3),
-    "grid_inverse": (grid_inverse, grid_inverse_by_fractions, 1),
+                          lambda *hs: diagonal_dominate_by_fractions(hs), (1, 3)),
+    "grid_inverse": (grid_inverse, grid_inverse_by_fractions, (1, 1)),
     "scaled": (lambda h: h.scaled(Fraction(3, 7)),
-               lambda h: scaled_by_fractions(h, Fraction(3, 7)), 1),
+               lambda h: scaled_by_fractions(h, Fraction(3, 7)), (1, 1)),
 }
 
 
@@ -330,7 +331,7 @@ def test_derived_gauges_equal_the_fraction_built_tables(kind, data):
     # its whole store once read to n_max
     build, reference, arity = DERIVED[kind]
     operands = [data.draw(operand_gauges())
-                for _ in range(data.draw(st.integers(1, arity)) if arity == 3 else arity)]
+                for _ in range(data.draw(st.integers(*arity)))]
     got, want = _made(build, operands), _made(reference, operands)
     if isinstance(want, type):
         assert got is want
