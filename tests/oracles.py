@@ -997,3 +997,33 @@ def driven_by_step(e):
 
     e.children = children
     return e
+
+
+def me_cover_by_spans(w, k_max):
+    """(elements, groups) of ``ideals.me_cover``, with one span per f-block
+    and a cursor that moves each span into the first group whose end g(n+1)
+    lies past the block's start.
+
+    The groups stop at the first one that takes the last block, so a g table
+    that ends first leaves the later blocks' words in no group.
+    """
+    f = w.f
+    elements, spans = [], []
+    for k in range(min(k_max, f.block_count)):
+        a, b = f.block(k)
+        start = len(elements)
+        for p in all_words(f(k)):
+            elements.append(p + w.y.segment(a, b))
+        spans.append((k, start, len(elements)))
+    groups, cursor = [], 0
+    for n in range(len(w.g.table) - 1):
+        hi = w.g(n + 1)
+        start = 0 if not groups else groups[-1][1]
+        end = start
+        while cursor < len(spans) and f(spans[cursor][0]) < hi:
+            end = spans[cursor][2]
+            cursor += 1
+        groups.append((start, end))
+        if cursor >= len(spans):
+            break
+    return tuple(elements), tuple(groups)

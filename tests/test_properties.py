@@ -27,7 +27,7 @@ from oracles import (GaugeStoreByFractions, ank_by_filter, block_level_trace,
                      diagonal_dominate_by_fractions, driven_by_step, dp_walk,
                      gauge_table, gauge_table_error, grid_inverse_by_fractions,
                      interned_trie, ispec_members, lipschitz_by_cases,
-                     mass_sweep, min_cylinder_cover_cost,
+                     mass_sweep, me_cover_by_spans, min_cylinder_cover_cost,
                      multiply_by_fractions, point_prefix_by_bits,
                      reindex_by_fractions, scaled_by_fractions,
                      shelahM_by_scan, sparse_greedy, xtilde_blocks_by_filter)
@@ -41,8 +41,8 @@ from cantordim.hfun import (DyadicHFn, compose, diagonal_dominate, grid_inverse,
                             multiply, power_hfn, power_log_hfn, table_hfn)
 from cantordim.ideals import (BlockFamily, BlockPartition, EventualPoint,
                               ShelahMWitness, ShelahNWitness, TPrimeWitness,
-                              _growth, ank_test, nadd_box_check,
-                              shelahM_check, shelahN_filtration,
+                              _growth, ank_test, me_cover, me_fbuilder,
+                              nadd_box_check, shelahM_check, shelahN_filtration,
                               tprime_lbox_check, tprime_level_sets,
                               xtilde_level_set)
 from cantordim.measures import (BlockCode, CIProductMass, TableMass,
@@ -929,6 +929,36 @@ def test_shelahM_check_equals_the_scan_oracle(instance):
     else:
         got = shelahM_check(w, x, n_lo, n_hi)
         assert (got.outcomes, got.n0, got.horizon) == (*want, n_hi)
+
+
+@st.composite
+def me_cover_instances(draw):
+    """A ShelahM witness and a k_max from 0 to past f's end, f from
+    me_fbuilder or drawn widths.  The g table lies anywhere near f, or
+    ends at or before the start of the last block the cover lists, or has
+    unit coarse blocks, which hold no f-block start inside a wider block."""
+    if draw(st.booleans()):
+        f = me_fbuilder(power_hfn(draw(st.sampled_from((1, 2)))), 6)
+    else:
+        widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+        f = BlockPartition(tuple(accumulate(widths, initial=draw(st.integers(0, 2)))))
+    k_max = draw(st.integers(0, f.block_count + 1))
+    kind = draw(st.sampled_from(("near", "short", "unit")))
+    if kind == "unit":
+        g = range(draw(st.integers(0, 2)), f.table[-1] + draw(st.integers(1, 3)))
+    else:
+        last = f(max(0, min(k_max, f.block_count) - 1))
+        top = max(1, last) if kind == "short" else f.table[-1] + 2
+        g = sorted(draw(st.sets(st.integers(0, top), min_size=2, max_size=6)))
+    y = EventualPoint(draw(bits), draw(bits.filter(bool)))
+    return ShelahMWitness(f, BlockPartition(tuple(g)), y), k_max
+
+
+@given(me_cover_instances())
+def test_me_cover_equals_the_span_oracle(instance):
+    w, k_max = instance
+    cover, _ = me_cover(w, power_hfn(1), k_max)
+    assert (cover.elements, cover.groups) == me_cover_by_spans(w, k_max)
 
 
 @given(set_specs)
