@@ -276,14 +276,13 @@ def cmd_cover(cfg: RunConfig, args) -> int:
                          "hausdorff_sum": specio.rational_str(total),
                          "j0": v.j0, "limits": cfg.limits()})
         return EXIT_PASS if v.holds else EXIT_FAIL
-    if args.action == "verify":
-        e = specio.parse_set(specio.load_json(args.set))
-        cover = specio.parse_cover(_load_flag(args, "cover"))
-        ok, detail = _verify_cover(cfg, e, cover, cover.groups is not None)
-        _emit_json(cfg, {"detail": detail, "status": "pass" if ok else "fail",
-                         "limits": cfg.limits()})
-        return EXIT_PASS if ok else EXIT_FAIL
-    raise SpecFormatError(f"unknown cover action {args.action!r}")
+    # the verify action: argparse's choices refuse any other
+    e = specio.parse_set(specio.load_json(args.set))
+    cover = specio.parse_cover(_load_flag(args, "cover"))
+    ok, detail = _verify_cover(cfg, e, cover, cover.groups is not None)
+    _emit_json(cfg, {"detail": detail, "status": "pass" if ok else "fail",
+                     "limits": cfg.limits()})
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 def cmd_witness(cfg: RunConfig, args) -> int:
@@ -306,8 +305,6 @@ def cmd_witness(cfg: RunConfig, args) -> int:
                          "status": "pass" if ok else "fail",
                          "limits": cfg.limits()})
         return EXIT_PASS if ok else EXIT_FAIL
-    if args.action not in ("compile-me", "compile-nadd", "compile-tprime"):
-        raise SpecFormatError(f"unknown witness action {args.action!r}")
     h = cfg.parse_hfn(_load_flag(args, "hfn"))
     report, ok = {}, True
     if args.action == "compile-me":

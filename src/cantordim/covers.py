@@ -18,7 +18,7 @@ from .errors import BuildError, SpecFormatError
 from .hfun import DyadicHFn, grid_index_floor
 from .measures import Filtration, _argmin_words, _dp_bounds
 from .treeset import Budget, TreeSet, _budget
-from .words import Word, check_words, interleave
+from .words import check_words, interleave
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class Cover:
     segment of the element list, in order; ``eps`` tags the per-element
     fineness targets d(U_n) <= eps_n.  ``group_offset`` records the true
     index of the first group when the cover realizes a tail of witnessing
-    groups (size bounds like |G_j| <= j count from there).
+    groups (size bounds like |G_j| <= j count from there).  The words are
+    validated here, once: the checks that read a cover do not again.
     """
 
     elements: tuple
@@ -49,6 +50,16 @@ class Cover:
                 raise SpecFormatError("groups overrun the element list")
         if self.eps is not None and len(self.eps) < len(self.elements):
             raise SpecFormatError("eps sequence shorter than the element list")
+
+    @classmethod
+    def from_groups(cls, groups, eps=None, group_offset: int = 0) -> "Cover":
+        """The cover listing the word groups one after another, with one
+        half-open interval per group."""
+        elements, intervals = [], []
+        for g in groups:
+            intervals.append((len(elements), len(elements) + len(g)))
+            elements.extend(g)
+        return cls(tuple(elements), tuple(intervals), eps, group_offset)
 
     @property
     def group_count(self) -> int:
@@ -250,13 +261,12 @@ def _covered_groups(e: TreeSet, groups, n: int, budget: Budget | None) -> int:
     dropped before any parse.  A depth that one group lists keeps that
     group's words as one tag class; where several groups list words of one
     length, each meets only the words already seen there, so the build is
-    linear in the words listed.
+    linear in the words listed.  The callers have validated the words.
     """
     at: dict = {}  # d -> [(tag, the group's words of length d)]
     for j, g in enumerate(groups):
         for d, ws in _by_length(g, n).items():
             at.setdefault(d, []).append((1 << j, ws))
-    check_words(list(chain.from_iterable(ws for d in sorted(at) for _, ws in at[d])))
     ends: dict = {}
     for d in sorted(at):
         if len(at[d]) == 1:
@@ -275,6 +285,7 @@ def _covered_groups(e: TreeSet, groups, n: int, budget: Budget | None) -> int:
 def is_cover_at_depth(e: TreeSet, elements, n: int,
                       budget: Budget | None = None) -> bool:
     """Every depth-n trace node of E lies under some listed cylinder."""
+    check_words(elements)
     return bool(_covered_groups(e, (elements,), n, budget))
 
 
@@ -299,10 +310,8 @@ def verify_lambda(e: TreeSet, cover: Cover, horizon: int, depth: int,
     cut = max(horizon, 0)
     tag_of = {w: (2 << i) - 1 for i, w in enumerate(cover.elements[:cut])}
     tag_of.update(dict.fromkeys(cover.elements[cut:], (1 << max(horizon + 1, 0)) - 1))
-    short = _by_length(tag_of, depth)
-    check_words(list(chain.from_iterable(short.values())))
-    covered = _covering_groups(
-        e, {d: _tag_classes(ws, tag_of.__getitem__) for d, ws in short.items()}, budget)
+    covered = _covering_groups(e, {d: _tag_classes(ws, tag_of.__getitem__)
+                                   for d, ws in _by_length(tag_of, depth).items()}, budget)
     j = ((covered + 1) & ~covered).bit_length() - 1  # the lowest zero bit
     if j <= horizon:
         return LambdaVerdict("fails", horizon, depth, j)
@@ -410,7 +419,6 @@ def build_gamma_groupable(filtration: Filtration, h: DyadicHFn, max_scale: int =
     filtration's top set.
     """
     bud = _budget(budget)
-    elements: list[Word] = []
     groups = []
     for n, x in enumerate(filtration.sets):
         cyls = None
@@ -426,13 +434,12 @@ def build_gamma_groupable(filtration: Filtration, h: DyadicHFn, max_scale: int =
         if cyls is None:
             raise BuildError(f"no level-{n} cover of cost below 2^-{n} "
                              f"within scale {max_scale}")
-        groups.append((len(elements), len(elements) + len(cyls)))
-        elements.extend(cyls)
-    cover = Cover(tuple(elements), tuple(groups))
+        groups.append(cyls)
+    cover = Cover.from_groups(groups)
     total = gamma_grouped_sum(cover, h, filtration.sets[-1].interleaved)
     if not total < 2:
         raise BuildError(f"total Hausdorff sum {total} is not below 2")
-    check_depth = max(depth, max(len(w) for w in elements))
+    check_depth = max(depth, max(map(len, cover.elements)))
     verdict = verify_gamma_groupable(filtration.sets[-1], cover,
                                      len(filtration) - 1, check_depth, bud)
     if not verdict.holds:
@@ -485,25 +492,19 @@ def build_bounded_groups(filtration: Filtration, g: DyadicHFn, eps,
         n_marks.append(found)
         cursor = found + 1
 
-    elements: list[Word] = []
     groups = []
-    eps_tags: list[Fraction] = []
     for j in range(n_marks[0], len(deltas)):
         k = max(i for i, nm in enumerate(n_marks) if nm <= j)
         x = levels[k]
         cyls = x.trace(x.depth_of_scale(scales[j]), bud)
         if not len(cyls) <= j:
             raise BuildError(f"group {j} has {len(cyls)} > {j} elements")
-        groups.append((len(elements), len(elements) + len(cyls)))
-        for w in cyls:
-            elements.append(w)
-            eps_tags.append(eps[len(eps_tags)])
-    cover = Cover(tuple(elements), tuple(groups), tuple(eps_tags),
-                  group_offset=n_marks[0])
+        groups.append(cyls)
+    cover = Cover.from_groups(groups, tuple(eps[:sum(map(len, groups))]), n_marks[0])
     bad = cover.check_fineness(levels[0].interleaved)
     if bad is not None:
         raise BuildError(f"eps-fineness failed at element {bad}")
-    check_depth = max(depth, max(len(w) for w in elements))
+    check_depth = max(depth, max(map(len, cover.elements)))
     verdict = verify_gamma_groupable(levels[-1], cover, len(groups) - 1,
                                      check_depth, bud)
     if not verdict.holds:
@@ -549,6 +550,7 @@ def verify_combDnull_witness(e: TreeSet, eps, index_set, families, f_bound,
     on."""
     eps = [Fraction(x) for x in eps]
     idx = [n for n in sorted(index_set) if n <= horizon]
+    check_words(list(chain.from_iterable(families[n] for n in idx)))
     fine_bad, size_bad = [], []
     for n in idx:
         fam = families[n]
@@ -637,10 +639,9 @@ def merge_diagonal(witnesses, budget: Budget | None = None) -> DpNullWitness:
     merged_idx = []
     merged_fams = {}
     prev = 0
-    for i in range(len(ws)):
-        pool = set(ws[0].index_set)
-        for w in ws[1:i + 1]:
-            pool &= set(w.index_set)
+    pool = set(ws[0].index_set)
+    for i, new in enumerate(ws):
+        pool &= set(new.index_set)  # the indices common to the first i + 1 sets
         cands = sorted(n for n in pool if n > prev and n >= i + 1)
         if not cands:
             raise BuildError(f"no common index available at diagonal step {i}")
@@ -674,7 +675,6 @@ def product_cover(v_elements, u_cover: Cover, h: DyadicHFn,
     if u_cover.groups is None:
         raise SpecFormatError("the U-cover must carry witnessing groups")
     bud = _budget(budget)
-    elements = []
     groups = []
     for j in range(u_cover.group_count):
         us = u_cover.group_elements(j)
@@ -687,16 +687,13 @@ def product_cover(v_elements, u_cover: Cover, h: DyadicHFn,
         if len(v) < eps_j:
             raise BuildError(
                 f"fineness mismatch: d(V_{j}) = 2^-{len(v)} > 2^-{eps_j}")
-        start = len(elements)
-        for u in us:
-            elements.append(interleave(v[:len(u)], u))
-        groups.append((start, len(elements)))
-    cover = Cover(tuple(elements), tuple(groups))
+        groups.append([interleave(v[:len(u)], u) for u in us])
+    cover = Cover.from_groups(groups)
     u_sum = gamma_grouped_sum(u_cover, h)
     w_sum = gamma_grouped_sum(cover, h, interleaved=True)
     if w_sum != u_sum:
         raise AssertionError("product cover sum drifted from the U-side sum")
     if product_set is not None and depth is not None:
-        if not is_cover_at_depth(product_set, cover.elements, depth, bud):
+        if not _covered_groups(product_set, (cover.elements,), depth, bud):
             raise BuildError("product cover fails coverage at the check depth")
     return cover

@@ -336,28 +336,20 @@ def me_cover(w: ShelahMWitness, h: DyadicHFn, k_max: int,
     if total_elems > element_limit:
         raise BuildError(f"cover would need {total_elems} cylinders "
                          f"(> limit {element_limit}); lower k_max")
-    elements = []
-    spans = []
+    elements, starts = [], [0]  # starts[k]: the offset of block k's first word
     for k in range(k_top):
-        a, b = f.block(k)
-        yblock = w.y.segment(a, b)
-        start = len(elements)
-        for p in all_words(f(k)):
-            elements.append(p + yblock)
-        spans.append((k, start, len(elements)))
-    groups = []
-    cursor = 0
-    for n in range(len(w.g.table) - 1):
-        hi = w.g(n + 1)
-        start = 0 if not groups else groups[-1][1]
-        end = start
-        while cursor < len(spans) and f(spans[cursor][0]) < hi:
-            end = spans[cursor][2]
-            cursor += 1
-        groups.append((start, end))
-        if cursor >= len(spans):
+        yblock = w.y.segment(*f.block(k))
+        elements.extend(p + yblock for p in all_words(f(k)))
+        starts.append(len(elements))
+    # group n ends where the first block at or past g(n+1) starts; the groups
+    # stop at the one that takes the last block, or short of it when g ends first
+    ends = []
+    for hi in w.g.table[1:]:
+        k = bisect_left(f.table, hi, 0, k_top)
+        ends.append(starts[k])
+        if k == k_top:
             break
-    cover = Cover(tuple(elements), tuple(groups))
+    cover = Cover(tuple(elements), tuple(zip([0] + ends, ends)))
     return cover, me_sums(f, h, k_top)
 
 

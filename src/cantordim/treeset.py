@@ -444,8 +444,7 @@ class ExplicitSet(TreeSet):
     def _kids(self) -> list:
         """Each state's children tuple, made from its row on the first
         ``children`` call: a set read only through ``step`` makes none."""
-        return [((0, c0),) if c1 is None else ((1, c1),) if c0 is None
-                else ((0, c0), (1, c1)) for c0, c1 in self._rows]
+        return [_kids_of(c0, c1) for c0, c1 in self._rows]
 
 
 class SumSet(TreeSet):

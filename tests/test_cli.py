@@ -620,6 +620,39 @@ def test_well_formed_check_specs_run(tmp_path, capsys, spec):
     assert code in (0, 1) and err == "" and json.loads(out)["instance"] == str(path)
 
 
+@pytest.mark.parametrize("flags", [[], ["--depth", "12", "--scale", "2"]])
+def test_chain_check_file_equals_the_builtin(tmp_path, capsys, flags):
+    # a "chain" check file on chain-ci's set and gauge gives its verdict
+    path = tmp_path / "check.json"
+    path.write_text(canonical_json({
+        "check": "chain", "set": {"kind": "ci", "I": {"preperiod": "", "period": "10"}},
+        "hfn": {"symbolic": {"s": "1/2", "t": "0"}}}))
+    got = [run(["verify", name, *flags], capsys) for name in (str(path), "chain-ci")]
+    (code, out, err), (code_ci, out_ci, err_ci) = got
+    assert code == code_ci == 0 and err == err_ci == ""
+    payload, payload_ci = json.loads(out), json.loads(out_ci)
+    assert payload["detail"] == payload_ci["detail"]
+    assert payload["status"] == payload_ci["status"] == "pass"
+
+
+SPEC_TEXTS = {"missing": None, "invalid": '{"kind": "full_cube",',
+              "deep": "[" * 100_000 + "]" * 100_000}
+
+
+@pytest.mark.parametrize("name, message", [("missing", "cannot read"),
+                                           ("invalid", "invalid JSON in"),
+                                           ("deep", "nests too deeply to decode")])
+def test_unreadable_spec_file_is_input_error(tmp_path, name, message):
+    path = tmp_path / f"{name}.json"
+    if SPEC_TEXTS[name] is not None:
+        path.write_text(SPEC_TEXTS[name])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cantordim.cli", "dim", str(path), "--range", "1:3"],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("input error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
 
 def test_einc_horizon_must_be_positive(tmp_path, capsys):
     spec = {"check": "einc", "f": [0, 1, 2], "g": [0, 2],

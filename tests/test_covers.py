@@ -50,6 +50,33 @@ def test_cover_validation():
     assert c2.check_fineness() == 1
 
 
+def test_from_groups_lists_the_groups_one_after_another():
+    eps = (Fraction(1, 2),) * 5
+    got = Cover.from_groups([["0", "1"], [], ("00", "11")], eps, group_offset=3)
+    assert got == Cover(("0", "1", "00", "11"), ((0, 2), (2, 2), (2, 4)), eps, 3)
+    assert Cover.from_groups([]) == Cover((), ())
+
+
+@pytest.mark.parametrize("bad", ["2", "0101x1", 5])
+def test_non_binary_words_are_refused_where_they_enter(bad):
+    # a cover validates its words when it is made; the entry points that
+    # take raw word lists validate every word, those longer than the check
+    # depth (3) included
+    with pytest.raises(SpecFormatError):
+        Cover(("0", bad))
+    with pytest.raises(SpecFormatError):
+        Cover.from_groups([["0"], ["1", bad]])
+    with pytest.raises(SpecFormatError):
+        is_cover_at_depth(FullCube(), ["0", "1", bad], 3)
+    families = {1: ("0", "1"), 2: ("00", bad, "01", "1")}
+    for check in (lambda: verify_combDnull_witness(
+                      FullCube(), [1] * 3, [1, 2], families, lambda n: 4, 2, 3),
+                  lambda: verify_combPnull_witness(
+                      FullCube(), [1] * 3, [(), *families.values()], lambda n: 4, 2, 3)):
+        with pytest.raises(SpecFormatError):
+            check()
+
+
 def test_verify_lambda():
     fc = FullCube()
     elems = []
